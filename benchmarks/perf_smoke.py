@@ -2,11 +2,10 @@
 """Micro-benchmark of the simulator's hot loops.
 
 Measures blocks-executed-per-second and guest-instructions-per-second
-for the timing VM — with the block JIT off (pure interpreter dispatch),
-with it on and warm but the trace tier disabled (compiled closures and
-chaining only), and fully warm with superblock traces adopted from the
-shared space (the steady state every sweep cell after the first sees) —
-plus raw interpreter instructions-per-second.  ``run_all.py``
+for the timing VM — with the block JIT off (pure interpreter dispatch)
+and with it on and warm, compiled closures adopted from the shared
+space (the steady state every sweep cell after the first sees) — plus
+raw interpreter instructions-per-second.  ``run_all.py``
 embeds the numbers in ``BENCH_results.json`` so the performance
 trajectory of the inner loop is trackable across PRs.
 
@@ -36,29 +35,6 @@ from repro.workloads import build_workload
 
 DEFAULT_WORKLOAD = "164.gzip"
 DEFAULT_SCALE = 0.3
-
-#: Loop-dominated microbenchmark for the trace tier.  The smoke-scale
-#: gzip run executes too few hot blocks for superblock traces to matter
-#: (its trace_speedup hovers around 1.0x, inside the noise); this loop —
-#: a computed jump plus a conditional back-edge, 100k iterations — is
-#: the shape traces are built for and yields a stable speedup signal.
-TRACE_HOT_LOOP = """
-_start:
-    mov ecx, 100000
-head:
-    add eax, 3
-    xor eax, ecx
-    mov esi, b1
-    jmp esi
-b1:
-    add ebx, eax
-    shr eax, 1
-    sub ecx, 1
-    jnz head
-    mov eax, 1
-    and ebx, 255
-    int 0x80
-"""
 
 #: Committed reference numbers for --check (next to this script).
 BASELINE_PATH = Path(__file__).resolve().parent / "perf_baseline.json"
@@ -94,33 +70,6 @@ def _best_of(build, config, repeats=WARM_REPEATS, **vm_kwargs):
     return result, best
 
 
-def _measure_trace_hot_loop(config) -> dict:
-    """Block-JIT vs trace-JIT on the loop microbenchmark, both warm."""
-    from repro.guest.assembler import assemble
-
-    program = assemble(TRACE_HOT_LOOP)
-    cache = TranslationCache()
-    TimingVM(program, config, jit=True,
-             translation_cache=cache, program_key="trace-hot-loop").run()
-    build = lambda: assemble(TRACE_HOT_LOOP)
-    block_result, block_seconds = _best_of(
-        build, config, jit=True, trace_jit=False,
-        translation_cache=cache, program_key="trace-hot-loop",
-    )
-    trace_result, trace_seconds = _best_of(
-        build, config, jit=True, trace_jit=True,
-        translation_cache=cache, program_key="trace-hot-loop",
-    )
-    assert trace_result == block_result, "hot-loop trace run diverged"
-    blocks = block_result.blocks_executed
-    return {
-        "blocks_executed": blocks,
-        "block_jit_blocks_per_second": round(blocks / block_seconds, 1),
-        "trace_jit_blocks_per_second": round(blocks / trace_seconds, 1),
-        "trace_speedup": round(block_seconds / trace_seconds, 3),
-    }
-
-
 def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> dict:
     """Timing-VM runs (JIT off / JIT warm) + a raw interpreter run."""
     program = build_workload(workload, scale=scale)
@@ -128,20 +77,13 @@ def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> d
 
     result, nojit_seconds = _timed_run(program, config, jit=False)
 
-    # warm the shared spaces (translations + compiled closures + traces),
-    # then measure the steady state a sweep's 2nd..Nth cells run in —
-    # once with the trace tier disabled (block JIT + chaining only) and
-    # once with superblock traces adopted from the shared space
+    # warm the shared spaces (translations + compiled closures), then
+    # measure the steady state a sweep's 2nd..Nth cells run in
     cache = TranslationCache()
     program = build_workload(workload, scale=scale)
     _timed_run(program, config, jit=True,
                translation_cache=cache, program_key=workload)
     build = lambda: build_workload(workload, scale=scale)
-    notrace_result, notrace_seconds = _best_of(
-        build, config, jit=True, trace_jit=False,
-        translation_cache=cache, program_key=workload,
-    )
-    assert notrace_result == result, "trace-off JIT run diverged from JIT-off run"
     jit_result, jit_seconds = _best_of(
         build, config, jit=True,
         translation_cache=cache, program_key=workload,
@@ -164,8 +106,6 @@ def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> d
     assert prof_result == result, "profiled run diverged from unprofiled run"
     profile_paths = len(profiler.snapshot().get("paths", {}))
 
-    hot_loop = _measure_trace_hot_loop(config)
-
     program = build_workload(workload, scale=scale)
     started = time.perf_counter()
     interp = GuestInterpreter.for_program(program)
@@ -184,12 +124,6 @@ def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> d
                 result.guest_instructions / nojit_seconds, 1
             ),
         },
-        "timing_vm_jit_no_trace": {
-            "seconds": round(notrace_seconds, 4),
-            "blocks_per_second": round(
-                result.blocks_executed / notrace_seconds, 1
-            ),
-        },
         "timing_vm_jit": {
             "seconds": round(jit_seconds, 4),
             "blocks_per_second": round(result.blocks_executed / jit_seconds, 1),
@@ -198,8 +132,6 @@ def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> d
             ),
         },
         "jit_speedup": round(nojit_seconds / jit_seconds, 3),
-        "trace_speedup": round(notrace_seconds / jit_seconds, 3),
-        "trace_hot_loop": hot_loop,
         "profiling": {
             "seconds": round(prof_seconds, 4),
             "paths": profile_paths,
@@ -225,17 +157,7 @@ def append_history(doc: dict) -> None:
         metrics={
             "jit_speedup": doc["jit_speedup"],
             "timing_blocks_per_second": doc["timing_vm"]["blocks_per_second"],
-            # jit_blocks_per_second stays the block-JIT-only number so
-            # the history series remains comparable across PRs; the
-            # trace tier gets its own key
-            "jit_blocks_per_second": (
-                doc["timing_vm_jit_no_trace"]["blocks_per_second"]
-            ),
-            "trace_jit_blocks_per_second": (
-                doc["timing_vm_jit"]["blocks_per_second"]
-            ),
-            "trace_speedup": doc["trace_speedup"],
-            "trace_hot_speedup": doc["trace_hot_loop"]["trace_speedup"],
+            "jit_blocks_per_second": doc["timing_vm_jit"]["blocks_per_second"],
             "interp_instructions_per_second": (
                 doc["interpreter"]["instructions_per_second"]
             ),
@@ -297,14 +219,7 @@ def main() -> None:
             "scale": doc["scale"],
             "jit_speedup": doc["jit_speedup"],
             "timing_vm_blocks_per_second": doc["timing_vm"]["blocks_per_second"],
-            # block-JIT-only number for series comparability with
-            # pre-trace baselines; the trace tier gets its own key
-            "timing_vm_jit_blocks_per_second": (
-                doc["timing_vm_jit_no_trace"]["blocks_per_second"]
-            ),
-            "trace_jit_blocks_per_second": doc["timing_vm_jit"]["blocks_per_second"],
-            "trace_speedup": doc["trace_speedup"],
-            "trace_hot_speedup": doc["trace_hot_loop"]["trace_speedup"],
+            "timing_vm_jit_blocks_per_second": doc["timing_vm_jit"]["blocks_per_second"],
         }
         BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {BASELINE_PATH}")
@@ -313,23 +228,13 @@ def main() -> None:
     elif not args.check:
         vm = doc["timing_vm"]
         jit = doc["timing_vm_jit"]
-        notrace = doc["timing_vm_jit_no_trace"]
         print(
             f"{doc['workload']} @ scale {doc['scale']}: "
             f"{vm['blocks_per_second']:.0f} blocks/s (interpreter), "
-            f"{notrace['blocks_per_second']:.0f} blocks/s (block JIT warm), "
-            f"{jit['blocks_per_second']:.0f} blocks/s (trace JIT warm, "
-            f"{doc['jit_speedup']:.2f}x total, "
-            f"{doc['trace_speedup']:.2f}x from traces); "
+            f"{jit['blocks_per_second']:.0f} blocks/s (block JIT warm, "
+            f"{doc['jit_speedup']:.2f}x); "
             f"{doc['interpreter']['instructions_per_second']:.0f} instr/s "
             f"(raw interpreter)"
-        )
-        hot = doc["trace_hot_loop"]
-        print(
-            f"hot loop ({hot['blocks_executed']} blocks): "
-            f"{hot['block_jit_blocks_per_second']:.0f} blocks/s (block JIT) vs "
-            f"{hot['trace_jit_blocks_per_second']:.0f} blocks/s (trace JIT), "
-            f"{hot['trace_speedup']:.2f}x from traces"
         )
     if args.check:
         sys.exit(check_against_baseline(doc))

@@ -141,11 +141,6 @@ def _parse_args(argv) -> argparse.Namespace:
              "wall-clock changes — this flag exists to measure that)",
     )
     parser.add_argument(
-        "--no-trace-jit", action="store_true",
-        help="disable the trace JIT tier while keeping the block JIT "
-             "(bit-identical results; isolates the superblock speedup)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="enable the phase profiler (REPRO_PROF=1) in this process "
              "and every worker; per-phase host time lands in the JSON "
@@ -164,8 +159,6 @@ def main(argv=None) -> None:
     if args.no_jit:
         # before any worker pool exists, so every worker inherits it
         os.environ["REPRO_JIT"] = "0"
-    if args.no_trace_jit:
-        os.environ["REPRO_TRACEJIT"] = "0"
     if args.profile:
         # likewise before the pool: workers resolve REPRO_PROF at import
         os.environ[prof.ENABLE_ENV] = "1"
@@ -299,7 +292,6 @@ def _write_results_json(args, figure_records, started, low, high) -> None:
         "scale": args.scale,
         "jobs": args.jobs,
         "jit": not args.no_jit,
-        "trace_jit": not (args.no_jit or args.no_trace_jit),
         "total_seconds": total_seconds,
         "figures_passed": passed,
         "figures_failed": len(figure_records) - passed,

@@ -69,7 +69,6 @@ class TranslationCache:
     def __init__(self, capacity: int = NAMESPACE_CAPACITY) -> None:
         self._spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
         self._jit_spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
-        self._trace_spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
         self.hits = 0
         self.misses = 0
 
@@ -97,27 +96,9 @@ class TranslationCache:
             self._jit_spaces.put(namespace, space)
         return space
 
-    def trace_space(self, namespace: Hashable) -> Dict:
-        """The trace-JIT share map for one namespace.
-
-        Keyed ``(generation, loop, shape) -> CompiledTrace`` (or the
-        ineligible sentinel) by :class:`repro.guest.tracejit.TraceJit`,
-        where ``shape`` is the tuple of (pc, count, recorded successor)
-        triples a chain walk selected.  Trace codegen is deterministic
-        in the shape and generation, so — like :meth:`jit_space` — the
-        namespace is just the program key and every cell of a sweep
-        shares one compile of each hot trace.
-        """
-        space = self._trace_spaces.get(namespace)
-        if space is None:
-            space = {}
-            self._trace_spaces.put(namespace, space)
-        return space
-
     def clear(self) -> None:
         self._spaces.clear()
         self._jit_spaces.clear()
-        self._trace_spaces.clear()
         self.hits = 0
         self.misses = 0
 
@@ -130,10 +111,6 @@ class TranslationCache:
             "jit_namespaces": len(self._jit_spaces),
             "jit_blocks": sum(
                 len(self._jit_spaces.peek(key)) for key in self._jit_spaces
-            ),
-            "trace_namespaces": len(self._trace_spaces),
-            "traces": sum(
-                len(self._trace_spaces.peek(key)) for key in self._trace_spaces
             ),
         }
 

@@ -170,23 +170,17 @@ def _flag_mask(flags) -> int:
     return sum(1 << flag for flag in flags)
 
 
-def _flag_liveness(
-    instrs: List[Instruction], live_out: int = _ALL_FLAG_MASK
-) -> Tuple[List[int], int]:
-    """Backward liveness with a caller-supplied block-exit mask.
+def _live_flag_masks(instrs: List[Instruction]) -> List[int]:
+    """Backward liveness: which written flags each instruction must compute.
 
-    Returns ``(computed, live_in)``: the per-instruction masks of flags
-    that must be materialized, and the mask live on entry (what a
-    predecessor must have computed).  The trace JIT threads ``live_out``
-    across block boundaries so flags dead across a whole superblock are
-    skipped entirely; the block JIT always passes ``ALL`` (successor
-    unknown).  Fault barriers force ``ALL`` regardless — fault-time
-    architectural state must be bit-correct.  A shift's write is
-    conditional (count 0 writes nothing), so shifts compute their live
-    flags but never kill liveness.
+    ``ALL`` flags are live at block exit (the successor is unknown) and
+    at every fault barrier (the fault handler exposes the packed word),
+    so fault-time architectural state is bit-correct.  A shift's write
+    is conditional (count 0 writes nothing), so shifts compute their
+    live flags but never kill liveness.
     """
     computed = [0] * len(instrs)
-    live = live_out
+    live = _ALL_FLAG_MASK
     for index in range(len(instrs) - 1, -1, -1):
         instr = instrs[index]
         written = _flag_mask(flags_written(instr))
@@ -196,16 +190,7 @@ def _flag_liveness(
         live |= _flag_mask(flags_read(instr))
         if _can_fault(instr):
             live = _ALL_FLAG_MASK
-    return computed, live
-
-
-def _live_flag_masks(instrs: List[Instruction]) -> List[int]:
-    """Backward liveness: which written flags each instruction must compute.
-
-    ``ALL`` flags are live at block exit (the successor is unknown) and
-    at every fault barrier (the fault handler exposes the packed word).
-    """
-    return _flag_liveness(instrs)[0]
+    return computed
 
 
 class _Compiler:
@@ -234,18 +219,6 @@ class _Compiler:
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
-
-    def _set_eip(self, expr: str) -> None:
-        """Emit the terminator's next-pc assignment.
-
-        The block emitter commits straight to ``S.eip``; the trace
-        emitter (:mod:`repro.guest.tracejit`) overrides this to park the
-        successor in a local so side-exit guards can inspect it before
-        any state is spilled.  Only reachable from terminators a trace
-        may span (jcc/jmp/call/ret and the fall-through) — INT/HLT keep
-        their literal ``S.eip`` writes and are never traced.
-        """
-        self.emit("S.eip = %s" % expr)
 
     def _reg(self, reg: Register, write: bool = False) -> str:
         number = int(reg)
@@ -694,13 +667,13 @@ class _Compiler:
         saved = self.indent
         self.indent = saved + "    "
         self._emit_branch_observer(instr, "True", str(instr.target))
-        self._set_eip("%d" % instr.target)
+        self.emit("S.eip = %d" % instr.target)
         self.indent = saved
         self.emit("else:")
         self.emit("    _t = 0")
         self.indent = saved + "    "
         self._emit_branch_observer(instr, "False", str(instr.next_address))
-        self._set_eip("%d" % instr.next_address)
+        self.emit("S.eip = %d" % instr.next_address)
         self.indent = saved
 
     def _emit_jmp(self, instr: Instruction) -> None:
@@ -712,7 +685,7 @@ class _Compiler:
         self._bump("branches")
         self._bump("taken_branches")
         self._emit_branch_observer(instr, "True", target)
-        self._set_eip(target)
+        self.emit("S.eip = %s" % target)
 
     def _emit_call(self, instr: Instruction) -> None:
         if instr.target is not None:
@@ -726,7 +699,7 @@ class _Compiler:
         self._emit_push_value(str(instr.next_address))
         self._bump("calls")
         self._emit_branch_observer(instr, "True", target)
-        self._set_eip(target)
+        self.emit("S.eip = %s" % target)
 
     def _emit_ret(self, instr: Instruction) -> None:
         self.uses_memory = True
@@ -748,7 +721,7 @@ class _Compiler:
         self._bump("rets")
         self._bump("indirect_branches")
         self._emit_branch_observer(instr, "True", "_va")
-        self._set_eip("_va")
+        self.emit("S.eip = _va")
 
     def _emit_int(self, instr: Instruction) -> None:
         if instr.imm != SYSCALL_VECTOR:
@@ -860,7 +833,7 @@ class _Compiler:
             self.emit("# %s" % instr)
             self._emit_instruction(instr, computed[index])
         if last.op not in _CONTROL_OPS:
-            self._set_eip("%d" % last.next_address)
+            self.emit("S.eip = %d" % last.next_address)
 
         return self._assemble(last)
 
@@ -994,33 +967,49 @@ def pack_space(space: Dict) -> bytes:
     return pickle.dumps((PACK_FORMAT, entries), protocol=pickle.HIGHEST_PROTOCOL)
 
 
+class PackError(ValueError):
+    """A JIT pack that cannot be decoded: a truncated or garbled pickle,
+    bad marshal data, or an entry of the wrong shape."""
+
+
 def unpack_space(data: bytes) -> Dict:
     """Rebuild a shared JIT space from :func:`pack_space` output.
 
-    Returns ``{}`` on a format mismatch (the caller just recompiles).
-    Only feed this bytes from a trusted cache directory — it unpickles.
+    Returns ``{}`` on a format mismatch (the caller just recompiles) and
+    raises :class:`PackError` on undecodable input.  Only feed this
+    bytes from a trusted cache directory — it unpickles.
     """
     import marshal
     import pickle
 
-    fmt, entries = pickle.loads(data)
+    try:
+        fmt, entries = pickle.loads(data)
+    except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
+            IndexError, KeyError, MemoryError, OverflowError, TypeError,
+            ValueError) as err:
+        # what garbled pickles raise; a bogus length field alone can
+        # claim more memory than exists
+        raise PackError("undecodable JIT pack: %r" % err) from err
     if fmt != PACK_FORMAT:
         return {}
     space: Dict = {}
-    for key, payload in entries:
-        if payload is None:
-            space[key] = _INELIGIBLE
-            continue
-        code_bytes, sites, consts, address, count, successor, exit_op = payload
-        code = marshal.loads(code_bytes)
-        namespace = _base_namespace(tuple(sites))
-        namespace.update(consts)
-        exec(code, namespace)
-        space[key] = CompiledBlock(
-            namespace["_jit_block"], address, count, "<packed>",
-            successor, exit_op, code=code, sites=tuple(sites),
-            consts=dict(consts),
-        )
+    try:
+        for key, payload in entries:
+            if payload is None:
+                space[key] = _INELIGIBLE
+                continue
+            code_bytes, sites, consts, address, count, successor, exit_op = payload
+            code = marshal.loads(code_bytes)
+            namespace = _base_namespace(tuple(sites))
+            namespace.update(consts)
+            exec(code, namespace)
+            space[key] = CompiledBlock(
+                namespace["_jit_block"], address, count, "<packed>",
+                successor, exit_op, code=code, sites=tuple(sites),
+                consts=dict(consts),
+            )
+    except (EOFError, KeyError, TypeError, ValueError) as err:
+        raise PackError("malformed JIT pack entry: %r" % err) from err
     return space
 
 

@@ -40,12 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lru import LruDict
 from repro.dbt.transcache import TranslationCache
-from repro.guest.blockjit import jit_enabled_by_env, pack_space, unpack_space
-from repro.guest.tracejit import (
-    pack_trace_space,
-    trace_jit_enabled_by_env,
-    unpack_trace_space,
-)
+from repro.guest.blockjit import PackError, jit_enabled_by_env, pack_space, unpack_space
 from repro.guest.program import GuestProgram
 from repro.harness.diskcache import DiskCache, config_digest, enabled_by_env
 from repro.morph.config import PRESETS, VirtualArchConfig
@@ -263,46 +258,15 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
                         space.update(unpack_space(data))
                         METRICS.bump("jitpack.hits")
                         METRICS.bump("jitpack.blocks_adopted", len(space))
-                    except Exception:
+                    except PackError:
                         METRICS.bump("jitpack.corrupt")
-                        # corrupt/stale pack: recompile from scratch
+                        # undecodable pack: recompile from scratch
                     METRICS.observe(
                         "jitpack.unpack.us",
                         (time.perf_counter_ns() - started) / 1e3,
                         IO_TIME_BUCKETS,
                     )
         packed = len(space)
-    # Trace packs ride alongside the block packs: superblock traces are
-    # strictly rarer than blocks (only hot, stable chains get one) but
-    # each skips several dispatch round-trips, so adopting a sibling's
-    # compiles is worth the same marshal-load trick.
-    trace_pack_name = None
-    trace_packed = 0
-    trace_space = None
-    if disk is not None and cells and jit_enabled_by_env() and trace_jit_enabled_by_env():
-        workload, _, scale = cells[0]
-        trace_space = _TRANSLATIONS.trace_space((workload, scale))
-        trace_pack_name = f"tracepack_{workload}_{scale}".replace("/", "_")
-        if not trace_space:
-            data = disk.load_blob(trace_pack_name)
-            if data is None:
-                METRICS.bump("tracepack.misses")
-            else:
-                with profiler.phase("jit.pack"):
-                    started = time.perf_counter_ns()
-                    try:
-                        trace_space.update(unpack_trace_space(data))
-                        METRICS.bump("tracepack.hits")
-                        METRICS.bump("tracepack.traces_adopted", len(trace_space))
-                    except Exception:
-                        METRICS.bump("tracepack.corrupt")
-                        # corrupt/stale pack: recompile from scratch
-                    METRICS.observe(
-                        "tracepack.unpack.us",
-                        (time.perf_counter_ns() - started) / 1e3,
-                        IO_TIME_BUCKETS,
-                    )
-        trace_packed = len(trace_space)
     results = [run_one(workload, config, scale) for workload, config, scale in cells]
     if disk is not None:
         # A long-lived worker may serve a cell from its in-process memo
@@ -321,25 +285,12 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
                 disk.save_blob(pack_name, pack_space(space))
                 METRICS.bump("jitpack.saves")
                 METRICS.bump("jitpack.blocks_saved", len(space))
-            except Exception:
-                pass  # packing is an optimization; never fail the run
+            except OSError:
+                # packing is an optimization: a full or read-only cache
+                # directory must not fail the run, but it is counted
+                METRICS.bump("jitpack.save_failed")
             METRICS.observe(
                 "jitpack.pack.us", (time.perf_counter_ns() - started) / 1e3,
-                IO_TIME_BUCKETS,
-            )
-    if trace_pack_name is not None and trace_space and (
-        len(trace_space) > trace_packed or not disk.has_blob(trace_pack_name)
-    ):
-        with profiler.phase("jit.pack"):
-            started = time.perf_counter_ns()
-            try:
-                disk.save_blob(trace_pack_name, pack_trace_space(trace_space))
-                METRICS.bump("tracepack.saves")
-                METRICS.bump("tracepack.traces_saved", len(trace_space))
-            except Exception:
-                pass  # packing is an optimization; never fail the run
-            METRICS.observe(
-                "tracepack.pack.us", (time.perf_counter_ns() - started) / 1e3,
                 IO_TIME_BUCKETS,
             )
     deltas = {

@@ -10,8 +10,8 @@ Mapping:
 
 * ``translate.start`` / ``translate.end`` pairs become complete ("X")
   duration events on the slave's thread;
-* ``jit.trace_enter`` / ``jit.trace_exit`` pairs (the block JIT's
-  superblock traces) likewise become "X" spans on the execution thread;
+* ``jit.trace_enter`` / ``jit.trace_exit`` pairs (runs of chained
+  compiled blocks) likewise become "X" spans on the execution thread;
 * ``specq.enqueue`` / ``specq.dequeue`` additionally drive a counter
   ("C") track of the translation-queue depth (Figure 9's signal);
 * everything else becomes a thread-scoped instant ("i") event.

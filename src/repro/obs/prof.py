@@ -4,9 +4,8 @@ The paper reports *where cycles go* (translation vs execution vs
 reconfiguration); this module answers the same question about the
 simulator's own wall-clock, attributing host time to simulator phases —
 ``decode``, ``frontend``, ``optimizer`` (with per-pass children),
-``codegen``, ``schedule``, ``verify``, ``jit.compile``,
-``jit.trace.compile``, ``jit.run``, ``jit.pack``, ``interpreter``,
-``memsys``, ``morph``, ``cache.io`` and
+``codegen``, ``schedule``, ``verify``, ``jit.compile``, ``jit.run``,
+``jit.pack``, ``interpreter``, ``memsys``, ``morph``, ``cache.io`` and
 the harness-level ``run`` — so the next optimization PR knows which 2x
 to chase.
 
@@ -58,8 +57,7 @@ PHASES = (
     "schedule",     # list scheduling
     "verify",       # checked-mode verifiers
     "jit.compile",  # block JIT closure compilation
-    "jit.trace.compile",  # trace JIT superblock compilation
-    "jit.run",      # executing compiled closures and traces
+    "jit.run",      # executing compiled closures
     "jit.pack",     # (un)marshaling shared JIT code packs
     "interpreter",  # reference-interpreter block execution
     "memsys",       # timing memory-system accesses

@@ -12,10 +12,6 @@ still runs lint + checked sweep, unchanged):
   processes);
 * ``jit`` — symbolic closure validation: prove guest ≡ JIT-closure for
   every JIT-eligible block (same sweep harness and flags as ``equiv``);
-* ``trace`` — trace-closure validation: run each workload live with the
-  trace JIT on and structurally verify every installed superblock
-  closure (entry guards, side-exit spill completeness, per-block stats
-  accounting) plus the engine's trace-map consistency invariants;
 * ``lint-src`` — determinism/soundness AST lint over the simulator's
   own Python sources;
 * ``model`` — explicit-state model checking of the simulator's
@@ -48,7 +44,7 @@ from repro.verify.pipeline import checked_translate_program
 from repro.workloads.suite import SPECINT_NAMES
 
 _COMMANDS = (
-    "lint", "sweep", "equiv", "jit", "trace", "lint-src", "model", "conform", "all",
+    "lint", "sweep", "equiv", "jit", "lint-src", "model", "conform", "all",
 )
 
 #: Preset used when ``conform`` runs workloads live: it morphs eagerly,
@@ -132,37 +128,6 @@ def _run_equiv(names: List[str], args: argparse.Namespace, mode: str) -> bool:
             json.dump([row.as_dict() for row in rows], fh, indent=2)
         print(f"wrote {args.json}")
     return clean
-
-
-def _trace_one(name: str, args: argparse.Namespace) -> bool:
-    """Run ``name`` live with the trace tier on; verify every trace."""
-    from repro.morph.config import PRESETS
-    from repro.verify.jitverify import verify_trace
-    from repro.vm.timing import TimingVM
-
-    program = _load(name, args.scale)
-    vm = TimingVM(program, PRESETS[CONFORM_CONFIG], jit=True, trace_jit=True)
-    vm.run()
-    tracejit = vm._tracejit
-    if tracejit is None:
-        print(f"{name}: trace JIT unavailable (block JIT disabled); skipped")
-        return True
-    failures = 0
-    for head in sorted(tracejit.entries):
-        try:
-            verify_trace(tracejit.entries[head], vm.interp)
-        except VerificationError as err:
-            failures += 1
-            print(f"{name}: trace at {head:#x} FAILED:\n{err}")
-    findings = tracejit.check_consistency()
-    for finding in findings:
-        print(f"  {finding}")
-    blocks = sum(t.blocks for t in tracejit.entries.values())
-    print(
-        f"{name}: {len(tracejit.entries)} traces ({blocks} blocks) verified, "
-        f"{failures} failed, {len(findings)} consistency findings"
-    )
-    return failures == 0 and not findings
 
 
 def _run_lint_src(args: argparse.Namespace) -> bool:
@@ -317,16 +282,12 @@ def _run_all(args: argparse.Namespace) -> bool:
     def _sweep_section() -> bool:
         return all([_sweep_one(name, section_args) for name in names])
 
-    def _trace_section() -> bool:
-        return all([_trace_one(name, section_args) for name in names])
-
     sections = (
         ("lint", _lint_section),
         ("lint-src", lambda: _run_lint_src(section_args)),
         ("sweep", _sweep_section),
         ("equiv", lambda: _run_equiv(names, section_args, mode="equiv")),
         ("jit", lambda: _run_equiv(names, section_args, mode="jit")),
-        ("trace", _trace_section),
         ("model", lambda: _run_model(section_args)),
     )
     summary = {}
@@ -383,7 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": "Checked translation sweep with the static IR/host verifiers.",
         "equiv": "Symbolic translation validation: prove guest = IR = host per block.",
         "jit": "Symbolic closure validation: prove guest = JIT-closure per block.",
-        "trace": "Trace-closure validation: verify every installed superblock trace.",
         "lint-src": "Determinism/soundness AST lint over the simulator sources.",
         "model": "Explicit-state model checking of the simulator's protocols.",
         "conform": "Trace conformance: replay event streams against the protocol models.",
@@ -479,8 +439,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = list(args.programs) or list(SPECINT_NAMES)
     if command in ("equiv", "jit"):
         clean = _run_equiv(names, args, mode=command)
-    elif command == "trace":
-        clean = all([_trace_one(name, args) for name in names])
     else:
         clean = True
         for name in names:

@@ -23,7 +23,7 @@ Structural defects and semantic counterexamples both raise
 :class:`~repro.verify.findings.VerificationError` with a stable defect
 ``code``, so a corrupted closure is *attributed*, not just rejected.
 
-:func:`check_chain_links` validates the ``_run_fast`` successor-cache
+:func:`check_chain_links` validates the dispatch loop's successor-cache
 invariants (:mod:`repro.vm.timing`) over a live machine's dispatch
 table — the runtime structure the closures are dispatched through.
 """
@@ -46,16 +46,11 @@ from repro.verify.symexec.state import SymState, UnsupportedBlock, initial_state
 
 #: names the closure namespace provides (``_base_namespace`` plus the
 #: builtins the emitted source calls); ``_I<n>`` instruction constants
-#: are matched by pattern.  ``_PSP`` and ``RuntimeError`` only appear in
-#: trace closures (:mod:`repro.guest.tracejit`) but are harmless to
-#: allow for blocks — neither name is ever emitted there.
+#: are matched by pattern.
 _CLOSURE_GLOBALS = frozenset(
-    {"_MF", "_GF", "_PF", "_FB", "_SITES", "divmod", "abs", "str",
-     "_PSP", "set", "RuntimeError"}
+    {"_MF", "_GF", "_PF", "_FB", "_SITES", "divmod", "abs", "str"}
 )
-#: ``_I<n>`` for block closures, ``_I<block>_<n>`` for trace closures.
-_CONST_NAME = re.compile(r"_I\d+(_\d+)?\Z")
-_REG_LOCAL = re.compile(r"r(\d+)\Z")
+_CONST_NAME = re.compile(r"_I\d+\Z")
 
 _Defect = Tuple[str, str]
 
@@ -232,12 +227,6 @@ def _walk_scope(stmts: Sequence[ast.stmt], scope: set,
                 if isinstance(n, ast.Name):
                     loop_scope.add(n.id)
             _walk_scope(stmt.body, loop_scope, defects)
-        elif isinstance(stmt, ast.While):
-            # trace closures only (the back-edge loop); bindings made in
-            # the body do not conservatively escape it
-            _expr_loads(stmt.test, scope, defects)
-            loop_scope = set(scope)
-            _walk_scope(stmt.body, loop_scope, defects)
         elif isinstance(stmt, ast.AugAssign):
             # read-modify-write: the target is a read as well
             _expr_loads(stmt.value, scope, defects)
@@ -294,311 +283,6 @@ def lint_closure_source(source: str) -> List[_Defect]:
     _walk_scope(fn.body, {a.arg for a in fn.args.args}, defects)
     defects.extend(_check_fault_handler(fn))
     return defects
-
-
-# -- trace closures --------------------------------------------------------
-
-_FE_LINE = re.compile(r"_lk = FE\(V\.now, (\d+),")
-_ACC_LINE = re.compile(r"_st_([a-z_]+) \+= (\d+)")
-_TAKEN_LINE = re.compile(r"if _t: _st_taken_branches \+= 1")
-
-
-def _is_assign_to(stmt: ast.stmt, dotted: str) -> bool:
-    """``stmt`` is ``<dotted> = <anything>`` for a dotted-name target."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-        return False
-    target = stmt.targets[0]
-    parts = dotted.split(".")
-    for attr in reversed(parts[1:]):
-        if not (isinstance(target, ast.Attribute) and target.attr == attr):
-            return False
-        target = target.value
-    return isinstance(target, ast.Name) and target.id == parts[0]
-
-
-def _spill_target(stmt: ast.stmt) -> Optional[int]:
-    """The register number of an ``R[k] = rk`` spill, else ``None``."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-        return None
-    target = stmt.targets[0]
-    if not (isinstance(target, ast.Subscript)
-            and isinstance(target.value, ast.Name) and target.value.id == "R"):
-        return None
-    index = target.slice
-    if isinstance(index, ast.Index):  # py3.8 compatibility shim in ast
-        index = index.value
-    if not (isinstance(index, ast.Constant) and isinstance(index.value, int)):
-        return None
-    if not (isinstance(stmt.value, ast.Name)
-            and _REG_LOCAL.match(stmt.value.id)):
-        return None
-    return index.value
-
-
-def _trace_exit_sites(stmts: Sequence[ast.stmt], sites: list) -> None:
-    """Collect every ``return (<tuple>)`` with its enclosing suite."""
-    for i, stmt in enumerate(stmts):
-        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Tuple):
-            sites.append((stmts, i))
-        for suite in (getattr(stmt, "body", None), getattr(stmt, "orelse", None),
-                      getattr(stmt, "finalbody", None)):
-            if suite:
-                _trace_exit_sites(suite, sites)
-        for handler in getattr(stmt, "handlers", ()):
-            _trace_exit_sites(handler.body, sites)
-
-
-def _check_exit_spills(
-    fn: ast.FunctionDef, written: set, has_flags: bool
-) -> List[_Defect]:
-    """Every side-exit return must spill exactly the written registers,
-    the flag word if the trace holds one, commit ``S.eip``, restore the
-    metrics counter and flush the PIII batch — in the emitter's order."""
-    defects: List[_Defect] = []
-    sites: list = []
-    _trace_exit_sites(fn.body, sites)
-    if not sites:
-        defects.append(("trace-no-exits", "trace has no side-exit returns"))
-        return defects
-    for suite, index in sites:
-        ret = suite[index]
-        where = "exit at line %d" % ret.lineno
-        if len(ret.value.elts) != 7:
-            defects.append((
-                "trace-exit-shape",
-                "%s returns %d elements, dispatch expects 7"
-                % (where, len(ret.value.elts)),
-            ))
-        tail = suite[:index]
-        if not (tail and isinstance(tail[-1], ast.Expr)
-                and isinstance(tail[-1].value, ast.Call)
-                and isinstance(tail[-1].value.func, ast.Name)
-                and tail[-1].value.func.id == "PI"):
-            defects.append((
-                "trace-missing-flush", "%s does not flush PI(_pn)" % where))
-            continue
-        tail = tail[:-1]
-        if not (tail and _is_assign_to(tail[-1], "V._blocks_since_metrics")):
-            defects.append((
-                "trace-missing-flush",
-                "%s does not restore V._blocks_since_metrics" % where))
-            continue
-        tail = tail[:-1]
-        if not (tail and _is_assign_to(tail[-1], "S.eip")):
-            defects.append((
-                "trace-missing-commit", "%s does not commit S.eip" % where))
-            continue
-        tail = tail[:-1]
-        if has_flags:
-            if not (tail and _is_assign_to(tail[-1], "S.flags")):
-                defects.append((
-                    "trace-spill-mismatch",
-                    "%s does not spill the flag word" % where))
-                continue
-            tail = tail[:-1]
-        spilled = set()
-        while tail:
-            number = _spill_target(tail[-1])
-            if number is None:
-                break
-            spilled.add(number)
-            tail = tail[:-1]
-        if spilled != written:
-            missing = sorted(written - spilled)
-            extra = sorted(spilled - written)
-            defects.append((
-                "trace-spill-mismatch",
-                "%s spills %s, trace writes %s (missing %s, extra %s)"
-                % (where, sorted(spilled), sorted(written), missing, extra),
-            ))
-        # the stats accumulators flush just before the spills: plain
-        # ``BU(...)`` calls and ``if _st_x: SB('x', _st_x)`` guards
-        flushes = set()
-        while tail:
-            stmt = tail[-1]
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-                call = stmt.value
-            elif (isinstance(stmt, ast.If) and not stmt.orelse
-                  and len(stmt.body) == 1
-                  and isinstance(stmt.body[0], ast.Expr)
-                  and isinstance(stmt.body[0].value, ast.Call)):
-                call = stmt.body[0].value
-            else:
-                break
-            if not (isinstance(call.func, ast.Name)
-                    and call.func.id in ("SB", "BU") and call.args
-                    and isinstance(call.args[0], ast.Constant)):
-                break
-            flushes.add((call.func.id, call.args[0].value))
-            tail = tail[:-1]
-        if ("SB", "instructions") not in flushes:
-            defects.append((
-                "trace-missing-flush",
-                "%s does not flush the coalesced stats accumulators" % where,
-            ))
-        if ("BU", "blocks_executed") not in flushes:
-            defects.append((
-                "trace-missing-flush",
-                "%s does not flush blocks_executed" % where,
-            ))
-    return defects
-
-
-def _check_trace_stats(
-    source: str, block_instrs: Sequence[Sequence[Instruction]]
-) -> List[_Defect]:
-    """Per-constituent-block stats audit, segmented on the fetch calls."""
-    defects: List[_Defect] = []
-    lines = source.splitlines()
-    starts = [i for i, line in enumerate(lines) if _FE_LINE.search(line)]
-    if len(starts) != len(block_instrs):
-        defects.append((
-            "trace-shape-mismatch",
-            "source has %d fetch segments for %d blocks"
-            % (len(starts), len(block_instrs)),
-        ))
-        return defects
-    bounds = starts + [len(lines)]
-    for j, instrs in enumerate(block_instrs):
-        plain: Dict[str, int] = {}
-        cond: Dict[str, int] = {}
-        for line in lines[bounds[j]:bounds[j + 1]]:
-            if _TAKEN_LINE.search(line):
-                cond["taken_branches"] = cond.get("taken_branches", 0) + 1
-                continue
-            match = _ACC_LINE.search(line)
-            if match is None:
-                continue
-            key, amount = match.group(1), int(match.group(2))
-            plain[key] = plain.get(key, 0) + amount
-        expect_plain, expect_cond = expected_stats(instrs)
-        if plain != expect_plain:
-            defects.append((
-                "trace-stats-mismatch",
-                "block %d at %#x bumps %r, interpreter accounting is %r"
-                % (j, instrs[0].address, plain, expect_plain),
-            ))
-        if cond != expect_cond:
-            defects.append((
-                "trace-stats-mismatch",
-                "block %d at %#x conditional bumps %r, accounting is %r"
-                % (j, instrs[0].address, cond, expect_cond),
-            ))
-    return defects
-
-
-def lint_trace_source(
-    source: str,
-    block_instrs: Optional[Sequence[Sequence[Instruction]]] = None,
-) -> List[_Defect]:
-    """Structural lint of one generated trace closure.
-
-    Checks the three entry guards (head pc, code generation, pending
-    SMC — each must bail with ``return None`` before any state is
-    touched), runs the flow-sensitive unbound-name walk, verifies the
-    fault handler, and checks every side exit for spill completeness.
-    With ``block_instrs`` (the decoded instructions of each constituent
-    block, in shape order) the per-block stats bumps are audited against
-    :func:`expected_stats` as well.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as err:
-        return [("closure-syntax", "trace source does not parse: %s" % err)]
-    if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
-        return [("closure-syntax", "trace source is not a function")]
-    fn = tree.body[0]
-    defects: List[_Defect] = []
-
-    guards = {"S.eip": False, "V.code_writes": False, "V.pending_smc": False}
-    for stmt in fn.body:
-        if not (isinstance(stmt, ast.If) and not stmt.orelse
-                and len(stmt.body) == 1
-                and isinstance(stmt.body[0], ast.Return)
-                and isinstance(stmt.body[0].value, ast.Constant)
-                and stmt.body[0].value.value is None):
-            continue
-        test = ast.dump(stmt.test)
-        if "'eip'" in test:
-            guards["S.eip"] = True
-        elif "'code_writes'" in test:
-            guards["V.code_writes"] = True
-        elif "'pending_smc'" in test:
-            guards["V.pending_smc"] = True
-    for name, code in (
-        ("S.eip", "trace-missing-entry-guard"),
-        ("V.code_writes", "trace-missing-generation-guard"),
-        ("V.pending_smc", "trace-missing-smc-guard"),
-    ):
-        if not guards[name]:
-            defects.append((code, "no 'return None' guard on %s" % name))
-
-    # header register loads vs. body writes: the spill set is exactly
-    # the registers assigned anywhere outside the header loads
-    header_loads = set()
-    for stmt in fn.body:
-        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and _REG_LOCAL.match(stmt.targets[0].id)
-                and isinstance(stmt.value, ast.Subscript)
-                and isinstance(stmt.value.value, ast.Name)
-                and stmt.value.value.id == "R"):
-            header_loads.add(id(stmt))
-    written = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and id(node) not in header_loads:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    match = _REG_LOCAL.match(target.id)
-                    if match:
-                        written.add(int(match.group(1)))
-    has_flags = any(
-        isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and stmt.targets[0].id == "fl"
-        for stmt in fn.body
-    )
-
-    _walk_scope(fn.body, {a.arg for a in fn.args.args}, defects)
-    if "_SITES[_ip]" in source:
-        defects.extend(_check_fault_handler(fn))
-    defects.extend(_check_exit_spills(fn, written, has_flags))
-    if block_instrs is not None:
-        defects.extend(_check_trace_stats(source, block_instrs))
-    return defects
-
-
-def verify_trace(trace, interp, context: Optional[dict] = None) -> None:
-    """Lint one :class:`~repro.guest.tracejit.CompiledTrace`, raising.
-
-    Rebuilds each constituent block's decoded instructions from the
-    interpreter's plan cache (the same plans codegen consumed) so the
-    per-block stats audit runs too.  Raises
-    :class:`~repro.verify.findings.VerificationError` with stage
-    ``tracejit`` and a stable defect code per violation.
-    """
-    from repro.guest.tracejit import compile_trace
-
-    source = trace.source
-    if source == "<packed>":
-        source = compile_trace(
-            interp, trace.shape, trace.loop, trace.generation,
-            metrics_interval=trace.metrics_interval,
-        ).source
-    block_instrs = [
-        [entry[1] for entry in interp._build_block_plan(pc, count)]
-        for pc, count, _expect in trace.shape
-    ]
-    defects = lint_trace_source(source, block_instrs)
-    if defects:
-        findings = [
-            Finding(
-                analyzer="jitverify", severity=Severity.ERROR, code=code,
-                message=message, address=trace.head, stage="tracejit",
-            )
-            for code, message in defects
-        ]
-        raise VerificationError("tracejit", findings, context=context)
 
 
 # -- the verifier ----------------------------------------------------------
@@ -718,7 +402,7 @@ def check_chain_links(
     blocks: Dict[Tuple[int, int], object],
     threshold: int = 4,
 ) -> List[Finding]:
-    """Validate a live ``_run_fast`` successor cache against its JIT.
+    """Validate a live dispatch-loop successor cache against its JIT.
 
     ``links`` is ``TiledMachine._chain_links`` (``pc -> [fn, count,
     expected_next, streak, next_entry]``), ``code``/``blocks`` the
@@ -772,7 +456,5 @@ __all__ = [
     "check_chain_links",
     "expected_stats",
     "lint_closure_source",
-    "lint_trace_source",
     "run_guest_block",
-    "verify_trace",
 ]

@@ -20,7 +20,7 @@ leading ends/exits are forgiven, because their openers fell off the
 ring).
 
 :func:`conform_vm` additionally audits the live machine structures the
-events can't see: the ``_run_fast`` chain table (via
+events can't see: the dispatch loop's chain table (via
 ``check_chain_links``), the block-JIT code/blocks maps, and the
 translation cache's generation keys.
 """
@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.verify.findings import Finding, Severity
 
-#: Valid superblock-trace exit reasons (``TimingVM._close_trace``).
+#: Valid chained-run exit reasons (``TimingVM._close_trace``).
 JIT_EXIT_REASONS = ("cold", "smc", "guest_exit")
 
 #: Valid code-cache levels (``CodeCacheHierarchy``).
@@ -92,7 +92,7 @@ class ConformanceChecker:
         # translate: per-tile open translation (pc, start cycle)
         self._open_translations: Dict[str, Tuple[int, int]] = {}
         self._tiles_seen_start: set = set()
-        # jit: inside a superblock trace?
+        # jit: inside a chained run?
         self._in_trace = False
         self._jit_events = 0
         # morph: previous reconfig's new shape / cycle of the last flip
@@ -239,25 +239,6 @@ class ConformanceChecker:
                 event, index,
             )
             self._in_trace = False
-        elif event.name == "trace_install":
-            # trace JIT compiled (or adopted) a superblock closure
-            blocks = args.get("blocks")
-            self._check(
-                isinstance(blocks, int) and blocks >= 1,
-                "jit-empty-trace-install",
-                f"trace_install with blocks={blocks!r}",
-                event, index,
-            )
-        elif event.name == "trace_deinstall":
-            # an installed trace's entry guard rejected (stale
-            # generation): it must have covered at least one block
-            blocks = args.get("blocks")
-            self._check(
-                isinstance(blocks, int) and blocks >= 1,
-                "jit-empty-trace-deinstall",
-                f"trace_deinstall with blocks={blocks!r}",
-                event, index,
-            )
         else:
             self._violate("jit-unknown-event", f"unknown jit event {event.name!r}", event, index)
 
@@ -418,18 +399,14 @@ def audit_vm(vm) -> List[Finding]:
     """Structural protocol audits over a live :class:`TimingVM`.
 
     Covers what the event stream cannot see: the chained-dispatch table
-    (stale links, threshold discipline), the block JIT's and trace
-    JIT's internal maps, and the translation cache's generation keys.
+    (stale links, threshold discipline), the block JIT's internal maps,
+    and the translation cache's generation keys.
     """
     findings: List[Finding] = list(vm.check_chain_invariants())
 
     jit = getattr(vm.interp, "_jit", None)
     if jit is not None:
         findings.extend(jit.check_consistency())
-
-    tracejit = getattr(vm, "_tracejit", None)
-    if tracejit is not None:
-        findings.extend(tracejit.check_consistency())
 
     translator = vm.subsystem.translator
     audit = getattr(translator, "audit", None)

@@ -71,7 +71,6 @@ class SharedFabric:
         config = VirtualArchConfig("shared_fabric_vm", translator_tiles=min(6, base_share))
         self.vms: List[TimingVM] = [TimingVM(program, config) for program in programs]
         for vm in self.vms:
-            vm.start()
             vm.subsystem.set_slave_count(base_share, now=0)
         self._blocked_until: Dict[int, int] = {i: 0 for i in range(len(self.vms))}
         self._shares: Dict[int, int] = {i: base_share for i in range(len(self.vms))}

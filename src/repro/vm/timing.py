@@ -16,13 +16,13 @@ slowdown.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.common.stats import StatSet
 from repro.guest.blockjit import jit_enabled_by_env
-from repro.guest.tracejit import TraceJit, trace_jit_enabled_by_env
 from repro.guest.interpreter import AccessObserver, GuestInterpreter
 from repro.guest.program import GuestProgram
 from repro.dbt.block import pages_spanned
@@ -53,22 +53,6 @@ METRICS_SAMPLE_INTERVAL_BLOCKS = 32
 #: the dispatch loop chains the two closures (the indirect-exit inline
 #: cache; statically known successors chain on first contact).
 CHAIN_STREAK_THRESHOLD = 4
-
-#: Environment override for :data:`CHAIN_STREAK_THRESHOLD` (per-VM, read
-#: at construction — the trace tier inherits the chains it shapes).
-CHAIN_STREAK_ENV = "REPRO_CHAIN_STREAK"
-
-
-def chain_streak_from_env() -> int:
-    """The chain streak threshold, honouring :data:`CHAIN_STREAK_ENV`."""
-    import os
-
-    raw = os.environ.get(CHAIN_STREAK_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return CHAIN_STREAK_THRESHOLD
-    return max(1, value)
 
 
 class _TimingObserver(AccessObserver):
@@ -182,7 +166,6 @@ class TimingVM:
         translation_cache=None,
         program_key=None,
         jit: Optional[bool] = None,
-        trace_jit: Optional[bool] = None,
         checked: Optional[str] = None,
     ) -> None:
         if checked not in (None, False, "protocol"):
@@ -288,46 +271,30 @@ class TimingVM:
         self.syscall_tile = Resource("syscall_tile")
 
         # block JIT: hot guest blocks compile to specialized closures
-        # (repro.guest.blockjit); the fast run loop chains them into
-        # superblock traces.  Deliberately NOT a VirtualArchConfig knob:
+        # (repro.guest.blockjit); the dispatch loop chains them into
+        # runs of closure-to-closure calls.  Deliberately NOT a VirtualArchConfig knob:
         # it models nothing, it only accelerates the simulation, and
         # results are bit-identical with it on or off.  Its metrics live
         # in a separate registry so TimingRunResult stays byte-stable.
         self.jit_enabled = jit if jit is not None else jit_enabled_by_env()
         self.jit_metrics = MetricsRegistry("blockjit")
         self._chain_links: Dict[int, list] = {}
-        #: Chain streak threshold, overridable via REPRO_CHAIN_STREAK.
-        self.chain_streak = chain_streak_from_env()
-        #: Trace tier above chaining: hot chains compile to single
-        #: closures (repro.guest.tracejit).  Like the block JIT, a pure
-        #: simulation accelerator — results are bit-identical on or off.
-        self._tracejit: Optional[TraceJit] = None
         if self.jit_enabled:
             shared = None
-            shared_traces = None
             if translation_cache is not None and self._text_end > self._text_start:
-                space_key = program_key if program_key is not None else program.name
-                shared = translation_cache.jit_space(space_key)
-                shared_traces = translation_cache.trace_space(space_key)
+                shared = translation_cache.jit_space(
+                    program_key if program_key is not None else program.name
+                )
             engine = self.interp.enable_jit(
                 shared_space=shared,
                 generation=lambda: self.code_writes,
                 share_range=(self._text_start, self._text_end),
                 metrics=self.jit_metrics,
             )
-            engine.on_invalidate = self._on_jit_invalidate
-            trace_on = trace_jit if trace_jit is not None else trace_jit_enabled_by_env()
-            if trace_on:
-                self._tracejit = TraceJit(
-                    self.interp,
-                    engine,
-                    generation=lambda: self.code_writes,
-                    shared_space=shared_traces,
-                    metrics=self.jit_metrics,
-                    metrics_interval=METRICS_SAMPLE_INTERVAL_BLOCKS,
-                )
-                self._tracejit.on_install = self._on_trace_install
-                self._tracejit.on_deinstall = self._on_trace_deinstall
+            # a self-modifying write invalidated compiled code: chained
+            # dispatch state references stale closures and must go in
+            # the same breath (cleared in place — the loop aliases it)
+            engine.on_invalidate = self._chain_links.clear
 
         self.morph: Optional[MorphController] = None
         if config.morphing:
@@ -347,43 +314,19 @@ class TimingVM:
         # interned fetch-level stat keys — both avoid per-block rework
         self._pages_registered: set = set()
         self._fetch_stat_keys: Dict[str, str] = {}
-
-    def _read_code(self, address: int, length: int) -> bytes:
-        return self.interp.memory.read_bytes(address, length)
-
-    def _on_jit_invalidate(self) -> None:
-        """Self-modifying write invalidated compiled code: chained
-        dispatch state and installed traces reference stale closures
-        and must be dropped in the same breath (both cleared in place —
-        the fast loop aliases the dicts)."""
-        self._chain_links.clear()
-        if self._tracejit is not None:
-            self._tracejit.invalidate()
-
-    def _on_trace_install(self, trace) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.now, "jit", "trace_install", "execution",
-                pc=trace.head, blocks=trace.blocks, loop=trace.loop,
-            )
-
-    def _on_trace_deinstall(self, head: int, blocks: int) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.now, "jit", "trace_deinstall", "execution",
-                pc=head, blocks=blocks,
-            )
-
-    # -- the runtime-execution tile's main loop ------------------------------
-
-    def start(self) -> None:
-        """Initialize the stepping state (implicit on first :meth:`step`)."""
+        # the dispatch loop's position, saved whenever it stops so that
+        # step() and run() calls resume each other
         self._pc = self.interp.state.eip
         self._prev_pc: Optional[int] = None
         self._arrived_indirect = False
         self._executed_instructions = 0
+        self._trace_len = 0
         self.last_exit_kind: Optional[str] = None
-        self._started = True
+
+    def _read_code(self, address: int, length: int) -> bytes:
+        return self.interp.memory.read_bytes(address, length)
+
+    # -- the runtime-execution tile's main loop ------------------------------
 
     @property
     def finished(self) -> bool:
@@ -394,87 +337,20 @@ class TimingVM:
 
         The stepping API exists so several virtual machines can share
         one fabric (see :mod:`repro.vm.multivm`): an external scheduler
-        interleaves VMs by their cycle counters.
+        interleaves VMs by their cycle counters.  It is :meth:`run`'s
+        dispatch loop stopped after one block, so stepping to the end
+        yields exactly :meth:`run`'s result.
         """
-        if not getattr(self, "_started", False):
-            self.start()
-        interp = self.interp
-        if interp.exit_code is not None:
-            return False
-
-        pc = self._pc
-        lookup = self.hierarchy.fetch(self.now, pc, self._prev_pc, self._arrived_indirect)
-        self.now = lookup.ready_time
-        block = lookup.block
-        stats = self.stats
-        stats.bump("blocks_executed")
-        level = lookup.level
-        fetch_key = self._fetch_stat_keys.get(level)
-        if fetch_key is None:
-            fetch_key = "fetch_" + level.replace(".", "_")
-            self._fetch_stat_keys[level] = fetch_key
-        stats.bump(fetch_key)
-        if pc not in self._pages_registered:
-            self._pages_registered.add(pc)
-            for page in pages_spanned(block.guest_address, block.guest_length):
-                self.code_pages.setdefault(page, set()).add(pc)
-
-        # functional execution of the block's guest instructions,
-        # with memory stalls accumulating into pending_stall; the
-        # interpreter's block fast path batches fetch/dispatch work and
-        # the PIII per-instruction accounting folds into one call
-        self.pending_stall = 0
-        profiler = self._prof
-        if profiler.enabled:
-            with profiler.phase("interpreter"):
-                executed = interp.run_block_at(pc, block.guest_instr_count)
-        else:
-            executed = interp.run_block_at(pc, block.guest_instr_count)
-        self.piii.on_instructions(executed)
-        self._executed_instructions += executed
-        self.now += block.cost_cycles + self.pending_stall
-
-        if block.exit_kind == "syscall" and interp.exit_code is None:
-            hops = self.grid.hops(
-                self.hierarchy.execution, self.grid.find_one(TileRole.SYSCALL)
-            )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.now, "net", "msg", "execution", dst="syscall_tile", hops=hops, words=1
-                )
-            self.now += self.network.round_trip(hops)
-            self.now = self.syscall_tile.service(self.now, SYSCALL_TILE_OCCUPANCY)
-            self.stats.bump("syscalls")
-
-        if self.morph is not None:
-            if profiler.enabled:
-                t0 = time.perf_counter_ns()
-                self.now += self.morph.on_block_executed(self.now)
-                profiler.add("morph", time.perf_counter_ns() - t0)
-            else:
-                self.now += self.morph.on_block_executed(self.now)
-
-        self._blocks_since_metrics += 1
-        if self._blocks_since_metrics >= METRICS_SAMPLE_INTERVAL_BLOCKS:
-            self._blocks_since_metrics = 0
-            self._sample_metrics()
-
-        if self.pending_smc:
-            self._invalidate_smc_pages()
-
-        self._prev_pc = pc
-        self._pc = interp.state.eip
-        self._arrived_indirect = block.exit_kind == "indirect"
-        self.last_exit_kind = block.exit_kind
-        return interp.exit_code is None
+        self._dispatch(sys.maxsize, blocks=1)
+        return self.interp.exit_code is None
 
     def run(self, max_guest_instructions: int = 10_000_000) -> TimingRunResult:
-        """Run the workload to completion; returns the timing result."""
-        self.start()
-        self._run_fast(max_guest_instructions)
+        """Run the workload to completion (resuming after any
+        :meth:`step` calls); returns the timing result."""
+        self._dispatch(max_guest_instructions)
         if self.protocol_checked:
             self.assert_protocol()
-        return self._result(self._executed_instructions)
+        return self.result()
 
     def assert_protocol(self):
         """Replay the event stream through the protocol conformance
@@ -502,24 +378,25 @@ class TimingVM:
                 pc=pc, blocks=trace_len, reason=reason,
             )
 
-    def _run_fast(self, max_guest_instructions: int) -> None:
-        """:meth:`run`'s inner loop: :meth:`step` semantics with the
-        dispatch overhead hoisted out.
+    def _dispatch(self, max_guest_instructions: int, blocks: int = -1) -> None:
+        """The runtime-execution tile's dispatch loop, shared by
+        :meth:`run` and :meth:`step`.
 
-        Performs exactly the operations :meth:`step` performs, in the
-        same order (results are bit-identical to the stepping path,
-        asserted by the test suite), but binds the per-block
-        collaborators once and — when the block JIT is on — calls
-        compiled closures directly instead of going through
-        ``run_block_at``.  Successor prediction lives in
+        Executes basic blocks until the guest exits or ``blocks`` of
+        them have run (a negative ``blocks`` never reaches zero).  The
+        per-block collaborators are bound once and — when the block JIT
+        is on — compiled closures are called directly instead of going
+        through ``run_block_at``.  Successor prediction lives in
         ``self._chain_links``: ``pc -> [fn, count, expected_next,
         streak, next_entry]``.  Once a block's successor is stable
         (immediately for statically known successors, after
         ``CHAIN_STREAK_THRESHOLD`` repeats for indirect exits) the entry
         holds a direct reference to the successor's entry, so hot loops
         run closure-to-closure with no dictionary lookups between
-        blocks — the superblock traces the ``chain.length`` histogram
-        and the coarse ``jit`` trace events describe.
+        blocks — the chained runs the ``chain.length`` histogram and
+        the coarse ``jit`` trace events describe.  The guest position
+        and the open chained run survive a stop on ``blocks``; the
+        chained successor reference does not (it only saves a lookup).
         """
         interp = self.interp
         state = interp.state
@@ -529,13 +406,6 @@ class TimingVM:
         jit_code = interp._jit_code
         jit_blocks = jit.blocks if jit is not None else {}
         links = self._chain_links
-        streak_threshold = self.chain_streak
-        tracejit = self._tracejit
-        traces = tracejit.traces if tracejit is not None else None
-        trace_heat = tracejit.heat if tracejit is not None else None
-        trace_threshold = tracejit.threshold if tracejit is not None else 0
-        jm_bump = self.jit_metrics.bump
-        jm_observe = self.jit_metrics.observe
         bump = self.stats.bump
         fetch_keys = self._fetch_stat_keys
         pages_registered = self._pages_registered
@@ -557,62 +427,10 @@ class TimingVM:
         executed_total = self._executed_instructions
         exit_kind = self.last_exit_kind
         prev_entry = None
-        trace_len = 0
+        trace_len = self._trace_len
 
-        while interp.exit_code is None:
-            if traces is not None:
-                trace_fn = traces.get(pc)
-                if trace_fn is not None:
-                    # trace tier: one closure runs the whole superblock
-                    # (fetches, stats, timing, morph, metrics samples and
-                    # SMC checks included) and reports where it side-
-                    # exited; on an entry-guard rejection (None) the
-                    # trace is stale and de-installs.
-                    if trace_len == 0 and tracer.enabled:
-                        tracer.emit(
-                            self.now, "jit", "trace_enter", "execution", pc=pc
-                        )
-                    if profiling:
-                        prof_enter("jit.run")
-                    tres = trace_fn(
-                        self, interp, executed_total,
-                        max_guest_instructions, prev_pc, arrived_indirect,
-                    )
-                    if profiling:
-                        prof_exit()
-                    if tres is None:
-                        tracejit.deinstall(pc)
-                    else:
-                        blocks_run, executed_total, npc, t_prev, t_ai, \
-                            t_kind, t_reason = tres
-                        trace_len += blocks_run
-                        jm_bump("trace.exit_" + t_reason)
-                        jm_observe(
-                            "trace.length", blocks_run, CHAIN_LENGTH_BUCKETS
-                        )
-                        prev_entry = None
-                        epoch = jit.epoch
-                        prev_pc = t_prev
-                        pc = npc
-                        arrived_indirect = t_ai
-                        exit_kind = t_kind
-                        if t_reason == "smc" and trace_len:
-                            self._close_trace(trace_len, t_prev, "smc")
-                            trace_len = 0
-                        if (
-                            interp.exit_code is None
-                            and executed_total > max_guest_instructions
-                        ):
-                            self._pc = pc
-                            self._prev_pc = prev_pc
-                            self._arrived_indirect = arrived_indirect
-                            self._executed_instructions = executed_total
-                            self.last_exit_kind = exit_kind
-                            raise RuntimeError(
-                                f"workload exceeded {max_guest_instructions}"
-                                " guest instructions"
-                            )
-                        continue
+        while blocks and interp.exit_code is None:
+            blocks -= 1
             lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
             self.now = lookup.ready_time
             block = lookup.block
@@ -652,23 +470,9 @@ class TimingVM:
                             )
                             entry = links[pc] = [
                                 fn, count, succ,
-                                streak_threshold if succ is not None else 0,
+                                CHAIN_STREAK_THRESHOLD if succ is not None else 0,
                                 None,
                             ]
-                if (
-                    trace_heat is not None
-                    and entry is not None
-                    and entry[4] is not None
-                ):
-                    # chained arrival at a head whose successor is
-                    # itself chained: the candidate population traces
-                    # are selected from
-                    heat = trace_heat.get(pc, 0) + 1
-                    if heat >= trace_threshold:
-                        trace_heat[pc] = 0
-                        tracejit.consider(pc, links)
-                    else:
-                        trace_heat[pc] = heat
 
             self.pending_stall = 0
             if entry is not None:
@@ -740,7 +544,7 @@ class TimingVM:
                 if entry[2] == npc:
                     streak = entry[3] + 1
                     entry[3] = streak
-                    if entry[4] is None and streak >= streak_threshold:
+                    if entry[4] is None and streak >= CHAIN_STREAK_THRESHOLD:
                         nxt = links.get(npc)
                         if nxt is not None:
                             entry[4] = nxt
@@ -766,26 +570,25 @@ class TimingVM:
             pc = npc
             arrived_indirect = block.exit_kind == "indirect"
             exit_kind = block.exit_kind
-            if interp.exit_code is None and executed_total > max_guest_instructions:
-                self._pc = pc
-                self._prev_pc = prev_pc
-                self._arrived_indirect = arrived_indirect
-                self._executed_instructions = executed_total
-                self.last_exit_kind = exit_kind
-                raise RuntimeError(
-                    f"workload exceeded {max_guest_instructions} guest instructions"
-                )
+            if executed_total > max_guest_instructions:
+                break
 
-        if trace_len:
+        if trace_len and interp.exit_code is not None:
             self._close_trace(trace_len, pc, "guest_exit")
+            trace_len = 0
         self._pc = pc
         self._prev_pc = prev_pc
         self._arrived_indirect = arrived_indirect
         self._executed_instructions = executed_total
+        self._trace_len = trace_len
         self.last_exit_kind = exit_kind
+        if interp.exit_code is None and executed_total > max_guest_instructions:
+            raise RuntimeError(
+                f"workload exceeded {max_guest_instructions} guest instructions"
+            )
 
     def check_chain_invariants(self):
-        """Audit the ``_run_fast`` dispatch table against its JIT engine.
+        """Audit the dispatch loop's chain table against its JIT engine.
 
         Returns the list of :class:`repro.verify.findings.Finding`
         violations (empty on a healthy machine).  Used by the verifier
@@ -799,12 +602,9 @@ class TimingVM:
             return []
         return check_chain_links(
             self._chain_links, jit.code, jit.blocks,
-            threshold=self.chain_streak,
+            threshold=CHAIN_STREAK_THRESHOLD,
         )
 
-    def result(self) -> TimingRunResult:
-        """Result of a finished (or interrupted) stepping run."""
-        return self._result(self._executed_instructions)
 
     def _sample_metrics(self) -> None:
         """Periodic time-series samples: with these, queue-length-vs-
@@ -844,13 +644,14 @@ class TimingVM:
 
                 raise VerificationError("smc-invalidate", findings)
 
-    def _result(self, executed_instructions: int) -> TimingRunResult:
+    def result(self) -> TimingRunResult:
+        """Result of a finished (or interrupted) run."""
         cache_stats = self.hierarchy.stats
         return TimingRunResult(
             config_name=self.config.name,
             workload=self.program.name,
             exit_code=self.interp.exit_code if self.interp.exit_code is not None else -1,
-            guest_instructions=executed_instructions,
+            guest_instructions=self._executed_instructions,
             cycles=self.now,
             piii_cycles=self.piii.cycles,
             l2_code_accesses=cache_stats["l2_accesses"],
@@ -878,7 +679,6 @@ def run_timing(
     translation_cache=None,
     program_key=None,
     jit: Optional[bool] = None,
-    trace_jit: Optional[bool] = None,
     checked: Optional[str] = None,
 ) -> TimingRunResult:
     """Convenience wrapper: build a :class:`TimingVM` and run it.
@@ -897,5 +697,5 @@ def run_timing(
     return TimingVM(
         program, config, stdin=stdin, tracer=tracer,
         translation_cache=translation_cache, program_key=program_key,
-        jit=jit, trace_jit=trace_jit, checked=checked,
+        jit=jit, checked=checked,
     ).run()

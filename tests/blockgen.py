@@ -233,23 +233,23 @@ def random_jit_program(seed: int, length: int = 12) -> str:
     return render_jit_program(body, terminator)
 
 
-# -- trace-JIT-biased profile ----------------------------------------------
+# -- multi-block loop profile ----------------------------------------------
 #
-# The trace JIT compiles whole hot *paths*, so its differential tests
-# need multi-block loops whose successions are stable enough to chain
-# and trace: a counted loop over several blocks joined by direct jumps,
+# The dispatch loop chains hot compiled blocks, so its differential
+# tests need multi-block loops whose successions are stable enough to
+# chain: a counted loop over several blocks joined by direct jumps,
 # stable computed jumps (``mov esi, label; jmp esi`` — an indirect
 # terminator whose target never changes), and optionally a one-shot
 # self-modifying patch into the loop's own code page mid-run (the SMC
-# side-exit and re-formation path).  ``ecx`` (loop counter) and ``esi``
+# de-chain and recompile path).  ``ecx`` (loop counter) and ``esi``
 # (computed-jump target) are reserved; bodies draw from the rest.
 
-_TRACE_BODY_REGS = ("eax", "ebx", "edx", "edi")
+_LOOP_BODY_REGS = ("eax", "ebx", "edx", "edi")
 
 
-def _one_trace_instruction(rng: random.Random, lines: List[str]) -> None:
-    dst = rng.choice(_TRACE_BODY_REGS)
-    src = rng.choice(_TRACE_BODY_REGS)
+def _one_loop_instruction(rng: random.Random, lines: List[str]) -> None:
+    dst = rng.choice(_LOOP_BODY_REGS)
+    src = rng.choice(_LOOP_BODY_REGS)
     kind = rng.randrange(8)
     if kind == 0:
         lines.append(f"    mov {dst}, {_imm(rng)}")
@@ -257,8 +257,7 @@ def _one_trace_instruction(rng: random.Random, lines: List[str]) -> None:
         lines.append(f"    mov {dst}, {src}")
     elif kind == 2:
         # imul included deliberately: its emitter burns the most helper
-        # temporaries, the class of names a trace header local could
-        # collide with (register form only — no immediate encoding)
+        # temporaries (register form only — no immediate encoding)
         op = rng.choice(ALU + ("imul",))
         rhs = src if op == "imul" else (
             str(_imm(rng)) if rng.random() < 0.4 else src
@@ -282,17 +281,17 @@ def _one_trace_instruction(rng: random.Random, lines: List[str]) -> None:
             lines.append(f"    mov [buf + {src}], {dst}")
 
 
-def random_trace_program(
+def random_loop_program(
     seed: int,
     iterations: int = 40,
     body_length: int = 3,
 ) -> str:
-    """A multi-block counted loop for the trace-JIT differential tests.
+    """A multi-block counted loop for the JIT-chaining differential tests.
 
     Each generated program terminates (the loop is counter-driven and
     the patch never touches the loop control), runs its body hot enough
-    for chains and traces to form at the default thresholds, and mixes
-    in the trace-specific hazards at random: a stable computed jump, a
+    for blocks to compile and chain at the default thresholds, and
+    mixes in the chaining hazards at random: a stable computed jump, a
     conditional interior branch, and a mid-run self-modifying store
     into a code page the loop itself spans.
     """
@@ -309,7 +308,7 @@ def random_trace_program(
     lines.append("    mov eax, 5")
     for j in range(blocks):
         for _ in range(rng.randrange(1, body_length + 1)):
-            _one_trace_instruction(rng, lines)
+            _one_loop_instruction(rng, lines)
         if j < blocks - 1:
             if interior_jcc and j == 0:
                 # a conditional that settles: taken the same way every

@@ -1,7 +1,11 @@
 """Tests for the experiment harness (at tiny scale for speed)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.guest.blockjit import PACK_FORMAT, PackError, unpack_space
 from repro.harness import (
     FigureResult,
     figure1_timeline,
@@ -9,7 +13,10 @@ from repro.harness import (
     figure8_optimization,
     table11_intrinsics,
 )
+from repro.harness import runner
+from repro.harness.diskcache import DiskCache
 from repro.harness.runner import RunGrid, clear_cache, run_one
+from repro.morph.config import PRESETS
 
 SCALE = 0.15
 SMALL = ["164.gzip", "181.mcf"]
@@ -67,3 +74,58 @@ class TestFigureRunners:
         # header + one line per workload + notes
         assert len(lines) >= 1 + len(SMALL)
         assert lines[0].startswith("== Figure 4")
+
+
+class TestJitPack:
+    """The worker's JIT pack path: corrupt packs are counted, not fatal,
+    and nothing but an undecodable pack is forgiven."""
+
+    CELLS = [("181.mcf", PRESETS["speculative_4"], 0.05)]
+    PACK = "jitpack_181.mcf_0.05"
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, monkeypatch):
+        # _worker_run reconfigures the process-wide disk cache: restore it
+        monkeypatch.setattr(runner, "_DISK", runner._DISK)
+        monkeypatch.setattr(runner, "_DISK_ENABLED", runner._DISK_ENABLED)
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        clear_cache()
+        yield
+        clear_cache()
+
+    def _cold_results_and_pack(self, root):
+        results, _, _ = runner._worker_run(self.CELLS, True, str(root))
+        pack = DiskCache(root).load_blob(self.PACK)
+        assert pack and unpack_space(pack)
+        clear_cache()
+        return results, pack
+
+    def test_unpack_rejects_garbage_and_ignores_foreign_formats(self):
+        assert unpack_space(pickle.dumps((999, []))) == {}
+        misshapen = pickle.dumps((PACK_FORMAT, [(0, (1,))]))
+        for garbage in (b"", b"not a pickle", pickle.dumps(7), misshapen):
+            with pytest.raises(PackError):
+                unpack_space(garbage)
+
+    def test_truncated_pack_is_counted_and_recompiled(self, tmp_path):
+        cold, pack = self._cold_results_and_pack(tmp_path / "cold")
+        DiskCache(tmp_path / "warm").save_blob(self.PACK, pack[: len(pack) // 2])
+        corrupt = runner.METRICS["jitpack.corrupt"]
+        results, _, _ = runner._worker_run(self.CELLS, True, str(tmp_path / "warm"))
+        assert runner.METRICS["jitpack.corrupt"] == corrupt + 1
+        assert [dataclasses.asdict(r) for r in results] == [
+            dataclasses.asdict(r) for r in cold
+        ]
+        # the recompiled space replaced the truncated pack
+        assert unpack_space(DiskCache(tmp_path / "warm").load_blob(self.PACK))
+
+    def test_other_unpack_errors_propagate(self, tmp_path, monkeypatch):
+        _, pack = self._cold_results_and_pack(tmp_path / "cold")
+        DiskCache(tmp_path / "warm").save_blob(self.PACK, pack)
+
+        def broken(data):
+            raise AttributeError("not a pack error")
+
+        monkeypatch.setattr(runner, "unpack_space", broken)
+        with pytest.raises(AttributeError):
+            runner._worker_run(self.CELLS, True, str(tmp_path / "warm"))

@@ -1,5 +1,9 @@
 """Tests for multi-VM fabric sharing (the Section 5 'virtual x86 SMP')."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.guest.assembler import assemble
@@ -38,6 +42,12 @@ def _io_program():
 
 def _compute_program():
     return build_workload("176.gcc", scale=0.4)
+
+
+#: sha256 of the full dynamic-sharing MultiVmResult (every per-VM
+#: TimingRunResult field, metrics included) — pins the stepped dispatch
+#: path the fabric drives, block by block, to its recorded output.
+DYNAMIC_RESULT_SHA256 = "ee605db229ce013e31015f590bc577b3b359a55e06388565d6526fc3d7ae2bea"
 
 
 class TestSharedFabric:
@@ -93,3 +103,8 @@ class TestSharedFabric:
         # both VMs advanced; neither starved
         assert all(r.cycles > 0 for r in result.per_vm)
         assert result.total_guest_instructions > 1000
+
+    def test_dynamic_result_is_pinned(self):
+        result = SharedFabric([_io_program(), _compute_program()], dynamic=True).run()
+        doc = json.dumps(dataclasses.asdict(result), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == DYNAMIC_RESULT_SHA256

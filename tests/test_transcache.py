@@ -95,7 +95,6 @@ class TestCachingTranslator:
         assert cache.stats() == {
             "hits": 0, "misses": 2, "namespaces": 1, "blocks": 2,
             "jit_namespaces": 0, "jit_blocks": 0,
-            "trace_namespaces": 0, "traces": 0,
         }
 
     def test_knobs_separate_namespaces(self):
