@@ -2,12 +2,22 @@
 
 The paper's thesis is that translation cost belongs off the critical
 path; this module applies the same medicine to the simulator itself.
-PR 3's ``run_block_at`` fast path still pays per-instruction dispatch —
-one ``handler(instr)`` call, one ``_read_operand`` isinstance ladder and
-one packed-flags helper call per guest instruction.  The block compiler
-here removes all three: on the Nth execution of a block (N =
-:data:`DEFAULT_HOT_THRESHOLD`, a knob) it emits one specialized Python
-function for the whole block and runs that instead.
+Guest blocks climb a two-rung ladder inside the timing VM's dispatch
+loop (:meth:`repro.vm.timing.TimingVM._dispatch`):
+
+1. **block plans** — ``GuestInterpreter.run_block_at`` executes a
+   cached per-block plan, still paying per-instruction dispatch: one
+   ``handler(instr)`` call, one ``_read_operand`` isinstance ladder and
+   one packed-flags helper call per guest instruction;
+2. **closures** — on a block's :data:`DEFAULT_HOT_THRESHOLD`-th
+   sighting the dispatch loop has :class:`BlockJit` emit one
+   specialized Python function for the whole block and runs that
+   instead, then chains closures whose successor is stable.
+
+:class:`BlockJit` owns all per-VM JIT state in one pc-keyed table of
+:class:`BlockEntry` rows (sightings, compiled block, chain link);
+``_dispatch`` is its only caller, and the interpreter only invalidates
+it on code writes.
 
 What the generated code specializes, relative to the interpreter:
 
@@ -40,10 +50,10 @@ and assert bit-identical results.
 Eligibility: only full straight-line plans (control flow at the last
 instruction only, plan resolves all ``count`` instructions).  Anything
 else — mid-block branch targets, truncated plans, decode failures —
-returns to the legacy plan path, which already handles them.
+is marked ineligible and stays on the plan path, which handles it.
 
-Compiled blocks are cached per interpreter and, for blocks inside the
-tracked text section, shared across grid cells through
+Compiled blocks live in the VM's table and, for blocks inside the
+tracked text section, are shared across grid cells through
 :meth:`repro.dbt.transcache.TranslationCache.jit_space`, keyed by
 (SMC generation, address, count) — the same staleness rule translations
 use, so self-modifying code can never execute stale compiled code.
@@ -73,15 +83,12 @@ from repro.guest.syscalls import SYSCALL_VECTOR
 from repro.obs import prof
 from repro.obs.metrics import COMPILE_TIME_BUCKETS, MetricsRegistry
 
-#: Compile a block on its Nth execution (1 = first touch).
+#: Compile a block on its Nth sighting (1 = first touch).
 DEFAULT_HOT_THRESHOLD = 2
 
 #: Environment switch: set to 0/off/no/false to disable the JIT
 #: everywhere (the ``--no-jit`` escape hatch plumbs through this).
 ENABLE_ENV = "REPRO_JIT"
-
-#: Environment override for the hotness threshold.
-THRESHOLD_ENV = "REPRO_JIT_THRESHOLD"
 
 _MASK32 = 0xFFFFFFFF
 _ALL_FLAG_MASK = sum(1 << flag for flag in ALL_FLAGS)
@@ -103,18 +110,6 @@ def jit_enabled_by_env() -> bool:
     )
 
 
-def threshold_from_env() -> int:
-    """The hotness threshold, honouring :data:`THRESHOLD_ENV`."""
-    import os
-
-    raw = os.environ.get(THRESHOLD_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_HOT_THRESHOLD
-    return max(1, value)
-
-
 class Ineligible(Exception):
     """The block cannot be compiled; the legacy plan path handles it."""
 
@@ -125,10 +120,12 @@ class CompiledBlock:
     ``code``, ``sites`` and ``consts`` are retained so the block can be
     serialized by :func:`pack_space` — marshaling the already-compiled
     code object lets another process skip codegen *and* parsing.
+    ``source`` is the generated text of a fresh compile and ``None`` for
+    a block rebuilt from a pack.
     """
 
     __slots__ = (
-        "fn", "address", "count", "source", "static_successor", "exit_op",
+        "fn", "address", "count", "source", "static_successor",
         "code", "sites", "consts",
     )
 
@@ -137,9 +134,8 @@ class CompiledBlock:
         fn: Callable,
         address: int,
         count: int,
-        source: str,
+        source: Optional[str],
         static_successor: Optional[int],
-        exit_op: Optional[Op],
         code=None,
         sites: tuple = (),
         consts: Optional[Dict] = None,
@@ -156,7 +152,6 @@ class CompiledBlock:
         #: exits, syscalls and halts.  The VM's chain dispatch links
         #: through this without waiting for an inline-cache streak.
         self.static_successor = static_successor
-        self.exit_op = exit_op
 
 
 def _can_fault(instr: Instruction) -> bool:
@@ -905,15 +900,13 @@ class _Compiler:
         exec(code, namespace)
 
         static_successor: Optional[int] = None
-        exit_op: Optional[Op] = last.op if last.op in _CONTROL_OPS else None
-        if exit_op is None:
+        if last.op not in _CONTROL_OPS:
             static_successor = last.next_address
         elif last.op in (Op.JMP, Op.CALL) and last.target is not None:
             static_successor = last.target
         return CompiledBlock(
             namespace["_jit_block"], self.address, self.count, source,
-            static_successor, exit_op,
-            code=code, sites=tuple(self.sites), consts=dict(self.consts),
+            static_successor, code=code, sites=tuple(self.sites), consts=dict(self.consts),
         )
 
 
@@ -938,7 +931,7 @@ def _base_namespace(sites: tuple) -> Dict:
 #: contract changes incompatibly.  (The disk cache's code-version stamp
 #: already invalidates packs on *any* source edit; this guards readers
 #: of a foreign cache directory.)
-PACK_FORMAT = 1
+PACK_FORMAT = 2
 
 
 def pack_space(space: Dict) -> bytes:
@@ -961,8 +954,7 @@ def pack_space(space: Dict) -> bytes:
         elif block.code is not None:
             entries.append(
                 (key, (marshal.dumps(block.code), block.sites, block.consts,
-                       block.address, block.count, block.static_successor,
-                       block.exit_op))
+                       block.address, block.count, block.static_successor))
             )
     return pickle.dumps((PACK_FORMAT, entries), protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -998,15 +990,14 @@ def unpack_space(data: bytes) -> Dict:
             if payload is None:
                 space[key] = _INELIGIBLE
                 continue
-            code_bytes, sites, consts, address, count, successor, exit_op = payload
+            code_bytes, sites, consts, address, count, successor = payload
             code = marshal.loads(code_bytes)
             namespace = _base_namespace(tuple(sites))
             namespace.update(consts)
             exec(code, namespace)
             space[key] = CompiledBlock(
-                namespace["_jit_block"], address, count, "<packed>",
-                successor, exit_op, code=code, sites=tuple(sites),
-                consts=dict(consts),
+                namespace["_jit_block"], address, count, None, successor,
+                code=code, sites=tuple(sites), consts=dict(consts),
             )
     except (EOFError, KeyError, TypeError, ValueError) as err:
         raise PackError("malformed JIT pack entry: %r" % err) from err
@@ -1018,38 +1009,65 @@ def compile_block(instrs: List[Instruction], address: int, count: int) -> Compil
     return _Compiler(list(instrs), address, count).compile()
 
 
-#: Sentinel stored in shared spaces for blocks that failed eligibility,
-#: so sibling VMs skip the doomed compile attempt.
-_INELIGIBLE = object()
+class _IneligibleMark:
+    """The ineligible mark: falsy, so ``if entry.block:`` means "runnable"."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "<ineligible>"
+
+
+#: Stored in a table entry, a shared space or a pack for a block that
+#: failed eligibility, so neither this VM nor a sibling retries it.
+_INELIGIBLE = _IneligibleMark()
+
+
+class BlockEntry:
+    """One pc's row of the block table: the block and its chain link.
+
+    ``block`` is ``None`` until the block is compiled or adopted, then
+    the :class:`CompiledBlock` or the falsy ineligible mark.  The chain
+    fields are the dispatch loop's successor cache: ``succ`` is the
+    expected next pc, ``streak`` how many times in a row it was seen,
+    and ``next`` the successor's entry once the link is made.
+    """
+
+    __slots__ = ("count", "seen", "block", "succ", "streak", "next")
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.seen = 0
+        self.block = None
+        self.succ: Optional[int] = None
+        self.streak = 0
+        self.next: Optional["BlockEntry"] = None
 
 
 class BlockJit:
-    """Per-interpreter compilation engine with optional shared caching.
+    """Per-VM block table with optional shared caching.
 
-    Counts block executions; at the hotness threshold it compiles the
-    block (or adopts a sibling VM's compilation from ``shared_space``)
-    and installs the closure in ``self.code``, which the interpreter's
-    ``run_block_at`` probes first.  ``invalidate`` drops everything on
-    self-modifying writes; ``on_invalidate`` lets the owning VM de-chain
-    its dispatch state in the same breath.
+    ``table`` maps each guest pc the VM has dispatched to its
+    :class:`BlockEntry`.  :meth:`note_execution` counts a sighting and,
+    at the hotness threshold, compiles the block (or adopts a sibling
+    VM's compilation from ``shared_space``) into the entry.
+    :meth:`invalidate` drops every compiled block and chain link on
+    self-modifying writes; the sighting counts survive.
     """
 
     def __init__(
         self,
         interp,
-        threshold: Optional[int] = None,
         shared_space: Optional[Dict] = None,
         generation: Optional[Callable[[], int]] = None,
         share_range: Optional[Tuple[int, int]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.interp = interp
-        self.threshold = max(1, threshold if threshold is not None else threshold_from_env())
-        #: (address, count) -> compiled closure; probed by run_block_at.
-        self.code: Dict[Tuple[int, int], Callable] = {}
-        self.blocks: Dict[Tuple[int, int], CompiledBlock] = {}
-        self._counts: Dict[Tuple[int, int], int] = {}
-        self._failed: set = set()
+        self.table: Dict[int, BlockEntry] = {}
         self.shared = shared_space
         self._generation = generation if generation is not None else (lambda: 0)
         share_low, share_high = share_range if share_range is not None else (0, 0)
@@ -1057,15 +1075,12 @@ class BlockJit:
         self._share_high = share_high
         self.metrics = metrics if metrics is not None else MetricsRegistry("blockjit")
         self.profiler = prof.active()
-        #: VM hook: called after invalidate() so chained dispatch state
-        #: (links into now-stale closures) is dropped atomically.
-        self.on_invalidate: Optional[Callable[[], None]] = None
-        #: Bumped by invalidate(); dispatch loops holding direct closure
+        #: Bumped by invalidate(); dispatch loops holding direct entry
         #: references compare epochs to detect mid-block invalidation.
         self.epoch = 0
 
-    def note_execution(self, address: int, count: int) -> Optional[Callable]:
-        """Record one execution; returns the closure once the block is hot.
+    def note_execution(self, address: int, entry: BlockEntry):
+        """Count one sighting of an uncompiled block; returns ``entry.block``.
 
         The hotness threshold gates fresh *compiles*; a compilation a
         sibling VM already paid for is adopted from the shared space on
@@ -1073,135 +1088,51 @@ class BlockJit:
         by the second cell nearly every block dispatches compiled from
         its very first execution).
         """
-        key = (address, count)
-        if key in self._failed:
-            return None
-        seen = self._counts.get(key, 0) + 1
-        self._counts[key] = seen
-        if seen < self.threshold and not (
-            self.shared and self._share_low <= address < self._share_high
-        ):
-            return None
-        return self._compile(key, allow_fresh=seen >= self.threshold)
-
-    def _compile(self, key: Tuple[int, int], allow_fresh: bool = True) -> Optional[Callable]:
-        address, count = key
+        entry.seen += 1
+        count = entry.count
         shared_key = None
         if self.shared is not None and self._share_low <= address < self._share_high:
             shared_key = (self._generation(), address, count)
             cached = self.shared.get(shared_key)
-            if cached is _INELIGIBLE:
-                self._failed.add(key)
-                self.metrics.bump("ineligible_shared")
-                return None
             if cached is not None:
-                self.metrics.bump("shared_hits")
-                self.blocks[key] = cached
-                self.code[key] = cached.fn
-                return cached.fn
-        if not allow_fresh:  # below threshold and nothing shared to adopt
+                self.metrics.bump("shared_hits" if cached else "ineligible_shared")
+                entry.block = cached
+                return cached
+        if entry.seen < DEFAULT_HOT_THRESHOLD:
             return None
 
         plan = self.interp._build_block_plan(address, count)
-        instrs = [entry[1] for entry in plan]
         started = time.perf_counter_ns()
         try:
-            block = compile_block(instrs, address, count)
+            block = compile_block([item[1] for item in plan], address, count)
         except Ineligible:
-            self.profiler.add("jit.compile", time.perf_counter_ns() - started)
-            self._failed.add(key)
-            self.metrics.bump("ineligible")
-            if shared_key is not None:
-                self.shared[shared_key] = _INELIGIBLE
-            return None
+            block = _INELIGIBLE
         elapsed_ns = time.perf_counter_ns() - started
         self.profiler.add("jit.compile", elapsed_ns)
-        self.metrics.bump("compiles")
-        self.metrics.bump("compiled_guest_instructions", count)
-        self.metrics.observe("compile.us", elapsed_ns / 1e3, COMPILE_TIME_BUCKETS)
-        self.blocks[key] = block
-        self.code[key] = block.fn
+        self.metrics.bump("compiles" if block else "ineligible")
+        if block:
+            self.metrics.bump("compiled_guest_instructions", count)
+            self.metrics.observe("compile.us", elapsed_ns / 1e3, COMPILE_TIME_BUCKETS)
+        entry.block = block
         if shared_key is not None:
             self.shared[shared_key] = block
-        return block.fn
-
-    def source_for(self, address: int, count: int) -> Optional[str]:
-        """The generated source of an installed closure, always.
-
-        Freshly compiled blocks retain their source; blocks adopted
-        from a marshaled code pack carry the ``"<packed>"`` placeholder
-        and get their source *regenerated* here — codegen is
-        deterministic, and within an SMC generation the guest bytes are
-        unchanged, so the rebuilt text is byte-for-byte the text the
-        sibling process compiled.  The regenerated source is cached on
-        the block (which the shared space aliases, so siblings see it
-        too).  Returns ``None`` for blocks this engine never installed.
-        """
-        block = self.blocks.get((address, count))
-        if block is None:
-            return None
-        if block.source == "<packed>":
-            plan = self.interp._build_block_plan(address, count)
-            rebuilt = compile_block([entry[1] for entry in plan], address, count)
-            block.source = rebuilt.source
-        return block.source
-
-    def check_consistency(self) -> list:
-        """Audit the engine's internal maps; returns Finding violations.
-
-        The dispatch fast path assumes ``code`` and ``blocks`` are
-        views of the same key set with ``code[k] is blocks[k].fn`` and
-        every block stamped with its own key — ``invalidate()`` clears
-        them together, so any divergence means a protocol bug.  Used by
-        the protocol-conformance tier; never called on the hot path.
-        """
-        from repro.verify.findings import Finding, Severity
-
-        findings = []
-
-        def err(code: str, message: str) -> None:
-            findings.append(
-                Finding(
-                    analyzer="protocol", severity=Severity.ERROR,
-                    code=code, message=message, stage="blockjit",
-                )
-            )
-
-        for key in self.code.keys() | self.blocks.keys():
-            fn = self.code.get(key)
-            block = self.blocks.get(key)
-            if fn is None or block is None:
-                err(
-                    "jit-space-divergence",
-                    f"key {key} present in {'code' if fn is not None else 'blocks'} only",
-                )
-                continue
-            if block.fn is not fn:
-                err("jit-closure-mismatch", f"code[{key}] is not blocks[{key}].fn")
-            if (block.address, block.count) != key:
-                err(
-                    "jit-key-mismatch",
-                    f"blocks[{key}] is stamped ({block.address:#x}, {block.count})",
-                )
-        for key in self._failed:
-            if key in self.code:
-                err("jit-failed-yet-installed", f"key {key} both failed and installed")
-        return findings
+        return block
 
     def invalidate(self) -> None:
-        """Self-modifying code: drop local closures and failure marks.
+        """Self-modifying code: drop compiled blocks, failure marks and links.
 
-        Hot counts survive, so a patched block recompiles on its next
-        execution; shared entries stay keyed by the old generation and
-        simply stop being reachable.  Clears ``self.code`` in place —
-        the interpreter and the VM dispatch loop alias the dict.
+        Entries are reset in place, so a reference the dispatch loop
+        still holds sees no closure; the sighting counts survive, so a
+        patched block recompiles on its next execution.  Shared entries
+        stay keyed by the old generation and simply stop being reachable.
         """
-        if not self.code and not self._failed:
+        entries = self.table.values()
+        if not any(entry.block is not None for entry in entries):
             return
         self.metrics.bump("invalidations")
         self.epoch += 1
-        self.code.clear()
-        self.blocks.clear()
-        self._failed.clear()
-        if self.on_invalidate is not None:
-            self.on_invalidate()
+        for entry in entries:
+            entry.block = None
+            entry.succ = None
+            entry.streak = 0
+            entry.next = None

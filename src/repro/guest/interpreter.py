@@ -112,10 +112,9 @@ class GuestInterpreter:
         # (start address, count) -> pre-resolved (handler, instr, next)
         # execution plans for the block fast path (see run_block_at)
         self._block_plans: Dict[Tuple[int, int], List[tuple]] = {}
-        # optional block JIT (see repro.guest.blockjit); _jit_code
-        # aliases BlockJit.code so invalidation clears both at once
-        self._jit = None
-        self._jit_code: Dict[Tuple[int, int], Callable] = {}
+        # the owning VM's block JIT (repro.guest.blockjit), if any: the
+        # interpreter never runs it, only invalidates it on code writes
+        self.jit = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -156,19 +155,11 @@ class GuestInterpreter:
             self._decode_high = address
         return instr
 
-    def enable_jit(self, **kwargs) -> "object":
-        """Attach a block JIT; ``kwargs`` go to :class:`BlockJit`."""
-        from repro.guest.blockjit import BlockJit
-
-        self._jit = BlockJit(self, **kwargs)
-        self._jit_code = self._jit.code
-        return self._jit
-
     def invalidate_decode_cache(self, address: Optional[int] = None) -> None:
         """Drop cached decodes (all, or for one address) after code writes."""
         self._block_plans.clear()
-        if self._jit is not None:
-            self._jit.invalidate()
+        if self.jit is not None:
+            self.jit.invalidate()
         if address is None:
             self._decode_cache.clear()
             self._decode_low = 2**32
@@ -189,8 +180,8 @@ class GuestInterpreter:
         # plans hold direct references to cached Instructions; any write
         # that can touch cached code drops every plan (SMC is rare)
         self._block_plans.clear()
-        if self._jit is not None:
-            self._jit.invalidate()
+        if self.jit is not None:
+            self.jit.invalidate()
         for start in range(address - 15, address + size):
             self._decode_cache.pop(start, None)
 
@@ -347,17 +338,6 @@ class GuestInterpreter:
         """
         if self.exit_code is not None:
             return 0
-        jit = self._jit
-        if jit is not None:
-            plan_key = (address, count)
-            fn = self._jit_code.get(plan_key)
-            if fn is None:
-                fn = jit.note_execution(address, count)
-            if fn is not None:
-                executed = fn(self)
-                if executed >= 0:
-                    return executed
-                # entry EIP mismatch: the legacy path below handles it
         plans = self._block_plans
         plan_key = (address, count)
         plan = plans.get(plan_key)

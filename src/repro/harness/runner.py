@@ -78,27 +78,12 @@ METRICS = MetricsRegistry("harness.runner")
 _DISK: Optional[DiskCache] = None
 _DISK_ENABLED: Optional[bool] = None  # None = follow the environment
 
-class _WorkerTelemetryStore:
-    """Latest cumulative telemetry snapshot per pool worker.
-
-    Pool workers are long-lived, so each :func:`_worker_run` ships a
-    *cumulative* snapshot of its process-global instruments; the parent
-    keeps only the newest one per worker pid (folding them would double
-    count) and aggregates across workers on demand.
-    """
-
-    def __init__(self) -> None:
-        self.by_worker: Dict[int, dict] = {}
-
-    def record(self, snapshot: dict) -> None:
-        self.by_worker[int(snapshot.get("pid", 0))] = snapshot
-
-    def clear(self) -> None:
-        self.by_worker.clear()
-
-
-#: Telemetry shipped back by pool workers (see :func:`worker_telemetry`).
-_WORKER_TELEMETRY = _WorkerTelemetryStore()
+#: Latest cumulative telemetry snapshot per pool worker pid (see
+#: :func:`worker_telemetry`).  Pool workers are long-lived, so each
+#: :func:`_worker_run` ships a *cumulative* snapshot of its
+#: process-global instruments; only the newest one per worker is kept
+#: (folding them would double count).
+_WORKER_TELEMETRY: Dict[int, dict] = {}
 
 
 #: Persistent worker pool for :func:`run_many`.  Kept alive across
@@ -175,6 +160,16 @@ def run_one(workload: str, config: ConfigLike, scale: float = 1.0) -> TimingRunR
     populate both).
     """
     cfg = resolve_config(config)
+    cached = _lookup(workload, cfg, scale)
+    return cached if cached is not None else _simulate(workload, cfg, scale)
+
+
+def _lookup(workload: str, cfg: VirtualArchConfig, scale: float) -> Optional[TimingRunResult]:
+    """One cell from the memo, else from the disk cache; ``None`` on a miss.
+
+    Counts a memo hit, or a memo miss and then a disk hit or miss.  A
+    disk hit is memoized.
+    """
     key = _memo_key(workload, cfg, scale)
     cached = _CACHE.get(key)
     if cached is not None:
@@ -189,12 +184,18 @@ def run_one(workload: str, config: ConfigLike, scale: float = 1.0) -> TimingRunR
             _CACHE.put(key, loaded)
             return loaded
         METRICS.bump("disk_cache.misses")
+    return None
+
+
+def _simulate(workload: str, cfg: VirtualArchConfig, scale: float) -> TimingRunResult:
+    """Run one cell and store the result in the memo and the disk cache."""
     with prof.active().phase("run"):
         result = run_timing(
             _program(workload, scale), cfg,
             translation_cache=_TRANSLATIONS, program_key=(workload, scale),
         )
-    _CACHE.put(key, result)
+    _CACHE.put(_memo_key(workload, cfg, scale), result)
+    disk = disk_cache()
     if disk is not None:
         disk.store(workload, cfg, scale, result)
     return result
@@ -334,31 +335,22 @@ def run_many(
 
     results: Dict[Tuple[str, str, float], TimingRunResult] = {}
     misses: List[Tuple[str, VirtualArchConfig, float]] = []
-    disk = disk_cache()
     for workload, cfg, scale in resolved:
-        memo = _CACHE.get(_memo_key(workload, cfg, scale))
-        if memo is not None:
-            METRICS.bump("run_cache.hits")
-            results[(workload, cfg.name, scale)] = memo
-            continue
-        if disk is not None:
-            loaded = disk.load(workload, cfg, scale)
-            if loaded is not None:
-                METRICS.bump("run_cache.misses")
-                METRICS.bump("disk_cache.hits")
-                _CACHE.put(_memo_key(workload, cfg, scale), loaded)
-                results[(workload, cfg.name, scale)] = loaded
-                continue
-        misses.append((workload, cfg, scale))
+        cached = _lookup(workload, cfg, scale)
+        if cached is None:
+            misses.append((workload, cfg, scale))
+        else:
+            results[(workload, cfg.name, scale)] = cached
 
     if not misses:
         return results
 
     if jobs <= 1 or len(misses) == 1:
         for workload, cfg, scale in misses:
-            results[(workload, cfg.name, scale)] = run_one(workload, cfg, scale)
+            results[(workload, cfg.name, scale)] = _simulate(workload, cfg, scale)
         return results
 
+    disk = disk_cache()
     disk_enabled = disk is not None
     disk_root = None
     if disk is not None:
@@ -382,9 +374,8 @@ def run_many(
     ]
     for group, future in futures:
         group_results, deltas, telemetry = future.result()
-        _WORKER_TELEMETRY.record(telemetry)
+        _WORKER_TELEMETRY[int(telemetry["pid"])] = telemetry
         for (workload, cfg, scale), result in zip(group, group_results):
-            METRICS.bump("run_cache.misses")
             METRICS.bump("runs.parallel")
             _CACHE.put(_memo_key(workload, cfg, scale), result)
             results[(workload, cfg.name, scale)] = result
@@ -421,8 +412,7 @@ def worker_telemetry() -> dict:
     :func:`repro.obs.prof.merge_profiles`) are order-independent, so
     the aggregate is bit-identical regardless of completion order.
     """
-    workers = {pid: _WORKER_TELEMETRY.by_worker[pid]
-               for pid in sorted(_WORKER_TELEMETRY.by_worker)}
+    workers = {pid: _WORKER_TELEMETRY[pid] for pid in sorted(_WORKER_TELEMETRY)}
     if not workers:
         return {"workers": {}, "aggregate": None}
     snapshots = [w.get("metrics") or {} for w in workers.values()]

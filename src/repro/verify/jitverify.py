@@ -23,9 +23,9 @@ Structural defects and semantic counterexamples both raise
 :class:`~repro.verify.findings.VerificationError` with a stable defect
 ``code``, so a corrupted closure is *attributed*, not just rejected.
 
-:func:`check_chain_links` validates the dispatch loop's successor-cache
-invariants (:mod:`repro.vm.timing`) over a live machine's dispatch
-table — the runtime structure the closures are dispatched through.
+:func:`check_chains` validates the dispatch loop's successor-cache
+invariants (:mod:`repro.vm.timing`) over a live machine's block table
+— the runtime structure the closures are dispatched through.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dbt.ir import ALL_FLAGS_MASK
-from repro.guest.blockjit import Ineligible, compile_block
+from repro.guest.blockjit import BlockEntry, Ineligible, compile_block
 from repro.guest.isa import Instruction, MemoryOperand, Op, Register
 
 from repro.verify.equiv import DEFAULT_SEED, DEFAULT_VECTORS, EquivStats, SymbolicChecker
@@ -393,58 +393,44 @@ class JitVerifier(SymbolicChecker):
         self._compare(guest_state, jit_state, stage, ALL_FLAGS_MASK)
 
 
-# -- _run_fast chain-link invariants ---------------------------------------
+# -- dispatch chain-link invariants ----------------------------------------
 
 
-def check_chain_links(
-    links: Dict[int, list],
-    code: Dict[Tuple[int, int], object],
-    blocks: Dict[Tuple[int, int], object],
-    threshold: int = 4,
-) -> List[Finding]:
-    """Validate a live dispatch-loop successor cache against its JIT.
+def check_chains(table: Dict[int, BlockEntry], threshold: int = 4) -> List[Finding]:
+    """Validate the chain fields of a live block table.
 
-    ``links`` is ``TiledMachine._chain_links`` (``pc -> [fn, count,
-    expected_next, streak, next_entry]``), ``code``/``blocks`` the
-    engine's ``(pc, count)``-keyed closure and block dicts.  Returns
-    ERROR findings for every broken invariant: entries must reference
-    the current closure for their pc, statically known successors must
-    stay pinned, chained entries must point at the live entry of the
-    expected successor and only after the streak threshold.
+    ``table`` is ``BlockJit.table`` (``pc -> BlockEntry``).  Returns
+    ERROR findings for every broken invariant: statically known
+    successors must stay pinned, and a chained entry must point at the
+    live, compiled entry of its expected successor, and only after the
+    streak threshold.
     """
     findings: List[Finding] = []
 
-    def fail(code_: str, pc: int, message: str) -> None:
+    def fail(code: str, pc: int, message: str) -> None:
         findings.append(Finding(
-            analyzer="jitverify", severity=Severity.ERROR, code=code_,
+            analyzer="jitverify", severity=Severity.ERROR, code=code,
             message=message, address=pc, stage="chain",
         ))
 
-    for pc, entry in links.items():
-        if not isinstance(entry, list) or len(entry) != 5:
-            fail("chain-shape", pc, "entry is not a 5-element list: %r" % (entry,))
-            continue
-        fn, count, succ, streak, nxt = entry
-        live = code.get((pc, count))
-        if live is not fn:
-            fail("chain-fn-mismatch", pc,
-                 "entry closure is not the engine's closure for (%#x, %d)"
-                 % (pc, count))
-        compiled = blocks.get((pc, count))
-        static = getattr(compiled, "static_successor", None)
+    for pc, entry in table.items():
+        succ = entry.succ
+        static = getattr(entry.block, "static_successor", None)
         if static is not None and succ != static:
             fail("chain-succ-mismatch", pc,
                  "static successor %#x drifted to %r" % (static, succ))
-        if nxt is not None:
-            if succ is None:
-                fail("chain-stale-link", pc, "chained entry with no successor")
-                continue
-            if streak < threshold:
-                fail("chain-premature-link", pc,
-                     "chained after %d repeats (threshold %d)" % (streak, threshold))
-            if nxt is not links.get(succ):
-                fail("chain-stale-link", pc,
-                     "next_entry is not the live entry for successor %#x" % succ)
+        nxt = entry.next
+        if nxt is None:
+            continue
+        if succ is None:
+            fail("chain-stale-link", pc, "chained entry with no successor")
+            continue
+        if entry.streak < threshold:
+            fail("chain-premature-link", pc,
+                 "chained after %d repeats (threshold %d)" % (entry.streak, threshold))
+        if nxt is not table.get(succ) or not nxt.block:
+            fail("chain-stale-link", pc,
+                 "next entry is not the live compiled entry for successor %#x" % succ)
     return findings
 
 
@@ -453,7 +439,7 @@ __all__ = [
     "DEFAULT_VECTORS",
     "EquivStats",
     "JitVerifier",
-    "check_chain_links",
+    "check_chains",
     "expected_stats",
     "lint_closure_source",
     "run_guest_block",

@@ -20,9 +20,8 @@ leading ends/exits are forgiven, because their openers fell off the
 ring).
 
 :func:`conform_vm` additionally audits the live machine structures the
-events can't see: the dispatch loop's chain table (via
-``check_chain_links``), the block-JIT code/blocks maps, and the
-translation cache's generation keys.
+events can't see: the chain fields of the block JIT's table (via
+``check_chains``) and the translation cache's generation keys.
 """
 
 from __future__ import annotations
@@ -398,15 +397,11 @@ def conform_events(events: Iterable, dropped: int = 0) -> ConformReport:
 def audit_vm(vm) -> List[Finding]:
     """Structural protocol audits over a live :class:`TimingVM`.
 
-    Covers what the event stream cannot see: the chained-dispatch table
-    (stale links, threshold discipline), the block JIT's internal maps,
-    and the translation cache's generation keys.
+    Covers what the event stream cannot see: the chain fields of the
+    block JIT's table (stale links, threshold discipline) and the
+    translation cache's generation keys.
     """
     findings: List[Finding] = list(vm.check_chain_invariants())
-
-    jit = getattr(vm.interp, "_jit", None)
-    if jit is not None:
-        findings.extend(jit.check_consistency())
 
     translator = vm.subsystem.translator
     audit = getattr(translator, "audit", None)

@@ -11,11 +11,12 @@ Each model abstracts one protocol the code implements:
     closure reference held in a local.
 
 ``ChainModel``
-    Superblock chaining: the ``pc -> [fn, count, succ, streak, next]``
-    dispatch table in ``vm/timing.py``.  Links are installed only after
+    Superblock chaining: the ``succ``/``streak``/``next`` fields of the
+    block JIT's ``pc -> BlockEntry`` table, which the dispatch loop in
+    ``vm/timing.py`` maintains.  Links are installed only after
     ``CHAIN_STREAK_THRESHOLD`` consecutive observations of the same
     successor (static exits link immediately at full streak), and
-    invalidation must drop every entry.
+    invalidation must drop every closure and link.
 
 ``MorphModel``
     The morph controller FSM (``morph/controller.py``): a queue-length
@@ -173,9 +174,12 @@ class ChainModel(Model):
 
     State: ``(epoch, entries)`` where ``entries`` is a sorted tuple of
     ``(pc, succ, streak, linked, entry_epoch)`` rows mirroring the
-    ``pc -> [fn, count, succ, streak, next]`` table — ``fn``/``count``
-    are abstracted away; ``entry_epoch`` records the JIT epoch the
-    entry's closure was compiled in.
+    compiled rows of ``BlockJit.table`` (``pc -> BlockEntry``) —
+    ``linked`` stands for a non-``None`` ``next``; the instruction
+    count, sightings and closure are abstracted away; ``entry_epoch``
+    records the JIT epoch the entry's closure was compiled in.
+    Invalidation resets every row in place, which the model shows as
+    dropping it.
     """
 
     name = "chain"

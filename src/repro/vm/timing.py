@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.common.stats import StatSet
-from repro.guest.blockjit import jit_enabled_by_env
+from repro.guest.blockjit import BlockEntry, BlockJit, jit_enabled_by_env
 from repro.guest.interpreter import AccessObserver, GuestInterpreter
 from repro.guest.program import GuestProgram
 from repro.dbt.block import pages_spanned
@@ -278,23 +278,22 @@ class TimingVM:
         # in a separate registry so TimingRunResult stays byte-stable.
         self.jit_enabled = jit if jit is not None else jit_enabled_by_env()
         self.jit_metrics = MetricsRegistry("blockjit")
-        self._chain_links: Dict[int, list] = {}
+        self.jit: Optional[BlockJit] = None
         if self.jit_enabled:
             shared = None
             if translation_cache is not None and self._text_end > self._text_start:
                 shared = translation_cache.jit_space(
                     program_key if program_key is not None else program.name
                 )
-            engine = self.interp.enable_jit(
+            self.jit = BlockJit(
+                self.interp,
                 shared_space=shared,
                 generation=lambda: self.code_writes,
                 share_range=(self._text_start, self._text_end),
                 metrics=self.jit_metrics,
             )
-            # a self-modifying write invalidated compiled code: chained
-            # dispatch state references stale closures and must go in
-            # the same breath (cleared in place — the loop aliases it)
-            engine.on_invalidate = self._chain_links.clear
+            # guest stores into decoded code invalidate the table
+            self.interp.jit = self.jit
 
         self.morph: Optional[MorphController] = None
         if config.morphing:
@@ -380,32 +379,35 @@ class TimingVM:
 
     def _dispatch(self, max_guest_instructions: int, blocks: int = -1) -> None:
         """The runtime-execution tile's dispatch loop, shared by
-        :meth:`run` and :meth:`step`.
+        :meth:`run` and :meth:`step`, and the block JIT's only caller.
 
         Executes basic blocks until the guest exits or ``blocks`` of
         them have run (a negative ``blocks`` never reaches zero).  The
-        per-block collaborators are bound once and — when the block JIT
-        is on — compiled closures are called directly instead of going
-        through ``run_block_at``.  Successor prediction lives in
-        ``self._chain_links``: ``pc -> [fn, count, expected_next,
-        streak, next_entry]``.  Once a block's successor is stable
-        (immediately for statically known successors, after
-        ``CHAIN_STREAK_THRESHOLD`` repeats for indirect exits) the entry
-        holds a direct reference to the successor's entry, so hot loops
-        run closure-to-closure with no dictionary lookups between
-        blocks — the chained runs the ``chain.length`` histogram and
-        the coarse ``jit`` trace events describe.  The guest position
-        and the open chained run survive a stop on ``blocks``; the
-        chained successor reference does not (it only saves a lookup).
+        per-block collaborators are bound once.  With the block JIT on,
+        each block's row of ``self.jit.table`` is looked up here and its
+        sighting counted; :meth:`BlockJit.note_execution` compiles the
+        block, or adopts a sibling's compile, once it is hot.  From its
+        first compiled execution on, the closure is called directly
+        instead of going through ``run_block_at``.
+
+        The row is also the successor cache: ``succ``, ``streak`` and
+        ``next``.  Once a block's successor is stable (immediately for
+        statically known successors, after ``CHAIN_STREAK_THRESHOLD``
+        repeats for indirect exits) ``next`` references the successor's
+        row, so hot loops run closure-to-closure with no dictionary
+        lookups between blocks — the chained runs the ``chain.length``
+        histogram and the coarse ``jit`` trace events describe.  The
+        guest position and the open chained run survive a stop on
+        ``blocks``; the chained successor reference does not (it only
+        saves a lookup).
         """
         interp = self.interp
         state = interp.state
         fetch = self.hierarchy.fetch
         run_block_at = interp.run_block_at
-        jit = interp._jit
-        jit_code = interp._jit_code
-        jit_blocks = jit.blocks if jit is not None else {}
-        links = self._chain_links
+        jit = self.jit
+        table = jit.table if jit is not None else {}
+        note_execution = jit.note_execution if jit is not None else None
         bump = self.stats.bump
         fetch_keys = self._fetch_stat_keys
         pages_registered = self._pages_registered
@@ -449,42 +451,35 @@ class TimingVM:
             count = block.guest_instr_count
             entry = None
             if jit is not None:
-                if (
-                    prev_entry is not None
-                    and prev_entry[4] is not None
-                    and prev_entry[2] == pc
-                    and prev_entry[4][1] == count
-                ):
-                    entry = prev_entry[4]  # chained dispatch
+                entry = prev_entry.next if prev_entry is not None else None
+                if entry is not None and prev_entry.succ == pc and entry.count == count:
+                    compiled = entry.block  # chained dispatch
                 else:
-                    entry = links.get(pc)
-                    if entry is not None and entry[1] != count:
+                    entry = table.get(pc)
+                    if entry is None or entry.count != count:
+                        entry = table[pc] = BlockEntry(count)
+                    compiled = entry.block
+                    if compiled is None:
+                        compiled = note_execution(pc, entry)
+                        if compiled:
+                            # a fresh install seeds the successor cache
+                            entry.succ = compiled.static_successor
+                            if entry.succ is not None:
+                                entry.streak = CHAIN_STREAK_THRESHOLD
+                    if not compiled:  # cold or ineligible: plan path
                         entry = None
-                    if entry is None:
-                        fn = jit_code.get((pc, count))
-                        if fn is not None:
-                            compiled = jit_blocks.get((pc, count))
-                            succ = (
-                                compiled.static_successor
-                                if compiled is not None else None
-                            )
-                            entry = links[pc] = [
-                                fn, count, succ,
-                                CHAIN_STREAK_THRESHOLD if succ is not None else 0,
-                                None,
-                            ]
 
             self.pending_stall = 0
             if entry is not None:
                 if trace_len == 0 and tracer.enabled:
                     tracer.emit(self.now, "jit", "trace_enter", "execution", pc=pc)
                 if profiling:
-                    # scoped (not flat) timing, so nested jit.compile /
-                    # memsys attributions become children of this phase
+                    # scoped (not flat) timing, so nested memsys
+                    # attributions become children of this phase
                     # instead of double-counting beside it
                     prof_enter("jit.run")
-                executed = entry[0](interp)
-                if executed < 0:  # entry-state mismatch: legacy path
+                executed = compiled.fn(interp)
+                if executed < 0:  # entry-state mismatch: plan path
                     if profiling:
                         prof_exit()
                         prof_enter("interpreter")
@@ -539,32 +534,29 @@ class TimingVM:
                 self._invalidate_smc_pages()
 
             npc = state.eip
-            if entry is not None:
-                # successor inline cache: chain once the target is stable
-                if entry[2] == npc:
-                    streak = entry[3] + 1
-                    entry[3] = streak
-                    if entry[4] is None and streak >= CHAIN_STREAK_THRESHOLD:
-                        nxt = links.get(npc)
-                        if nxt is not None:
-                            entry[4] = nxt
-                            self.jit_metrics.bump("chains_linked")
-                else:
-                    if entry[4] is not None:
-                        self.jit_metrics.bump("chains_broken")
-                    entry[2] = npc
-                    entry[3] = 1
-                    entry[4] = None
             if jit is not None and jit.epoch != epoch:
-                # self-modifying code invalidated the JIT inside this
-                # block: local references into stale closures must not
-                # be followed (the dicts themselves were cleared in
-                # place, so lookups are already safe)
+                # self-modifying code invalidated the table inside this
+                # block: the entry was reset in place, nothing to chain
                 epoch = jit.epoch
                 entry = None
                 if trace_len:
                     self._close_trace(trace_len, pc, "smc")
                     trace_len = 0
+            elif entry is not None:
+                # successor inline cache: chain once the target is stable
+                if entry.succ == npc:
+                    entry.streak += 1
+                    if entry.next is None and entry.streak >= CHAIN_STREAK_THRESHOLD:
+                        nxt = table.get(npc)
+                        if nxt is not None and nxt.block:
+                            entry.next = nxt
+                            self.jit_metrics.bump("chains_linked")
+                else:
+                    if entry.next is not None:
+                        self.jit_metrics.bump("chains_broken")
+                    entry.succ = npc
+                    entry.streak = 1
+                    entry.next = None
             prev_entry = entry
             prev_pc = pc
             pc = npc
@@ -588,23 +580,18 @@ class TimingVM:
             )
 
     def check_chain_invariants(self):
-        """Audit the dispatch loop's chain table against its JIT engine.
+        """Audit the chain fields of the block JIT's table.
 
         Returns the list of :class:`repro.verify.findings.Finding`
         violations (empty on a healthy machine).  Used by the verifier
         test-suite and available from a debugger mid-run; never called
         on the hot path.
         """
-        from repro.verify.jitverify import check_chain_links
+        from repro.verify.jitverify import check_chains
 
-        jit = getattr(self.interp, "_jit", None)
-        if jit is None:
+        if self.jit is None:
             return []
-        return check_chain_links(
-            self._chain_links, jit.code, jit.blocks,
-            threshold=CHAIN_STREAK_THRESHOLD,
-        )
-
+        return check_chains(self.jit.table, threshold=CHAIN_STREAK_THRESHOLD)
 
     def _sample_metrics(self) -> None:
         """Periodic time-series samples: with these, queue-length-vs-

@@ -7,16 +7,20 @@ memory, stats counters and fault behaviour to interpreting the same
 instructions.  These tests drive that contract with the same seeded
 random block generator the symbolic-equivalence layer uses, plus
 targeted unit tests for the engine (thresholds, shared-space adoption,
-code packs, self-modifying-code invalidation).
+code packs, self-modifying-code invalidation), most of which drive it
+through the timing VM's dispatch loop, its one caller.
 """
 
 import pytest
 
 from tests import blockgen
 from repro.dbt.frontend import scan_block
+from repro.dbt.transcache import TranslationCache
+from repro.guest import blockjit
 from repro.guest.assembler import assemble
 from repro.guest.blockjit import (
-    DEFAULT_HOT_THRESHOLD,
+    BlockEntry,
+    BlockJit,
     Ineligible,
     compile_block,
     jit_enabled_by_env,
@@ -26,9 +30,14 @@ from repro.guest.blockjit import (
 from repro.guest.flags import condition_expr, evaluate_condition
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.isa import ALL_FLAGS, ConditionCode, Op, Register
+from repro.morph.config import PRESETS
 from repro.verify.symexec.concrete import make_vector
+from repro.vm.timing import TimingVM
 
 _FLAG_NAMES = tuple(flag.name.lower() for flag in ALL_FLAGS)
+
+#: Namespace of the shared JIT space in the engine tests' caches.
+PROGRAM_KEY = "jit-test"
 
 
 def _seeded(program, env):
@@ -42,21 +51,23 @@ def _seeded(program, env):
     return interp
 
 
-def _run_blocks(interp):
-    """Drive the interpreter block-at-a-time, like the VM dispatch loop.
+def _vm(program, cache=None):
+    """A timing VM for ``program`` with the block JIT on; a ``cache``
+    gives it a shared JIT space under :data:`PROGRAM_KEY`."""
+    return TimingVM(program, PRESETS["speculative_4"], jit=True,
+                    translation_cache=cache, program_key=PROGRAM_KEY)
 
-    ``GuestInterpreter.run`` steps one instruction at a time and never
-    consults the JIT; this is the harness that exercises
-    ``run_block_at`` (and through it ``BlockJit.note_execution``).
-    """
-    read = interp.memory.read_bytes
-    for _ in range(200_000):
-        if interp.exit_code is not None:
-            return interp.exit_code
-        pc = interp.state.eip
-        block = scan_block(read, pc)
-        interp.run_block_at(pc, len(block.instructions))
-    raise AssertionError("runaway block loop")
+
+def _run_vm(program, cache=None):
+    """Run ``program`` to completion on :func:`_vm`; returns the VM."""
+    vm = _vm(program, cache)
+    vm.run()
+    return vm
+
+
+def _compiled(jit):
+    """``(pc, count)`` of every table row holding a compiled block."""
+    return [(pc, entry.count) for pc, entry in jit.table.items() if entry.block]
 
 
 def _body_steps(program):
@@ -97,14 +108,18 @@ class TestCompiledBlockDifferential:
         buf = program.symbols["buf"]
         names = [reg.name.lower() for reg in Register] + list(_FLAG_NAMES)
         ones = {name: 1 for name in _FLAG_NAMES}
+        plan = GuestInterpreter.for_program(program)._build_block_plan(program.entry, steps)
+        try:
+            block = compile_block([item[1] for item in plan], program.entry, steps)
+        except Ineligible:
+            pytest.skip("ineligible block")
         for k in range(3):
             env = make_vector(seed * 131 + k, names, ones)
             reference = _seeded(program, env)
             jitted = _seeded(program, env)
-            jit = jitted.enable_jit(threshold=1)
 
             ref_count = reference.run_block_at(program.entry, steps)
-            jit_count = jitted.run_block_at(program.entry, steps)
+            jit_count = block.fn(jitted)
 
             assert jit_count == ref_count
             assert jitted.state.snapshot() == reference.state.snapshot(), (
@@ -116,9 +131,6 @@ class TestCompiledBlockDifferential:
             assert jitted.stats.as_dict() == reference.stats.as_dict(), (
                 f"seed {seed} vector {k}: stats diverged\n{source}"
             )
-            # at threshold 1 the block either compiled or was ineligible
-            # (in which case the legacy path ran: still exact above)
-            assert jit.metrics["compiles"] + jit.metrics["ineligible"] >= 1
 
 
 MIDBLOCK_JUMP = """
@@ -164,24 +176,15 @@ loop:
 
 
 class TestEngine:
-    def test_threshold_gates_fresh_compiles(self):
-        interp = GuestInterpreter.for_program(assemble(COUNTING_LOOP))
-        jit = interp.enable_jit(threshold=3)
+    def test_threshold_gates_fresh_compiles(self, monkeypatch):
+        monkeypatch.setattr(blockjit, "DEFAULT_HOT_THRESHOLD", 3)
+        vm = _run_vm(assemble(COUNTING_LOOP))
         reference = GuestInterpreter.for_program(assemble(COUNTING_LOOP))
-        assert _run_blocks(interp) == reference.run()
+        assert vm.interp.exit_code == reference.run()
         # only the loop body (3 instructions, 50 executions) got hot;
         # the entry and exit blocks ran once each and stayed cold
-        assert jit.metrics["compiles"] == 1
-        assert list(jit.code) == [(list(jit.code)[0][0], 3)]
-
-    def test_env_default_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT_THRESHOLD", raising=False)
-        program = assemble(COUNTING_LOOP)
-        jit = GuestInterpreter.for_program(program).enable_jit()
-        assert jit.threshold == DEFAULT_HOT_THRESHOLD
-        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "7")
-        jit = GuestInterpreter.for_program(program).enable_jit()
-        assert jit.threshold == 7
+        assert vm.jit_metrics["compiles"] == 1
+        assert [count for _, count in _compiled(vm.jit)] == [3]
 
     def test_env_enable_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_JIT", raising=False)
@@ -192,102 +195,118 @@ class TestEngine:
         assert jit_enabled_by_env() is False
 
     def test_invalidate_clears_in_place_and_bumps_epoch(self):
-        interp = GuestInterpreter.for_program(assemble(COUNTING_LOOP))
-        jit = interp.enable_jit(threshold=1)
-        _run_blocks(interp)
-        code_dict = interp._jit_code
-        assert code_dict, "nothing compiled"
-        fired = []
-        jit.on_invalidate = lambda: fired.append(True)
+        vm = _vm(assemble(COUNTING_LOOP))
+        jit = vm.jit
+        # stop inside the hot loop, once it has chained to itself
+        while not any(entry.next for entry in jit.table.values()):
+            assert vm.step(), "the hot loop never chained"
+        held = next(entry for entry in jit.table.values() if entry.next)
+        seen = held.seen
         epoch_before = jit.epoch
         jit.invalidate()
-        # cleared IN PLACE: run_block_at and the VM loop alias the dict
-        assert interp._jit_code is code_dict and not code_dict
+        # reset IN PLACE: a row the dispatch loop still holds sees no
+        # closure and no link, and keeps its sightings
+        assert held in jit.table.values()
+        assert (held.block, held.succ, held.streak, held.next) == (None, None, 0, None)
+        assert held.seen == seen
+        assert not _compiled(jit)
         assert jit.epoch == epoch_before + 1
-        assert fired == [True]
         assert jit.metrics["invalidations"] == 1
 
     def test_counts_survive_invalidation(self):
-        interp = GuestInterpreter.for_program(assemble(COUNTING_LOOP))
-        jit = interp.enable_jit(threshold=2)
-        _run_blocks(interp)
-        compiled = [key for key in jit.code]
+        jit = _run_vm(assemble(COUNTING_LOOP)).jit
+        compiled = _compiled(jit)
         jit.invalidate()
         # hot counts persisted: the very next sighting of a previously
         # hot block recompiles without re-warming from zero
-        assert jit.note_execution(*compiled[0]) is not None
+        pc, _ = compiled[0]
+        assert jit.note_execution(pc, jit.table[pc])
         assert jit.metrics["compiles"] == len(compiled) + 1
+
+    def test_first_compiled_execution_is_chained_and_profiled_as_jit(self):
+        from repro.obs import prof
+
+        profiler = prof.PhaseProfiler()
+        previous = prof.set_profiler(profiler)
+        try:
+            vm = _run_vm(assemble(COUNTING_LOOP))
+        finally:
+            prof.set_profiler(previous)
+        paths = profiler.snapshot()["paths"]
+        assert any(path.endswith("jit.compile") for path in paths)
+        assert not any("interpreter;jit.compile" in path for path in paths)
+        # the loop block runs 49 times (the entry block holds the first
+        # iteration) and compiles on its 2nd sighting; that sighting
+        # already runs the closure, so 48 executions ran compiled and
+        # every one of them counts toward a chained run
+        chains = vm.jit_metrics.snapshot()["histograms"]["chain.length"]
+        assert prof.phase_totals(profiler.snapshot())["jit.run"]["calls"] == 48
+        assert chains["total"] == 48
 
 
 class TestSharedSpace:
-    def _run(self, shared):
-        program = assemble(COUNTING_LOOP)
-        text = program.text
-        interp = GuestInterpreter.for_program(program)
-        jit = interp.enable_jit(
-            shared_space=shared,
-            generation=lambda: 0,
-            share_range=(text.address, text.end),
-        )
-        exit_code = _run_blocks(interp)
-        return exit_code, jit
-
     def test_adoption_on_first_sighting(self):
-        shared = {}
-        first_exit, first = self._run(shared)
-        assert first.metrics["compiles"] == 1
+        cache = TranslationCache()
+        first = _run_vm(assemble(COUNTING_LOOP), cache)
+        shared = cache.jit_space(PROGRAM_KEY)
+        assert first.jit_metrics["compiles"] == 1
         assert len(shared) == 1, "hot block not published to the shared space"
-        second_exit, second = self._run(shared)
-        assert second_exit == first_exit
+        second = _run_vm(assemble(COUNTING_LOOP), cache)
+        assert second.interp.exit_code == first.interp.exit_code
         # the sibling's compile is adopted on the block's FIRST
         # sighting — the threshold gates fresh compiles, not adoption
-        assert second.metrics["shared_hits"] == 1
-        assert second.metrics["compiles"] == 0
+        assert second.jit_metrics["shared_hits"] == 1
+        assert second.jit_metrics["compiles"] == 0
 
-    def test_ineligible_marker_is_shared(self):
+    def test_ineligible_marker_is_shared(self, monkeypatch):
+        monkeypatch.setattr(blockjit, "DEFAULT_HOT_THRESHOLD", 1)
         program = assemble(MIDBLOCK_JUMP)
         text = program.text
         shared = {}
 
         def engine():
-            interp = GuestInterpreter.for_program(program)
-            return interp.enable_jit(
-                threshold=1, shared_space=shared,
+            return BlockJit(
+                GuestInterpreter.for_program(program), shared_space=shared,
                 generation=lambda: 0, share_range=(text.address, text.end),
             )
 
         first = engine()
-        assert first.note_execution(program.entry, 2) is None
+        entry = BlockEntry(2)
+        assert not first.note_execution(program.entry, entry)
+        assert entry.block is not None, "ineligibility not recorded in the entry"
         assert first.metrics["ineligible"] == 1
         # the sibling skips the doomed compile attempt entirely
         second = engine()
-        assert second.note_execution(program.entry, 2) is None
+        assert not second.note_execution(program.entry, BlockEntry(2))
         assert second.metrics["ineligible_shared"] == 1
         assert second.metrics["ineligible"] == 0
 
     def test_pack_roundtrip_is_executable(self):
-        shared = {}
-        first_exit, _ = self._run(shared)
+        cache = TranslationCache()
+        first = _run_vm(assemble(COUNTING_LOOP), cache)
+        shared = cache.jit_space(PROGRAM_KEY)
         rebuilt = unpack_space(pack_space(shared))
         assert set(rebuilt) == set(shared)
-        # a third interpreter seeded only from the pack must behave
-        # identically and never compile anything itself
-        third_exit, third = self._run(rebuilt)
-        assert third_exit == first_exit
-        assert third.metrics["shared_hits"] == 1
-        assert third.metrics["compiles"] == 0
+        # a third VM seeded only from the pack must behave identically
+        # and never compile anything itself
+        seeded = TranslationCache()
+        seeded.jit_space(PROGRAM_KEY).update(rebuilt)
+        third = _run_vm(assemble(COUNTING_LOOP), seeded)
+        assert third.interp.exit_code == first.interp.exit_code
+        assert third.jit_metrics["shared_hits"] == 1
+        assert third.jit_metrics["compiles"] == 0
 
 
 class TestSelfModifyingCode:
-    def test_jit_matches_interpreter_on_smc(self):
+    def test_jit_matches_interpreter_on_smc(self, monkeypatch):
         from tests.test_self_modifying_code import SMC_PROGRAM, _expected_exit
 
-        interp = GuestInterpreter.for_program(assemble(SMC_PROGRAM))
-        jit = interp.enable_jit(threshold=1)
-        assert _run_blocks(interp) == _expected_exit()
-        assert jit.metrics["invalidations"] >= 1
+        monkeypatch.setattr(blockjit, "DEFAULT_HOT_THRESHOLD", 1)
+        vm = _run_vm(assemble(SMC_PROGRAM))
+        assert vm.interp.exit_code == _expected_exit()
+        assert vm.jit_metrics["invalidations"] >= 1
 
-    def test_patched_block_recompiles(self):
+    def test_patched_block_recompiles(self, monkeypatch):
         # patch inside the executing loop: the compiled block must be
         # invalidated, recompiled against the new bytes, and the result
         # must match a plain stepping interpreter
@@ -304,10 +323,10 @@ class TestSelfModifyingCode:
             and ebx, 255
             int 0x80
         """
+        monkeypatch.setattr(blockjit, "DEFAULT_HOT_THRESHOLD", 1)
         plain = GuestInterpreter.for_program(assemble(source))
-        jitted = GuestInterpreter.for_program(assemble(source))
-        engine = jitted.enable_jit(threshold=1)
-        assert _run_blocks(jitted) == plain.run()
-        assert jitted.stats.as_dict() == plain.stats.as_dict()
-        assert engine.metrics["invalidations"] >= 1
-        assert engine.metrics["compiles"] >= 2  # old and patched bodies
+        vm = _run_vm(assemble(source))
+        assert vm.interp.exit_code == plain.run()
+        assert vm.interp.stats.as_dict() == plain.stats.as_dict()
+        assert vm.jit_metrics["invalidations"] >= 1
+        assert vm.jit_metrics["compiles"] >= 2  # old and patched bodies

@@ -76,6 +76,37 @@ class TestFigureRunners:
         assert lines[0].startswith("== Figure 4")
 
 
+class TestRunManyLookups:
+    """Each cell is looked up once: memo, then disk, then simulated."""
+
+    CELLS = [("181.mcf", "speculative_4", 0.05), ("181.mcf", "speculative_6", 0.05)]
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, monkeypatch):
+        monkeypatch.setattr(runner, "_DISK", runner._DISK)
+        monkeypatch.setattr(runner, "_DISK_ENABLED", runner._DISK_ENABLED)
+        clear_cache()
+        yield
+        clear_cache()
+
+    def _counted(self, name):
+        return runner.METRICS.as_dict().get(name, 0)
+
+    def test_cold_serial_run_many_probes_the_disk_once_per_cell(self, tmp_path):
+        runner.configure_disk_cache(True, tmp_path)
+        run_misses = self._counted("run_cache.misses")
+        disk_misses = self._counted("disk_cache.misses")
+        results = runner.run_many(self.CELLS, jobs=1)
+        assert len(results) == len(self.CELLS)
+        disk = runner.disk_cache()
+        assert (disk.misses, disk.stores) == (len(self.CELLS), len(self.CELLS))
+        assert self._counted("run_cache.misses") - run_misses == len(self.CELLS)
+        assert self._counted("disk_cache.misses") - disk_misses == len(self.CELLS)
+        # a warm re-run is served from the memo without touching the disk
+        runner.run_many(self.CELLS, jobs=1)
+        assert disk.misses == len(self.CELLS) and disk.hits == 0
+
+
 class TestJitPack:
     """The worker's JIT pack path: corrupt packs are counted, not fatal,
     and nothing but an undecodable pack is forgiven."""

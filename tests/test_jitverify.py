@@ -15,13 +15,13 @@ from tests import blockgen
 from repro.dbt.frontend import scan_block
 from repro.dbt.translator import TranslationConfig
 from repro.guest.assembler import assemble
-from repro.guest.blockjit import compile_block, pack_space, unpack_space
+from repro.guest.blockjit import BlockEntry, CompiledBlock, compile_block
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.memory import GuestMemory
 from repro.verify.findings import VerificationError
 from repro.verify.jitverify import (
     JitVerifier,
-    check_chain_links,
+    check_chains,
     expected_stats,
     lint_closure_source,
 )
@@ -205,51 +205,50 @@ class TestChainLinks:
         def fn(interp):  # pragma: no cover - never called
             return 0
 
-        class Block:
-            static_successor = 0x2000
+        def entry(count, static_successor):
+            row = BlockEntry(count)
+            row.block = CompiledBlock(fn, 0, count, None, static_successor)
+            return row
 
-        links = {}
-        code = {(0x1000, 3): fn, (0x2000, 2): fn}
-        blocks = {(0x1000, 3): Block(), (0x2000, 2): type("B", (), {"static_successor": None})()}
-        links[0x2000] = [fn, 2, None, 0, None]
-        links[0x1000] = [fn, 3, 0x2000, 4, None]
-        return links, code, blocks, fn
+        table = {0x1000: entry(3, 0x2000), 0x2000: entry(2, None)}
+        table[0x1000].succ = 0x2000
+        table[0x1000].streak = 4
+        return table
 
     def test_healthy_table_is_clean(self):
-        links, code, blocks, fn = self._healthy()
-        links[0x1000][3] = 4
-        links[0x1000][4] = None
-        assert check_chain_links(links, code, blocks) == []
+        table = self._healthy()
+        assert check_chains(table) == []
 
     def test_chained_healthy_link(self):
-        links, code, blocks, fn = self._healthy()
-        links[0x2000][2] = 0x2000  # give the successor a successor guess
-        links[0x1000][4] = links[0x2000]
-        assert check_chain_links(links, code, blocks) == []
-
-    def test_stale_fn_is_flagged(self):
-        links, code, blocks, fn = self._healthy()
-        links[0x1000][0] = lambda interp: 0
-        codes = [f.code for f in check_chain_links(links, code, blocks)]
-        assert "chain-fn-mismatch" in codes
+        table = self._healthy()
+        table[0x2000].succ = 0x2000  # give the successor a successor guess
+        table[0x1000].next = table[0x2000]
+        assert check_chains(table) == []
 
     def test_drifted_static_successor_is_flagged(self):
-        links, code, blocks, fn = self._healthy()
-        links[0x1000][2] = 0x3000
-        codes = [f.code for f in check_chain_links(links, code, blocks)]
+        table = self._healthy()
+        table[0x1000].succ = 0x3000
+        codes = [f.code for f in check_chains(table)]
         assert "chain-succ-mismatch" in codes
 
     def test_premature_chain_is_flagged(self):
-        links, code, blocks, fn = self._healthy()
-        links[0x1000][3] = 2  # below the streak threshold
-        links[0x1000][4] = links[0x2000]
-        codes = [f.code for f in check_chain_links(links, code, blocks)]
+        table = self._healthy()
+        table[0x1000].streak = 2  # below the streak threshold
+        table[0x1000].next = table[0x2000]
+        codes = [f.code for f in check_chains(table)]
         assert "chain-premature-link" in codes
 
     def test_detached_next_entry_is_flagged(self):
-        links, code, blocks, fn = self._healthy()
-        links[0x1000][4] = [fn, 2, None, 0, None]  # not links[0x2000]
-        codes = [f.code for f in check_chain_links(links, code, blocks)]
+        table = self._healthy()
+        table[0x1000].next = BlockEntry(2)  # not table[0x2000]
+        codes = [f.code for f in check_chains(table)]
+        assert "chain-stale-link" in codes
+
+    def test_link_to_invalidated_entry_is_flagged(self):
+        table = self._healthy()
+        table[0x1000].next = table[0x2000]
+        table[0x2000].block = None  # reset without de-chaining its source
+        codes = [f.code for f in check_chains(table)]
         assert "chain-stale-link" in codes
 
     def test_live_vm_dispatch_table_is_clean(self):
@@ -262,43 +261,3 @@ class TestChainLinks:
         vm.run()
         assert vm.jit_metrics["chains_linked"] >= 1
         assert vm.check_chain_invariants() == []
-
-
-class TestSourceRetention:
-    def test_pack_roundtrip_regenerates_source_byte_for_byte(self):
-        from tests.test_blockjit import COUNTING_LOOP, _run_blocks
-
-        program = assemble(COUNTING_LOOP)
-        text = program.text
-        shared = {}
-
-        def run(space):
-            interp = GuestInterpreter.for_program(assemble(COUNTING_LOOP))
-            jit = interp.enable_jit(
-                threshold=1, shared_space=space,
-                generation=lambda: 0, share_range=(text.address, text.end),
-            )
-            _run_blocks(interp)
-            return jit
-
-        first = run(shared)
-        originals = {
-            key: block.source for key, block in first.blocks.items()
-        }
-        rebuilt = unpack_space(pack_space(shared))
-        second = run(rebuilt)
-        assert second.metrics["compiles"] == 0  # everything adopted
-        for (address, count), source in originals.items():
-            key = (address, count)
-            if key not in second.blocks:
-                continue
-            assert second.blocks[key].source == "<packed>"
-            regenerated = second.source_for(address, count)
-            assert regenerated == source  # byte-for-byte deterministic
-            # cached in place after the first regeneration
-            assert second.blocks[key].source == source
-
-    def test_source_for_unknown_block_is_none(self):
-        interp = GuestInterpreter.for_program(assemble(SMOKE))
-        jit = interp.enable_jit(threshold=1)
-        assert jit.source_for(0xDEAD, 3) is None

@@ -5,8 +5,8 @@ translations, JIT closures and chain links mid-run) and dynamic
 morphing (retiles slaves and banks under hysteresis) — are individually
 tested elsewhere.  This module forces them to interleave: a generated
 program patches function immediates dozens of times while running under
-the most trigger-happy morph preset, and the chained-dispatch/JIT
-structures are audited with ``check_chain_invariants`` after every
+the most trigger-happy morph preset, and the chain fields of the block
+JIT's table are audited with ``check_chain_invariants`` after every
 single block.  The interpreter provides the golden exit code.
 """
 
@@ -102,9 +102,6 @@ class TestMorphSmcStress:
             assert not findings, (
                 f"step {steps}: " + "; ".join(str(f) for f in findings)
             )
-            jit = getattr(vm.interp, "_jit", None)
-            if jit is not None:
-                assert not jit.check_consistency(), f"step {steps}"
         assert steps > 100
         assert vm.stats["smc_invalidations"] >= SEGMENTS // 2
         assert vm.morph.fsm_state()["reconfigurations"] >= 2
