@@ -5,9 +5,13 @@ Measures blocks-executed-per-second and guest-instructions-per-second
 for the timing VM — with the block JIT off (pure interpreter dispatch)
 and with it on and warm, compiled closures adopted from the shared
 space (the steady state every sweep cell after the first sees) — plus
-raw interpreter instructions-per-second.  ``run_all.py``
-embeds the numbers in ``BENCH_results.json`` so the performance
-trajectory of the inner loop is trackable across PRs.
+raw interpreter instructions-per-second.  It also measures the
+translator layer: cold translation blocks-per-second over every block a
+large-code workload reaches, optimized and unoptimized, and how many
+distinct host-instruction objects the translation cache holds.
+``run_all.py`` embeds the numbers in ``BENCH_results.json`` so the
+performance trajectory of the inner loop and the translator is
+trackable across PRs.  Only the JIT speedup is gated.
 
 ``--check`` compares the measured JIT speedup against the committed
 ``perf_baseline.json`` and exits non-zero when it regresses more than
@@ -27,7 +31,9 @@ import time
 from pathlib import Path
 
 from repro.dbt.transcache import TranslationCache
+from repro.dbt.translator import TranslationConfig, Translator
 from repro.guest.interpreter import GuestInterpreter
+from repro.guest.memory import GuestMemory
 from repro.morph.config import PRESETS
 from repro.obs import prof
 from repro.vm.timing import TimingVM
@@ -35,6 +41,11 @@ from repro.workloads import build_workload
 
 DEFAULT_WORKLOAD = "164.gzip"
 DEFAULT_SCALE = 0.3
+
+#: The translator series: a large-code workload, at a scale small
+#: enough to run quickly (its block count does not shrink with scale).
+TRANSLATOR_WORKLOAD = "176.gcc"
+TRANSLATOR_SCALE = 0.05
 
 #: Committed reference numbers for --check (next to this script).
 BASELINE_PATH = Path(__file__).resolve().parent / "perf_baseline.json"
@@ -70,8 +81,44 @@ def _best_of(build, config, repeats=WARM_REPEATS, **vm_kwargs):
     return result, best
 
 
+def measure_translator(
+    workload: str = TRANSLATOR_WORKLOAD, scale: float = TRANSLATOR_SCALE
+) -> dict:
+    """Cold translation throughput and host-instruction sharing.
+
+    One timing run through a :class:`TranslationCache` finds the blocks
+    the workload reaches (speculation included) and leaves them cached;
+    each of them is then translated cold by a fresh translator, once
+    optimized and once unoptimized.
+    """
+    program = build_workload(workload, scale=scale)
+    cache = TranslationCache()
+    TimingVM(program, PRESETS["speculative_4"], jit=False,
+             translation_cache=cache, program_key=workload).run()
+    cached = list(cache.blocks())
+    pcs = sorted({block.guest_address for block in cached})
+    memory = GuestMemory()
+    program.load(memory)
+    doc = {
+        "workload": workload,
+        "scale": scale,
+        "blocks": len(pcs),
+        "cached_host_instructions": sum(len(block.instrs) for block in cached),
+        "distinct_host_instrs": len({id(instr) for block in cached for instr in block.instrs}),
+    }
+    for label, optimize in (("optimized", True), ("unoptimized", False)):
+        translator = Translator(memory.read_bytes, TranslationConfig(optimize=optimize))
+        started = time.perf_counter()
+        for pc in pcs:
+            translator.translate(pc)
+        seconds = time.perf_counter() - started
+        doc[f"{label}_blocks_per_second"] = round(len(pcs) / seconds, 1)
+    return doc
+
+
 def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> dict:
-    """Timing-VM runs (JIT off / JIT warm) + a raw interpreter run."""
+    """Timing-VM runs (JIT off / JIT warm), a raw interpreter run and
+    the translator series (:func:`measure_translator`)."""
     program = build_workload(workload, scale=scale)
     config = PRESETS["speculative_4"]
 
@@ -144,6 +191,7 @@ def measure(workload: str = DEFAULT_WORKLOAD, scale: float = DEFAULT_SCALE) -> d
                 interp.stats["instructions"] / interp_seconds, 1
             ),
         },
+        "translator": measure_translator(),
     }
 
 
@@ -162,6 +210,13 @@ def append_history(doc: dict) -> None:
                 doc["interpreter"]["instructions_per_second"]
             ),
             "profiling_overhead": doc["profiling"]["overhead_vs_jit_warm"],
+            "translate_blocks_per_second": (
+                doc["translator"]["optimized_blocks_per_second"]
+            ),
+            "translate_noopt_blocks_per_second": (
+                doc["translator"]["unoptimized_blocks_per_second"]
+            ),
+            "distinct_host_instrs": doc["translator"]["distinct_host_instrs"],
         },
     )
     path = BenchHistory().append(record)
@@ -235,6 +290,14 @@ def main() -> None:
             f"{doc['jit_speedup']:.2f}x); "
             f"{doc['interpreter']['instructions_per_second']:.0f} instr/s "
             f"(raw interpreter)"
+        )
+        xlate = doc["translator"]
+        print(
+            f"{xlate['workload']} @ scale {xlate['scale']}: {xlate['blocks']} blocks "
+            f"translated at {xlate['optimized_blocks_per_second']:.0f} blocks/s "
+            f"(optimized), {xlate['unoptimized_blocks_per_second']:.0f} blocks/s "
+            f"(unoptimized); {xlate['distinct_host_instrs']} distinct host "
+            f"instructions cached"
         )
     if args.check:
         sys.exit(check_against_baseline(doc))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.host.isa import ExitReason, HostInstr, LOAD_OPS, STORE_OPS
+from repro.host.isa import ExitReason, HostInstr
 
 
 def pages_spanned(guest_address: int, guest_length: int) -> range:
@@ -81,14 +81,6 @@ class TranslatedBlock:
     def host_size_bytes(self) -> int:
         """Bytes of host code (the code-cache footprint)."""
         return 4 * len(self.instrs)
-
-    @property
-    def load_count(self) -> int:
-        return sum(1 for instr in self.instrs if instr.op in LOAD_OPS)
-
-    @property
-    def store_count(self) -> int:
-        return sum(1 for instr in self.instrs if instr.op in STORE_OPS)
 
     def direct_successors(self) -> Tuple[int, ...]:
         """Statically known guest successor addresses (for speculation)."""

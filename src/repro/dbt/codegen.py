@@ -12,6 +12,15 @@ relative branches, so the runtime can copy a block into any code-cache
 level.  Each block ends in exit stubs (``lui v0 / ori v0 / exitb``)
 whose first instruction is the chaining patch site.
 
+Instructions are immutable, shared values.  Every instruction a block
+emits comes from an intern table keyed by its fields; the
+:class:`~repro.dbt.translator.Translator` passes one table to all the
+blocks it generates, so equal instructions across them are one object
+and a table hit allocates nothing.  A branch whose target label is not
+bound yet gets a slot that :meth:`_Emitter.finish` fills with the
+finished branch.  Generated blocks are unpriced: the translator runs the
+cost model once per block, after scheduling.
+
 Flag materialization follows the paper: "our x86 emulator keeps the x86
 flags packed in a register and uses insert and extract operations to
 access them".  The parity flag needs a 256-entry lookup table that the
@@ -32,7 +41,6 @@ from repro.host.isa import (
     HostReg,
 )
 from repro.dbt.block import ExitStub, TranslatedBlock
-from repro.dbt.cost import estimate_block_cost
 from repro.dbt.ir import ExitKind, FlagSem, IRBlock, UOp, UOpKind
 
 #: Emulator-private data region (never overlaps guest mappings).
@@ -81,26 +89,49 @@ def parity_table() -> bytes:
     return bytes(1 if bin(i).count("1") % 2 == 0 else 0 for i in range(256))
 
 
-class _Emitter:
-    """Instruction buffer with label/fixup support for relative branches."""
+#: An intern table: instruction fields -> the one shared instance.
+InstrTable = Dict[Tuple[HostOp, HostReg, HostReg, HostReg, int, int, int], HostInstr]
 
-    def __init__(self) -> None:
-        self.instrs: List[HostInstr] = []
-        self._fixups: List[Tuple[int, str]] = []
+
+class _Emitter:
+    """Instruction buffer with label/fixup support for relative branches.
+
+    Every instruction goes through ``table``, so equal instructions are
+    one shared :class:`HostInstr` and a table hit allocates nothing.
+    """
+
+    def __init__(self, table: InstrTable) -> None:
+        self.instrs: List[Optional[HostInstr]] = []
+        self._table = table
+        self._fixups: List[Tuple[int, str, HostOp, HostReg, HostReg]] = []
         self._labels: Dict[str, int] = {}
         self._label_counter = 0
 
-    def emit(self, instr: HostInstr) -> None:
-        self.instrs.append(instr)
+    def instr(
+        self, op: HostOp, rd: HostReg = _ZERO, rs: HostReg = _ZERO, rt: HostReg = _ZERO,
+        imm: int = 0, shamt: int = 0, target: int = 0,
+    ) -> HostInstr:
+        """The shared instance of the instruction with these fields."""
+        key = (op, rd, rs, rt, imm, shamt, target)
+        instr = self._table.get(key)
+        if instr is None:
+            instr = self._table[key] = HostInstr(op, rd, rs, rt, imm, shamt, target)
+        return instr
+
+    def emit(
+        self, op: HostOp, rd: HostReg = _ZERO, rs: HostReg = _ZERO, rt: HostReg = _ZERO,
+        imm: int = 0, shamt: int = 0, target: int = 0,
+    ) -> None:
+        self.instrs.append(self.instr(op, rd, rs, rt, imm, shamt, target))
 
     def new_label(self, hint: str) -> str:
         self._label_counter += 1
         return f"{hint}_{self._label_counter}"
 
-    def branch(self, instr: HostInstr, label: str) -> None:
-        """Emit a branch whose offset is fixed up when ``label`` binds."""
-        self._fixups.append((len(self.instrs), label))
-        self.instrs.append(instr)
+    def branch(self, op: HostOp, label: str, rs: HostReg = _ZERO, rt: HostReg = _ZERO) -> None:
+        """Reserve a branch slot; :meth:`finish` builds it once ``label`` binds."""
+        self._fixups.append((len(self.instrs), label, op, rs, rt))
+        self.instrs.append(None)
 
     def bind(self, label: str) -> None:
         if label in self._labels:
@@ -108,29 +139,30 @@ class _Emitter:
         self._labels[label] = len(self.instrs)
 
     def finish(self) -> List[HostInstr]:
-        for index, label in self._fixups:
+        instrs = self.instrs
+        for index, label, op, rs, rt in self._fixups:
             target = self._labels.get(label)
             if target is None:
                 raise CodegenError(f"unbound label {label}")
-            self.instrs[index].imm = target - (index + 1)
-        return self.instrs
+            instrs[index] = self.instr(op, rs=rs, rt=rt, imm=target - (index + 1))
+        return instrs
 
     # convenience emitters -------------------------------------------------
 
     def move(self, dst: HostReg, src: HostReg) -> None:
         if dst is not src:
-            self.emit(HostInstr(HostOp.OR, rd=dst, rs=src, rt=_ZERO))
+            self.emit(HostOp.OR, rd=dst, rs=src, rt=_ZERO)
 
     def load_imm(self, dst: HostReg, value: int) -> None:
         value &= 0xFFFFFFFF
         signed = value - 0x100000000 if value & 0x80000000 else value
         if -0x8000 <= signed <= 0x7FFF:
-            self.emit(HostInstr(HostOp.ADDIU, rt=dst, rs=_ZERO, imm=signed))
+            self.emit(HostOp.ADDIU, rt=dst, rs=_ZERO, imm=signed)
         elif value & 0xFFFF == 0:
-            self.emit(HostInstr(HostOp.LUI, rt=dst, imm=value >> 16))
+            self.emit(HostOp.LUI, rt=dst, imm=value >> 16)
         else:
-            self.emit(HostInstr(HostOp.LUI, rt=dst, imm=value >> 16))
-            self.emit(HostInstr(HostOp.ORI, rt=dst, rs=dst, imm=value & 0xFFFF))
+            self.emit(HostOp.LUI, rt=dst, imm=value >> 16)
+            self.emit(HostOp.ORI, rt=dst, rs=dst, imm=value & 0xFFFF)
 
 
 class _Allocator:
@@ -159,8 +191,8 @@ class _Allocator:
             slot = self._next_slot
             self._next_slot += 1
             self._spill_slot[victim] = slot
-        self._emitter.emit(HostInstr(HostOp.LUI, rt=_S2, imm=SCRATCH_BASE >> 16))
-        self._emitter.emit(HostInstr(HostOp.SW, rt=reg, rs=_S2, imm=(SCRATCH_BASE & 0xFFFF) + 4 * slot))
+        self._emitter.emit(HostOp.LUI, rt=_S2, imm=SCRATCH_BASE >> 16)
+        self._emitter.emit(HostOp.SW, rt=reg, rs=_S2, imm=(SCRATCH_BASE & 0xFFFF) + 4 * slot)
         self.spill_count += 1
         return reg
 
@@ -187,21 +219,51 @@ class _Allocator:
         if slot is None:
             raise CodegenError(f"use of undefined temp t{temp}")
         reg = self._take_reg(locked)
-        self._emitter.emit(HostInstr(HostOp.LUI, rt=_S2, imm=SCRATCH_BASE >> 16))
-        self._emitter.emit(
-            HostInstr(HostOp.LW, rt=reg, rs=_S2, imm=(SCRATCH_BASE & 0xFFFF) + 4 * slot)
-        )
+        self._emitter.emit(HostOp.LUI, rt=_S2, imm=SCRATCH_BASE >> 16)
+        self._emitter.emit(HostOp.LW, rt=reg, rs=_S2, imm=(SCRATCH_BASE & 0xFFFF) + 4 * slot)
         self._reg_of[temp] = reg
         self._owner[reg] = temp
         return reg
 
     def release_dead(self) -> None:
         """Free registers of temps whose last use has passed."""
-        dead = [t for t, r in self._reg_of.items() if self._last_use.get(t, -1) <= self.position]
-        for temp in dead:
-            reg = self._reg_of.pop(temp)
-            del self._owner[reg]
-            self._free.append(reg)
+        position = self.position
+        last_use = self._last_use
+        reg_of = self._reg_of
+        dead = [t for t in reg_of if last_use.get(t, -1) <= position]
+        if dead:
+            owner = self._owner
+            free = self._free
+            for temp in dead:
+                reg = reg_of.pop(temp)
+                del owner[reg]
+                free.append(reg)
+
+
+#: Single-flag conditions: (flag bit mask, its bit position).
+_FLAG_CONDITIONS = {
+    ConditionCode.E: (0x40, 6),
+    ConditionCode.NE: (0x40, 6),
+    ConditionCode.B: (0x01, 0),
+    ConditionCode.AE: (0x01, 0),
+    ConditionCode.S: (0x80, 7),
+    ConditionCode.NS: (0x80, 7),
+    ConditionCode.O: (0x800, 11),
+    ConditionCode.NO: (0x800, 11),
+    ConditionCode.P: (0x04, 2),
+    ConditionCode.NP: (0x04, 2),
+}
+
+#: Single-flag conditions that hold when their flag is clear.
+_NEGATED_CONDITIONS = frozenset(
+    {ConditionCode.NE, ConditionCode.AE, ConditionCode.NS, ConditionCode.NO, ConditionCode.NP}
+)
+
+
+def _extract_flag(emitter: _Emitter, bit_mask: int, shift: int, into: HostReg) -> None:
+    emitter.emit(HostOp.ANDI, rt=into, rs=FLAGS_HOME, imm=bit_mask)
+    if shift:
+        emitter.emit(HostOp.SRL, rd=into, rt=into, shamt=shift)
 
 
 def emit_condition_value(emitter: _Emitter, cc: ConditionCode, dst: HostReg) -> None:
@@ -209,50 +271,30 @@ def emit_condition_value(emitter: _Emitter, cc: ConditionCode, dst: HostReg) -> 
 
     Uses ``_S2`` as scratch for the two-flag conditions.
     """
-    t8 = FLAGS_HOME
-
-    def extract(bit_mask: int, shift: int, into: HostReg) -> None:
-        emitter.emit(HostInstr(HostOp.ANDI, rt=into, rs=t8, imm=bit_mask))
-        if shift:
-            emitter.emit(HostInstr(HostOp.SRL, rd=into, rt=into, shamt=shift))
-
-    base = {
-        ConditionCode.E: (0x40, 6),
-        ConditionCode.NE: (0x40, 6),
-        ConditionCode.B: (0x01, 0),
-        ConditionCode.AE: (0x01, 0),
-        ConditionCode.S: (0x80, 7),
-        ConditionCode.NS: (0x80, 7),
-        ConditionCode.O: (0x800, 11),
-        ConditionCode.NO: (0x800, 11),
-        ConditionCode.P: (0x04, 2),
-        ConditionCode.NP: (0x04, 2),
-    }
-    if cc in base:
-        mask, shift = base[cc]
-        extract(mask, shift, dst)
-        if cc in (ConditionCode.NE, ConditionCode.AE, ConditionCode.NS,
-                  ConditionCode.NO, ConditionCode.NP):
-            emitter.emit(HostInstr(HostOp.XORI, rt=dst, rs=dst, imm=1))
+    single = _FLAG_CONDITIONS.get(cc)
+    if single is not None:
+        _extract_flag(emitter, single[0], single[1], dst)
+        if cc in _NEGATED_CONDITIONS:
+            emitter.emit(HostOp.XORI, rt=dst, rs=dst, imm=1)
         return
 
     if cc in (ConditionCode.BE, ConditionCode.A):
-        emitter.emit(HostInstr(HostOp.ANDI, rt=dst, rs=t8, imm=0x41))
+        emitter.emit(HostOp.ANDI, rt=dst, rs=FLAGS_HOME, imm=0x41)
         if cc is ConditionCode.BE:
-            emitter.emit(HostInstr(HostOp.SLTU, rd=dst, rs=_ZERO, rt=dst))
+            emitter.emit(HostOp.SLTU, rd=dst, rs=_ZERO, rt=dst)
         else:
-            emitter.emit(HostInstr(HostOp.SLTIU, rt=dst, rs=dst, imm=1))
+            emitter.emit(HostOp.SLTIU, rt=dst, rs=dst, imm=1)
         return
 
     # signed conditions need SF xor OF
-    extract(0x80, 7, dst)
-    extract(0x800, 11, _S2)
-    emitter.emit(HostInstr(HostOp.XOR, rd=dst, rs=dst, rt=_S2))
+    _extract_flag(emitter, 0x80, 7, dst)
+    _extract_flag(emitter, 0x800, 11, _S2)
+    emitter.emit(HostOp.XOR, rd=dst, rs=dst, rt=_S2)
     if cc in (ConditionCode.LE, ConditionCode.G):
-        extract(0x40, 6, _S2)
-        emitter.emit(HostInstr(HostOp.OR, rd=dst, rs=dst, rt=_S2))
+        _extract_flag(emitter, 0x40, 6, _S2)
+        emitter.emit(HostOp.OR, rd=dst, rs=dst, rt=_S2)
     if cc in (ConditionCode.GE, ConditionCode.G):
-        emitter.emit(HostInstr(HostOp.XORI, rt=dst, rs=dst, imm=1))
+        emitter.emit(HostOp.XORI, rt=dst, rs=dst, imm=1)
 
 
 class _FlagCodegen:
@@ -262,34 +304,34 @@ class _FlagCodegen:
         self.e = emitter
 
     def _or_into_flags(self, reg: HostReg) -> None:
-        self.e.emit(HostInstr(HostOp.OR, rd=FLAGS_HOME, rs=FLAGS_HOME, rt=reg))
+        self.e.emit(HostOp.OR, rd=FLAGS_HOME, rs=FLAGS_HOME, rt=reg)
 
     def _set_zf(self, result: HostReg) -> None:
-        self.e.emit(HostInstr(HostOp.SLTIU, rt=_S1, rs=result, imm=1))
-        self.e.emit(HostInstr(HostOp.SLL, rd=_S1, rt=_S1, shamt=6))
+        self.e.emit(HostOp.SLTIU, rt=_S1, rs=result, imm=1)
+        self.e.emit(HostOp.SLL, rd=_S1, rt=_S1, shamt=6)
         self._or_into_flags(_S1)
 
     def _set_sf(self, result: HostReg, width: int) -> None:
         if width == 32:
-            self.e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=result, shamt=24))
-            self.e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=0x80))
+            self.e.emit(HostOp.SRL, rd=_S1, rt=result, shamt=24)
+            self.e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=0x80)
         else:
-            self.e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=result, imm=0x80))
+            self.e.emit(HostOp.ANDI, rt=_S1, rs=result, imm=0x80)
         self._or_into_flags(_S1)
 
     def _set_pf(self, result: HostReg) -> None:
-        self.e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=result, imm=0xFF))
-        self.e.emit(HostInstr(HostOp.LUI, rt=_S2, imm=PARITY_TABLE_BASE >> 16))
-        self.e.emit(HostInstr(HostOp.ADDU, rd=_S2, rs=_S2, rt=_S1))
-        self.e.emit(HostInstr(HostOp.LBU, rt=_S1, rs=_S2, imm=PARITY_TABLE_BASE & 0xFFFF))
-        self.e.emit(HostInstr(HostOp.SLL, rd=_S1, rt=_S1, shamt=2))
+        self.e.emit(HostOp.ANDI, rt=_S1, rs=result, imm=0xFF)
+        self.e.emit(HostOp.LUI, rt=_S2, imm=PARITY_TABLE_BASE >> 16)
+        self.e.emit(HostOp.ADDU, rd=_S2, rs=_S2, rt=_S1)
+        self.e.emit(HostOp.LBU, rt=_S1, rs=_S2, imm=PARITY_TABLE_BASE & 0xFFFF)
+        self.e.emit(HostOp.SLL, rd=_S1, rt=_S1, shamt=2)
         self._or_into_flags(_S1)
 
     def _set_bit0(self, value01: HostReg) -> None:
         self._or_into_flags(value01)
 
     def _set_of_from01(self, value01: HostReg) -> None:
-        self.e.emit(HostInstr(HostOp.SLL, rd=_S1, rt=value01, shamt=11))
+        self.e.emit(HostOp.SLL, rd=_S1, rt=value01, shamt=11)
         self._or_into_flags(_S1)
 
     def emit(self, uop: UOp, regs: Dict[str, HostReg]) -> None:
@@ -303,10 +345,10 @@ class _FlagCodegen:
         skip_label: Optional[str] = None
         if uop.count is not None:
             skip_label = e.new_label("flags_skip")
-            e.branch(HostInstr(HostOp.BEQ, rs=regs["count"], rt=_ZERO), skip_label)
+            e.branch(HostOp.BEQ, skip_label, rs=regs["count"], rt=_ZERO)
 
         # clear the bits we are about to write
-        e.emit(HostInstr(HostOp.ANDI, rt=FLAGS_HOME, rs=FLAGS_HOME, imm=ALL_FLAG_BITS & ~mask))
+        e.emit(HostOp.ANDI, rt=FLAGS_HOME, rs=FLAGS_HOME, imm=ALL_FLAG_BITS & ~mask)
 
         sem, width = uop.sem, uop.width
         result = regs.get("result")
@@ -338,38 +380,38 @@ class _FlagCodegen:
         e = self.e
         if sem is FlagSem.ADD:
             if width == 32:
-                e.emit(HostInstr(HostOp.SLTU, rd=_S1, rs=result, rt=a))
+                e.emit(HostOp.SLTU, rd=_S1, rs=result, rt=a)
             else:
-                e.emit(HostInstr(HostOp.ADDU, rd=_S1, rs=a, rt=b))
-                e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=_S1, shamt=8))
+                e.emit(HostOp.ADDU, rd=_S1, rs=a, rt=b)
+                e.emit(HostOp.SRL, rd=_S1, rt=_S1, shamt=8)
             self._set_bit0(_S1)
         elif sem is FlagSem.SUB:
-            e.emit(HostInstr(HostOp.SLTU, rd=_S1, rs=a, rt=b))
+            e.emit(HostOp.SLTU, rd=_S1, rs=a, rt=b)
             self._set_bit0(_S1)
         elif sem is FlagSem.NEG:
-            e.emit(HostInstr(HostOp.SLTU, rd=_S1, rs=_ZERO, rt=a))
+            e.emit(HostOp.SLTU, rd=_S1, rs=_ZERO, rt=a)
             self._set_bit0(_S1)
         elif sem is FlagSem.SHL:
             # the shift count always travels in the FLAGS uop's `b` role
             if width == 32:
-                e.emit(HostInstr(HostOp.ADDIU, rt=_S2, rs=_ZERO, imm=32))
-                e.emit(HostInstr(HostOp.SUBU, rd=_S2, rs=_S2, rt=b))
-                e.emit(HostInstr(HostOp.SRLV, rd=_S1, rs=_S2, rt=a))
+                e.emit(HostOp.ADDIU, rt=_S2, rs=_ZERO, imm=32)
+                e.emit(HostOp.SUBU, rd=_S2, rs=_S2, rt=b)
+                e.emit(HostOp.SRLV, rd=_S1, rs=_S2, rt=a)
             else:
-                e.emit(HostInstr(HostOp.SLLV, rd=_S1, rs=b, rt=a))
-                e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=_S1, shamt=8))
-            e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=1))
+                e.emit(HostOp.SLLV, rd=_S1, rs=b, rt=a)
+                e.emit(HostOp.SRL, rd=_S1, rt=_S1, shamt=8)
+            e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=1)
             self._set_bit0(_S1)
         elif sem in (FlagSem.SHR, FlagSem.SAR):
             source = a
             if sem is FlagSem.SAR and width == 8:
-                e.emit(HostInstr(HostOp.SLL, rd=_S1, rt=a, shamt=24))
-                e.emit(HostInstr(HostOp.SRA, rd=_S1, rt=_S1, shamt=24))
+                e.emit(HostOp.SLL, rd=_S1, rt=a, shamt=24)
+                e.emit(HostOp.SRA, rd=_S1, rt=_S1, shamt=24)
                 source = _S1
-            e.emit(HostInstr(HostOp.ADDIU, rt=_S2, rs=b, imm=-1))
+            e.emit(HostOp.ADDIU, rt=_S2, rs=b, imm=-1)
             shift_op = HostOp.SRAV if sem is FlagSem.SAR else HostOp.SRLV
-            e.emit(HostInstr(shift_op, rd=_S1, rs=_S2, rt=source))
-            e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=1))
+            e.emit(shift_op, rd=_S1, rs=_S2, rt=source)
+            e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=1)
             self._set_bit0(_S1)
         # LOGIC/INC/DEC: CF is cleared (logic) or preserved (inc/dec by mask)
 
@@ -377,13 +419,13 @@ class _FlagCodegen:
         """CF=OF overflow bit for IMUL (hi != sign(lo)) / MUL (hi != 0)."""
         e = self.e
         if sem is FlagSem.IMUL:
-            e.emit(HostInstr(HostOp.SRA, rd=_S1, rt=result, shamt=31))
-            e.emit(HostInstr(HostOp.XOR, rd=_S1, rs=_S1, rt=high))
-            e.emit(HostInstr(HostOp.SLTU, rd=_S1, rs=_ZERO, rt=_S1))
+            e.emit(HostOp.SRA, rd=_S1, rt=result, shamt=31)
+            e.emit(HostOp.XOR, rd=_S1, rs=_S1, rt=high)
+            e.emit(HostOp.SLTU, rd=_S1, rs=_ZERO, rt=_S1)
         else:
-            e.emit(HostInstr(HostOp.SLTU, rd=_S1, rs=_ZERO, rt=high))
+            e.emit(HostOp.SLTU, rd=_S1, rs=_ZERO, rt=high)
         if mask & _FLAG_BIT[Flag.OF]:
-            e.emit(HostInstr(HostOp.SLL, rd=_S2, rt=_S1, shamt=11))
+            e.emit(HostOp.SLL, rd=_S2, rt=_S1, shamt=11)
             self._or_into_flags(_S2)
         if mask & _FLAG_BIT[Flag.CF]:
             self._set_bit0(_S1)
@@ -398,18 +440,18 @@ class _FlagCodegen:
         if sem in (FlagSem.IMUL, FlagSem.MUL):
             return  # handled together with CF
         if sem is FlagSem.ADD:
-            e.emit(HostInstr(HostOp.XOR, rd=_S1, rs=a, rt=b))
-            e.emit(HostInstr(HostOp.NOR, rd=_S1, rs=_S1, rt=_ZERO))
-            e.emit(HostInstr(HostOp.XOR, rd=_S2, rs=a, rt=result))
-            e.emit(HostInstr(HostOp.AND, rd=_S1, rs=_S1, rt=_S2))
+            e.emit(HostOp.XOR, rd=_S1, rs=a, rt=b)
+            e.emit(HostOp.NOR, rd=_S1, rs=_S1, rt=_ZERO)
+            e.emit(HostOp.XOR, rd=_S2, rs=a, rt=result)
+            e.emit(HostOp.AND, rd=_S1, rs=_S1, rt=_S2)
         elif sem in (FlagSem.SUB, FlagSem.NEG):
             first = _ZERO if sem is FlagSem.NEG else a
             # NEG computes 0 - a: operands are (0, a)
             op_a = first if sem is FlagSem.NEG else a
             op_b = a if sem is FlagSem.NEG else b
-            e.emit(HostInstr(HostOp.XOR, rd=_S1, rs=op_a, rt=op_b))
-            e.emit(HostInstr(HostOp.XOR, rd=_S2, rs=op_a, rt=result))
-            e.emit(HostInstr(HostOp.AND, rd=_S1, rs=_S1, rt=_S2))
+            e.emit(HostOp.XOR, rd=_S1, rs=op_a, rt=op_b)
+            e.emit(HostOp.XOR, rd=_S2, rs=op_a, rt=result)
+            e.emit(HostOp.AND, rd=_S1, rs=_S1, rt=_S2)
         elif sem is FlagSem.INC:
             boundary = 0x80000000 if width == 32 else 0x80
             self._emit_of_equals(result, boundary)
@@ -423,28 +465,28 @@ class _FlagCodegen:
             # the mask), so recompute the carry locally instead of
             # reading bit 0 of $t8.
             if width == 32:
-                e.emit(HostInstr(HostOp.ADDIU, rt=_S2, rs=_ZERO, imm=32))
-                e.emit(HostInstr(HostOp.SUBU, rd=_S2, rs=_S2, rt=b))
-                e.emit(HostInstr(HostOp.SRLV, rd=_S2, rs=_S2, rt=a))
-                e.emit(HostInstr(HostOp.ANDI, rt=_S2, rs=_S2, imm=1))
-                e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=result, shamt=31))
+                e.emit(HostOp.ADDIU, rt=_S2, rs=_ZERO, imm=32)
+                e.emit(HostOp.SUBU, rd=_S2, rs=_S2, rt=b)
+                e.emit(HostOp.SRLV, rd=_S2, rs=_S2, rt=a)
+                e.emit(HostOp.ANDI, rt=_S2, rs=_S2, imm=1)
+                e.emit(HostOp.SRL, rd=_S1, rt=result, shamt=31)
             else:
-                e.emit(HostInstr(HostOp.SLLV, rd=_S2, rs=b, rt=a))
-                e.emit(HostInstr(HostOp.SRL, rd=_S2, rt=_S2, shamt=8))
-                e.emit(HostInstr(HostOp.ANDI, rt=_S2, rs=_S2, imm=1))
-                e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=result, shamt=7))
-                e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=1))
-            e.emit(HostInstr(HostOp.XOR, rd=_S1, rs=_S1, rt=_S2))
+                e.emit(HostOp.SLLV, rd=_S2, rs=b, rt=a)
+                e.emit(HostOp.SRL, rd=_S2, rt=_S2, shamt=8)
+                e.emit(HostOp.ANDI, rt=_S2, rs=_S2, imm=1)
+                e.emit(HostOp.SRL, rd=_S1, rt=result, shamt=7)
+                e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=1)
+            e.emit(HostOp.XOR, rd=_S1, rs=_S1, rt=_S2)
             self._set_of_from01(_S1)
             return
         elif sem is FlagSem.SHR:
             # OF = original msb
             if width == 32:
-                e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=a, shamt=20))
-                e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=sign_mask))
+                e.emit(HostOp.SRL, rd=_S1, rt=a, shamt=20)
+                e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=sign_mask)
             else:
-                e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=a, imm=0x80))
-                e.emit(HostInstr(HostOp.SLL, rd=_S1, rt=_S1, shamt=4))
+                e.emit(HostOp.ANDI, rt=_S1, rs=a, imm=0x80)
+                e.emit(HostOp.SLL, rd=_S1, rt=_S1, shamt=4)
             self._or_into_flags(_S1)
             return
         elif sem is FlagSem.SAR:
@@ -455,27 +497,32 @@ class _FlagCodegen:
         # common tail for ADD/SUB/NEG: _S1 holds the overflow bit at the
         # operand sign position; move it to flag bit 11.
         if width == 32:
-            e.emit(HostInstr(HostOp.SRL, rd=_S1, rt=_S1, shamt=sign_shift))
-            e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=sign_mask))
+            e.emit(HostOp.SRL, rd=_S1, rt=_S1, shamt=sign_shift)
+            e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=sign_mask)
         else:
-            e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=_S1, imm=0x80))
-            e.emit(HostInstr(HostOp.SLL, rd=_S1, rt=_S1, shamt=4))
+            e.emit(HostOp.ANDI, rt=_S1, rs=_S1, imm=0x80)
+            e.emit(HostOp.SLL, rd=_S1, rt=_S1, shamt=4)
         self._or_into_flags(_S1)
 
     def _emit_of_equals(self, result: HostReg, boundary: int) -> None:
         e = self.e
         e.load_imm(_S2, boundary)
-        e.emit(HostInstr(HostOp.XOR, rd=_S1, rs=result, rt=_S2))
-        e.emit(HostInstr(HostOp.SLTIU, rt=_S1, rs=_S1, imm=1))
+        e.emit(HostOp.XOR, rd=_S1, rs=result, rt=_S2)
+        e.emit(HostOp.SLTIU, rt=_S1, rs=_S1, imm=1)
         self._set_of_from01(_S1)
 
 
 class BlockCodegen:
-    """Generates one translated block from IR."""
+    """Generates one translated block from IR.
 
-    def __init__(self, ir: IRBlock) -> None:
+    ``table`` is the intern table the block's instructions are drawn
+    from; pass the same dict to every block of one translator so they
+    all share equal instructions (a fresh table by default).
+    """
+
+    def __init__(self, ir: IRBlock, table: Optional[InstrTable] = None) -> None:
         self.ir = ir
-        self.emitter = _Emitter()
+        self.emitter = _Emitter({} if table is None else table)
         self.flags = _FlagCodegen(self.emitter)
         self._fault_label: Optional[str] = None
         last_use: Dict[int, int] = {}
@@ -499,18 +546,15 @@ class BlockCodegen:
         if self._fault_label is not None:
             self.emitter.bind(self._fault_label)
             self._emit_exit_stub(ExitReason.FAULT, value=self.ir.guest_address)
-        instrs = self.emitter.finish()
-        block = TranslatedBlock(
+        return TranslatedBlock(
             guest_address=self.ir.guest_address,
             guest_length=self.ir.guest_length,
             guest_instr_count=self.ir.guest_instr_count,
-            instrs=instrs,
+            instrs=self.emitter.finish(),
             exit_stubs=self._stubs,
             call_return_address=self.ir.call_return_address,
             exit_kind=self.ir.terminator.kind.value,
         )
-        block.cost_cycles = estimate_block_cost(instrs)
-        return block
 
     # -- uop emission ----------------------------------------------------
 
@@ -532,60 +576,60 @@ class BlockCodegen:
             addr = self.alloc.use(uop.a)
             dst = self.alloc.define(uop.dst, locked=(uop.a,))
             if uop.width == 32:
-                e.emit(HostInstr(HostOp.LW, rt=dst, rs=addr, imm=0))
+                e.emit(HostOp.LW, rt=dst, rs=addr, imm=0)
             elif uop.signed:
-                e.emit(HostInstr(HostOp.LB, rt=dst, rs=addr, imm=0))
+                e.emit(HostOp.LB, rt=dst, rs=addr, imm=0)
             else:
-                e.emit(HostInstr(HostOp.LBU, rt=dst, rs=addr, imm=0))
+                e.emit(HostOp.LBU, rt=dst, rs=addr, imm=0)
         elif kind is UOpKind.ST:
             addr = self.alloc.use(uop.a)
             value = self.alloc.use(uop.b, locked=(uop.a,))
             op = HostOp.SW if uop.width == 32 else HostOp.SB
-            e.emit(HostInstr(op, rt=value, rs=addr, imm=0))
+            e.emit(op, rt=value, rs=addr, imm=0)
         elif kind in _SIMPLE_BINOPS:
             a = self.alloc.use(uop.a)
             b = self.alloc.use(uop.b, locked=(uop.a,))
             dst = self.alloc.define(uop.dst, locked=(uop.a, uop.b))
             host_op = _SIMPLE_BINOPS[kind]
             if kind in (UOpKind.SHL, UOpKind.SHR, UOpKind.SAR):
-                e.emit(HostInstr(host_op, rd=dst, rs=b, rt=a))  # shift a by b
+                e.emit(host_op, rd=dst, rs=b, rt=a)  # shift a by b
             else:
-                e.emit(HostInstr(host_op, rd=dst, rs=a, rt=b))
+                e.emit(host_op, rd=dst, rs=a, rt=b)
         elif kind in _HILO_BINOPS:
             a = self.alloc.use(uop.a)
             b = self.alloc.use(uop.b, locked=(uop.a,))
             dst = self.alloc.define(uop.dst, locked=(uop.a, uop.b))
             mult_op, move_op = _HILO_BINOPS[kind]
-            e.emit(HostInstr(mult_op, rs=a, rt=b))
-            e.emit(HostInstr(move_op, rd=dst))
+            e.emit(mult_op, rs=a, rt=b)
+            e.emit(move_op, rd=dst)
         elif kind is UOpKind.NOT:
             a = self.alloc.use(uop.a)
             dst = self.alloc.define(uop.dst, locked=(uop.a,))
-            e.emit(HostInstr(HostOp.NOR, rd=dst, rs=a, rt=_ZERO))
+            e.emit(HostOp.NOR, rd=dst, rs=a, rt=_ZERO)
         elif kind is UOpKind.ZEXT8:
             a = self.alloc.use(uop.a)
             dst = self.alloc.define(uop.dst, locked=(uop.a,))
-            e.emit(HostInstr(HostOp.ANDI, rt=dst, rs=a, imm=0xFF))
+            e.emit(HostOp.ANDI, rt=dst, rs=a, imm=0xFF)
         elif kind is UOpKind.SEXT8:
             a = self.alloc.use(uop.a)
             dst = self.alloc.define(uop.dst, locked=(uop.a,))
-            e.emit(HostInstr(HostOp.SLL, rd=dst, rt=a, shamt=24))
-            e.emit(HostInstr(HostOp.SRA, rd=dst, rt=dst, shamt=24))
+            e.emit(HostOp.SLL, rd=dst, rt=a, shamt=24)
+            e.emit(HostOp.SRA, rd=dst, rt=dst, shamt=24)
         elif kind is UOpKind.INSERT8:
             a = self.alloc.use(uop.a)
             b = self.alloc.use(uop.b, locked=(uop.a,))
             dst = self.alloc.define(uop.dst, locked=(uop.a, uop.b))
-            e.emit(HostInstr(HostOp.SRL, rd=dst, rt=a, shamt=8))
-            e.emit(HostInstr(HostOp.SLL, rd=dst, rt=dst, shamt=8))
-            e.emit(HostInstr(HostOp.ANDI, rt=_S1, rs=b, imm=0xFF))
-            e.emit(HostInstr(HostOp.OR, rd=dst, rs=dst, rt=_S1))
+            e.emit(HostOp.SRL, rd=dst, rt=a, shamt=8)
+            e.emit(HostOp.SLL, rd=dst, rt=dst, shamt=8)
+            e.emit(HostOp.ANDI, rt=_S1, rs=b, imm=0xFF)
+            e.emit(HostOp.OR, rd=dst, rs=dst, rt=_S1)
         elif kind is UOpKind.DIV0CHECK:
             a = self.alloc.use(uop.a)
-            e.branch(HostInstr(HostOp.BEQ, rs=a, rt=_ZERO), self._fault())
+            e.branch(HostOp.BEQ, self._fault(), rs=a, rt=_ZERO)
         elif kind is UOpKind.GUARD:
             a = self.alloc.use(uop.a)
             b = self.alloc.use(uop.b, locked=(uop.a,))
-            e.branch(HostInstr(HostOp.BNE, rs=a, rt=b), self._fault())
+            e.branch(HostOp.BNE, self._fault(), rs=a, rt=b)
         elif kind is UOpKind.SETCC:
             dst = self.alloc.define(uop.dst)
             emit_condition_value(e, uop.cc, dst)
@@ -616,15 +660,13 @@ class BlockCodegen:
             # Pad so every stub is 3 words: patching and relocation stay
             # uniform.  (move + nop + exitb)
             self.emitter.move(HostReg.V0, value_reg)
-            self.emitter.emit(HostInstr(HostOp.SLL))  # nop
+            self.emitter.emit(HostOp.SLL)  # nop
         else:
-            self.emitter.emit(HostInstr(HostOp.LUI, rt=HostReg.V0, imm=(value >> 16) & 0xFFFF))
-            self.emitter.emit(
-                HostInstr(HostOp.ORI, rt=HostReg.V0, rs=HostReg.V0, imm=value & 0xFFFF)
-            )
+            self.emitter.emit(HostOp.LUI, rt=HostReg.V0, imm=(value >> 16) & 0xFFFF)
+            self.emitter.emit(HostOp.ORI, rt=HostReg.V0, rs=HostReg.V0, imm=value & 0xFFFF)
             if kind is ExitReason.BRANCH:
                 guest_target = value
-        self.emitter.emit(HostInstr(HostOp.EXITB, imm=int(kind)))
+        self.emitter.emit(HostOp.EXITB, imm=int(kind))
         self._stubs.append(ExitStub(offset_words=offset, kind=kind, guest_target=guest_target))
 
     def _emit_terminator(self) -> None:
@@ -635,7 +677,7 @@ class BlockCodegen:
         elif term.kind is ExitKind.BRANCH:
             taken = e.new_label("taken")
             emit_condition_value(e, term.cc, _S1)
-            e.branch(HostInstr(HostOp.BNE, rs=_S1, rt=_ZERO), taken)
+            e.branch(HostOp.BNE, taken, rs=_S1, rt=_ZERO)
             self._emit_exit_stub(ExitReason.BRANCH, value=term.fallthrough)
             e.bind(taken)
             self._emit_exit_stub(ExitReason.BRANCH, value=term.target)
@@ -672,6 +714,10 @@ _HILO_BINOPS = {
 }
 
 
-def generate_block(ir: IRBlock) -> TranslatedBlock:
-    """Generate host code for an IR block."""
-    return BlockCodegen(ir).generate()
+def generate_block(ir: IRBlock, table: Optional[InstrTable] = None) -> TranslatedBlock:
+    """Generate host code for an IR block (unpriced: ``cost_cycles`` is 0).
+
+    The translator prices each block once, after scheduling, with its
+    own load intrinsics (:func:`repro.dbt.cost.estimate_block_cost`).
+    """
+    return BlockCodegen(ir, table).generate()

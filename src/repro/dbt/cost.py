@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.host.isa import HostInstr, HostOp, HostReg, LOAD_OPS, STORE_OPS
+from repro.host.isa import DEST, HostInstr, HostOp, LOAD_OPS, SOURCES, STORE_OPS
 
 #: Table 11 ("Raw Emulator" column): L1 data-cache hit.
 LOAD_LATENCY = 6
@@ -73,6 +73,22 @@ def instruction_occupancy(instr: HostInstr) -> int:
     return OCCUPANCY[instr.op]
 
 
+#: Everything the estimator needs about an opcode, looked up once per
+#: instruction: (source accessor, destination accessor or ``None``,
+#: occupancy, is a load, reads HI/LO, writes HI/LO).
+OP_COST: dict = {
+    op: (
+        SOURCES[op],
+        DEST[op],
+        OCCUPANCY[op],
+        op in LOAD_OPS,
+        op in _HILO_READERS,
+        op in _HILO_WRITERS,
+    )
+    for op in HostOp
+}
+
+
 def estimate_block_cost(
     instrs: Iterable[HostInstr],
     load_latency: int = LOAD_LATENCY,
@@ -89,24 +105,29 @@ def estimate_block_cost(
     The default load intrinsics are the paper's software-MMU values
     (Table 11).  The hardware-MMU ablation passes PIII-class ones.
     """
+    # ready[$zero] stays 0 (writes to $zero are dropped), so reads of
+    # $zero never stall and need no special case
     ready = [0] * 32
     hilo_ready = 0
     cycle = 0
-    occupancy_of = OCCUPANCY
-    zero = HostReg.ZERO
+    op_cost = OP_COST
     for instr in instrs:
-        op = instr.op
-        is_load = op in LOAD_OPS
+        sources, dest, occupancy, is_load, reads_hilo, writes_hilo = op_cost[instr.op]
         start = cycle
-        for src in instr.reads():
-            if src is not zero and ready[src] > start:
+        for src in sources(instr):
+            if ready[src] > start:
                 start = ready[src]
-        if op in _HILO_READERS and hilo_ready > start:
+        if reads_hilo and hilo_ready > start:
             start = hilo_ready
-        cycle = start + (load_occupancy if is_load else occupancy_of[op])
-        dst = instr.writes()
-        if dst is not None and dst is not zero:
-            ready[dst] = start + load_latency if is_load else cycle
-        if op in _HILO_WRITERS:
+        if is_load:
+            cycle = start + load_occupancy
+            done = start + load_latency
+        else:
+            cycle = done = start + occupancy
+        if dest is not None:
+            dst = dest(instr)
+            if dst:  # not $zero
+                ready[dst] = done
+        if writes_hilo:
             hilo_ready = start + MULDIV_LATENCY
     return cycle

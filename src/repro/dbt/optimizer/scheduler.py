@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Set
 
-from repro.host.isa import HostInstr, HostOp, HostReg, LOAD_OPS, STORE_OPS
+from repro.host.isa import DEST, HostInstr, HostOp, HostReg, LOAD_OPS, SOURCES, STORE_OPS
 from repro.dbt.cost import LOAD_LATENCY, OCCUPANCY
 
 PASS_NAME = "scheduler"
@@ -40,6 +40,9 @@ _BRANCH_OPS = frozenset(
 _HILO_OPS = frozenset(
     {HostOp.MULT, HostOp.MULTU, HostOp.DIV, HostOp.DIVU, HostOp.MFHI, HostOp.MFLO}
 )
+
+#: Result latency per opcode: the critical-path weight of an edge.
+_LATENCY = {op: LOAD_LATENCY if op in LOAD_OPS else OCCUPANCY[op] for op in HostOp}
 
 
 def _segment_boundaries(instrs: List[HostInstr], extra: Iterable[int]) -> List[int]:
@@ -95,16 +98,19 @@ def _schedule_segment(segment: List[HostInstr]) -> List[HostInstr]:
             preds[dst].add(src)
             succs[src].add(dst)
 
+    zero = HostReg.ZERO
     for i, instr in enumerate(segment):
-        for reg in instr.reads():
-            if reg is HostReg.ZERO:
+        op = instr.op
+        for reg in SOURCES[op](instr):
+            if reg is zero:
                 continue
             writer = last_writer.get(reg)
             if writer is not None:
                 add_edge(writer, i)  # RAW
             readers.setdefault(reg, []).append(i)
-        dst = instr.writes()
-        if dst is not None and dst is not HostReg.ZERO:
+        dest = DEST[op]
+        dst = zero if dest is None else dest(instr)
+        if dst is not zero:
             writer = last_writer.get(dst)
             if writer is not None:
                 add_edge(writer, i)  # WAW
@@ -112,16 +118,16 @@ def _schedule_segment(segment: List[HostInstr]) -> List[HostInstr]:
                 add_edge(reader, i)  # WAR
             readers[dst] = []
             last_writer[dst] = i
-        if instr.op in LOAD_OPS:
+        if op in LOAD_OPS:
             if last_store >= 0:
                 add_edge(last_store, i)
             last_mem.append(i)
-        elif instr.op in STORE_OPS:
+        elif op in STORE_OPS:
             for mem in last_mem:
                 add_edge(mem, i)
             last_mem = [i]
             last_store = i
-        if instr.op in _HILO_OPS:
+        if op in _HILO_OPS:
             if last_hilo >= 0:
                 add_edge(last_hilo, i)
             last_hilo = i
@@ -129,8 +135,7 @@ def _schedule_segment(segment: List[HostInstr]) -> List[HostInstr]:
     # critical-path priority (latency-weighted height)
     height = [0] * count
     for i in range(count - 1, -1, -1):
-        op = segment[i].op
-        latency = LOAD_LATENCY if op in LOAD_OPS else OCCUPANCY[op]
+        latency = _LATENCY[segment[i].op]
         best = 0
         for succ in succs[i]:
             if height[succ] > best:

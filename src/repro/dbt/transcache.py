@@ -37,7 +37,7 @@ onto block objects.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Tuple
 
 from repro.common.lru import LruDict
 from repro.dbt.block import TranslatedBlock
@@ -95,6 +95,11 @@ class TranslationCache:
             space = {}
             self._jit_spaces.put(namespace, space)
         return space
+
+    def blocks(self) -> Iterator[TranslatedBlock]:
+        """Every cached block, across all translator namespaces."""
+        for key in self._spaces:
+            yield from self._spaces.peek(key).values()
 
     def clear(self) -> None:
         self._spaces.clear()

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from repro.common.stats import StatSet
 from repro.obs import prof
 from repro.dbt.block import TranslatedBlock
-from repro.dbt.codegen import generate_block
+from repro.dbt.codegen import InstrTable, generate_block
+from repro.dbt.cost import estimate_block_cost
 from repro.dbt.frontend import CodeReader, lower_block, scan_block
 from repro.dbt.ir import ALL_FLAGS_MASK, ExitKind
 from repro.dbt.optimizer import optimize_block, successor_flag_liveness
@@ -89,7 +90,12 @@ def _pass_lap_observer(base, profiler):
 
 
 class Translator:
-    """Stateless translation pipeline over a guest code reader."""
+    """Translation pipeline over a guest code reader.
+
+    Its only state across blocks is the code generator's intern table:
+    every block this translator emits draws its host instructions from
+    it, so equal instructions are shared instead of duplicated.
+    """
 
     def __init__(self, read_code: CodeReader, config: TranslationConfig = None) -> None:
         self.read_code = read_code
@@ -101,6 +107,8 @@ class Translator:
         #: aggregate :class:`repro.verify.equiv.EquivStats` across all
         #: blocks this translator checked (``checked="equiv"`` only)
         self.equiv_stats = None
+        #: interned host instructions shared by all blocks emitted here
+        self.instr_table: InstrTable = {}
 
     def translate(self, guest_pc: int) -> TranslatedBlock:
         """Translate the guest basic block at ``guest_pc``."""
@@ -177,7 +185,7 @@ class Translator:
             cost += OPTIMIZE_PER_UOP * uop_count
 
         with profiler.phase("codegen"):
-            block = generate_block(ir)
+            block = generate_block(ir, self.instr_table)
         if checked:
             from repro.verify.hostverify import assert_host_ok
 
@@ -194,8 +202,6 @@ class Translator:
                     assert_host_ok(block, stage=SCHEDULER_PASS_NAME, context=context)
                     if equiv_checker is not None:
                         equiv_checker.check_host(block.instrs, SCHEDULER_PASS_NAME)
-        from repro.dbt.cost import estimate_block_cost
-
         block.cost_cycles = estimate_block_cost(
             block.instrs,
             load_latency=self.config.load_latency,

@@ -1101,7 +1101,12 @@ class BlockJit:
         if entry.seen < DEFAULT_HOT_THRESHOLD:
             return None
 
-        plan = self.interp._build_block_plan(address, count)
+        # the block's earlier sightings ran through run_block_at, which
+        # cached its plan; build (and cache) one only if it is absent
+        plans = self.interp._block_plans
+        plan = plans.get((address, count))
+        if plan is None:
+            plan = plans[(address, count)] = self.interp._build_block_plan(address, count)
         started = time.perf_counter_ns()
         try:
             block = compile_block([item[1] for item in plan], address, count)

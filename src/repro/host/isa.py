@@ -19,8 +19,10 @@ block-local temporaries.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Optional, Tuple
 
 
 class HostReg(enum.IntEnum):
@@ -209,9 +211,19 @@ CONTROL_OPS = (
 )
 
 
-@dataclass
+#: ``slots=True`` needs Python 3.10; on 3.9 instances keep a ``__dict__``.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTS)
 class HostInstr:
-    """One host instruction.
+    """One host instruction: an immutable value.
+
+    Instructions never change after construction — a branch whose
+    offset is resolved later is rebuilt, not patched — so equal
+    instructions are interchangeable.  The code generator relies on
+    that: it interns every instruction it emits, so equal instructions
+    across all the blocks one translator produces are one shared object.
 
     Field usage by category:
 
@@ -266,46 +278,57 @@ class HostInstr:
 
     def reads(self) -> Tuple[HostReg, ...]:
         """Registers this instruction reads (for scheduling/liveness)."""
-        return _READS[self.op](self)
+        return SOURCES[self.op](self)
 
     def writes(self) -> Optional[HostReg]:
         """The register this instruction writes, if any."""
-        return _WRITES[self.op](self)
+        dest = DEST[self.op]
+        return None if dest is None else dest(self)
 
 
-def _reads_fn(op: HostOp):
+_V0_ONLY = (HostReg.V0,)
+
+
+def _sources_fn(op: HostOp) -> Callable[[HostInstr], Tuple[HostReg, ...]]:
     if op in R_TYPE_OPS or op in (HostOp.MULT, HostOp.MULTU, HostOp.DIV, HostOp.DIVU):
-        return lambda i: (i.rs, i.rt)
+        return attrgetter("rs", "rt")
     if op in (HostOp.SLL, HostOp.SRL, HostOp.SRA):
         return lambda i: (i.rt,)
     if op in I_ALU_OPS or op in LOAD_OPS:
         return lambda i: (i.rs,)
     if op in STORE_OPS or op in BRANCH2_OPS:
-        return lambda i: (i.rs, i.rt)
+        return attrgetter("rs", "rt")
     if op in BRANCH1_OPS or op in (HostOp.JR, HostOp.JALR):
         return lambda i: (i.rs,)
     if op is HostOp.EXITB:
-        return lambda i: (HostReg.V0,)
+        return lambda i: _V0_ONLY
     return lambda i: ()
 
 
-def _writes_fn(op: HostOp):
+def _dest_fn(op: HostOp) -> Optional[Callable[[HostInstr], HostReg]]:
     if op in R_TYPE_OPS or op in (HostOp.SLL, HostOp.SRL, HostOp.SRA):
-        return lambda i: i.rd
+        return attrgetter("rd")
     if op in (HostOp.MFHI, HostOp.MFLO, HostOp.JALR):
-        return lambda i: i.rd
+        return attrgetter("rd")
     if op in I_ALU_OPS or op is HostOp.LUI or op in LOAD_OPS:
-        return lambda i: i.rt
+        return attrgetter("rt")
     if op is HostOp.JAL:
         return lambda i: HostReg.RA
-    return lambda i: None
+    return None
 
 
-#: Per-opcode accessors: ``reads``/``writes`` sit on the scheduler's and
-#: verifier's innermost loops, where the original membership-test chain
-#: showed up in profiles.
-_READS = {op: _reads_fn(op) for op in HostOp}
-_WRITES = {op: _writes_fn(op) for op in HostOp}
+#: Per-opcode register accessors: ``SOURCES[op](instr)`` is the tuple of
+#: registers ``instr`` reads, and ``DEST[op](instr)`` the register it
+#: writes (``DEST[op]`` is ``None`` for ops that write none).  The
+#: scheduler and the cost estimator index these directly on their
+#: per-instruction loops instead of calling :meth:`HostInstr.reads` and
+#: :meth:`HostInstr.writes`.
+SOURCES: Dict[HostOp, Callable[[HostInstr], Tuple[HostReg, ...]]] = {
+    op: _sources_fn(op) for op in HostOp
+}
+DEST: Dict[HostOp, Optional[Callable[[HostInstr], HostReg]]] = {
+    op: _dest_fn(op) for op in HostOp
+}
 
 
 def nop() -> HostInstr:

@@ -223,6 +223,25 @@ class TestEngine:
         assert jit.note_execution(pc, jit.table[pc])
         assert jit.metrics["compiles"] == len(compiled) + 1
 
+    def test_compile_reuses_the_cached_block_plan(self, monkeypatch):
+        reference = TimingVM(assemble(COUNTING_LOOP), PRESETS["speculative_4"], jit=True).run()
+        built = []
+        build = GuestInterpreter._build_block_plan
+
+        def counting_build(interp, address, count):
+            built.append((address, count))
+            return build(interp, address, count)
+
+        monkeypatch.setattr(GuestInterpreter, "_build_block_plan", counting_build)
+        vm = _vm(assemble(COUNTING_LOOP))
+        result = vm.run()
+        # every compiled block ran interpreted first, which built its
+        # plan; the compile on the next sighting reused that plan
+        assert vm.jit_metrics["compiles"] >= 1
+        assert set(_compiled(vm.jit)) <= set(built)
+        assert len(built) == len(set(built))
+        assert result == reference
+
     def test_first_compiled_execution_is_chained_and_profiled_as_jit(self):
         from repro.obs import prof
 

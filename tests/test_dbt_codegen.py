@@ -1,5 +1,8 @@
 """Focused unit tests for code generation, cost model and scheduler."""
 
+import dataclasses
+
+import pytest
 
 from repro.guest.assembler import assemble
 from repro.dbt.codegen import (
@@ -26,7 +29,7 @@ from repro.host.isa import (
 )
 
 
-def block_for(source: str, optimize: bool = True):
+def block_for(source: str, optimize: bool = True, table=None):
     program = assemble(source)
     text = program.text
 
@@ -37,7 +40,7 @@ def block_for(source: str, optimize: bool = True):
     ir = build_ir(read, program.entry)
     if optimize:
         optimize_block(ir)
-    return generate_block(ir)
+    return generate_block(ir, table)
 
 
 class TestGeneratedCode:
@@ -105,6 +108,45 @@ class TestGeneratedCode:
         lines.append("    hlt")
         block = block_for("\n".join(lines), optimize=False)
         assert block.host_size_bytes > 0
+
+
+class TestSharedInstructions:
+    def test_host_instr_is_frozen(self):
+        instr = HostInstr(HostOp.BEQ, rs=HostReg.T0, rt=HostReg.ZERO, imm=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instr.imm = 4
+        assert instr.imm == 3
+
+    def test_equal_instructions_are_one_object(self):
+        table = {}
+        first = block_for("_start: add eax, 1\nhlt\n", table=table)
+        second = block_for("_start: add eax, 1\nadd eax, 1\nhlt\n", table=table)
+        exitb = [i for i in first.instrs if i.op is HostOp.EXITB][-1]
+        assert any(i is exitb for i in second.instrs)
+        assert len(table) == len({id(i) for i in table.values()})
+
+    def test_equal_branch_shapes_get_independent_fixups(self):
+        # both blocks guard the same divisor register with the same BEQ
+        # shape, but their fault stubs sit at different offsets
+        table = {}
+        short = block_for("_start: div ecx\nhlt\n", table=table)
+        long = block_for("_start: div ecx\nadd eax, 1\nadd ebx, eax\nhlt\n", table=table)
+
+        def guard_target(block):
+            index, guard = next(
+                (i, instr) for i, instr in enumerate(block.instrs) if instr.op is HostOp.BEQ
+            )
+            return guard, index + 1 + guard.imm
+
+        def fault_stub(block):
+            return next(s.offset_words for s in block.exit_stubs if s.kind is ExitReason.FAULT)
+
+        short_guard, short_target = guard_target(short)
+        long_guard, long_target = guard_target(long)
+        assert (short_guard.rs, short_guard.rt) == (long_guard.rs, long_guard.rt)
+        assert short_guard.imm != long_guard.imm
+        assert short_target == fault_stub(short)
+        assert long_target == fault_stub(long)
 
 
 class TestCostModel:
