@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.guest.decoder import decode_instruction
+from repro.guest.decoder import DecodeError, decode_instruction
+from repro.guest.interpreter import GuestFault
 from repro.guest.isa import (
     Immediate,
     Instruction,
@@ -26,6 +27,7 @@ from repro.guest.isa import (
     flags_read,
     flags_written,
 )
+from repro.guest.memory import MemoryFault
 from repro.dbt.frontend import CodeReader
 from repro.dbt.ir import ALL_FLAGS_MASK, flag_mask
 
@@ -61,7 +63,9 @@ def _scan(read_code: CodeReader, pc: int, written: int, fuel: int, depth: int) -
         try:
             window = read_code(pc, 16)
             instr = decode_instruction(window, 0, pc)
-        except Exception:
+        except (DecodeError, MemoryFault, GuestFault):
+            # unreadable or undecodable successor bytes: stay
+            # conservative; anything else is a bug and propagates
             return live | (ALL_FLAGS_MASK & ~written)
         fuel -= 1
 

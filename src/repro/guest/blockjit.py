@@ -12,12 +12,14 @@ loop (:meth:`repro.vm.timing.TimingVM._dispatch`):
 2. **closures** — on a block's :data:`DEFAULT_HOT_THRESHOLD`-th
    sighting the dispatch loop has :class:`BlockJit` emit one
    specialized Python function for the whole block and runs that
-   instead, then chains closures whose successor is stable.
+   instead.
 
 :class:`BlockJit` owns all per-VM JIT state in one pc-keyed table of
-:class:`BlockEntry` rows (sightings, compiled block, chain link);
-``_dispatch`` is its only caller, and the interpreter only invalidates
-it on code writes.
+:class:`BlockEntry` rows (sightings, compiled block).  ``_dispatch``
+looks each block up once per execution and is its only caller; its
+SMC handling at the block boundary is the only code that invalidates
+it.  Blocks do not link to each other: every block returns to the
+dispatch loop, so no closure reference outlives the block it runs.
 
 What the generated code specializes, relative to the interpreter:
 
@@ -115,7 +117,7 @@ class Ineligible(Exception):
 
 
 class CompiledBlock:
-    """One compiled block: the closure plus chaining metadata.
+    """One compiled block: the closure plus what a pack needs.
 
     ``code``, ``sites`` and ``consts`` are retained so the block can be
     serialized by :func:`pack_space` — marshaling the already-compiled
@@ -125,8 +127,7 @@ class CompiledBlock:
     """
 
     __slots__ = (
-        "fn", "address", "count", "source", "static_successor",
-        "code", "sites", "consts",
+        "fn", "address", "count", "source", "code", "sites", "consts",
     )
 
     def __init__(
@@ -135,7 +136,6 @@ class CompiledBlock:
         address: int,
         count: int,
         source: Optional[str],
-        static_successor: Optional[int],
         code=None,
         sites: tuple = (),
         consts: Optional[Dict] = None,
@@ -147,11 +147,6 @@ class CompiledBlock:
         self.code = code
         self.sites = sites
         self.consts = consts if consts is not None else {}
-        #: The unique next pc, when it is statically known (fall-through
-        #: or a direct JMP/CALL); ``None`` for conditional/indirect
-        #: exits, syscalls and halts.  The VM's chain dispatch links
-        #: through this without waiting for an inline-cache streak.
-        self.static_successor = static_successor
 
 
 def _can_fault(instr: Instruction) -> bool:
@@ -305,7 +300,8 @@ class _Compiler:
             self.emit("    _p[_o:_o + 4] = (%s).to_bytes(4, 'little')" % value)
         # the interpreter's _note_code_write bounds check, inlined so the
         # common data store costs two comparisons; on a hit the method
-        # purges decodes, plans and compiled blocks exactly as before
+        # purges decodes and plans (compiled blocks go at the VM's next
+        # block boundary, through its SMC page check)
         self.emit("if %s + %d > DL and %s - 15 <= DH: NC(%s, %d)"
                   % (addr, size, addr, addr, size))
 
@@ -830,9 +826,9 @@ class _Compiler:
         if last.op not in _CONTROL_OPS:
             self.emit("S.eip = %d" % last.next_address)
 
-        return self._assemble(last)
+        return self._assemble()
 
-    def _assemble(self, last: Instruction) -> CompiledBlock:
+    def _assemble(self) -> CompiledBlock:
         header = [
             "def _jit_block(I):",
             "    S = I.state",
@@ -898,15 +894,9 @@ class _Compiler:
         namespace.update(self.consts)
         code = compile(source, "<blockjit:%#x+%d>" % (self.address, self.count), "exec")
         exec(code, namespace)
-
-        static_successor: Optional[int] = None
-        if last.op not in _CONTROL_OPS:
-            static_successor = last.next_address
-        elif last.op in (Op.JMP, Op.CALL) and last.target is not None:
-            static_successor = last.target
         return CompiledBlock(
             namespace["_jit_block"], self.address, self.count, source,
-            static_successor, code=code, sites=tuple(self.sites), consts=dict(self.consts),
+            code=code, sites=tuple(self.sites), consts=dict(self.consts),
         )
 
 
@@ -931,7 +921,7 @@ def _base_namespace(sites: tuple) -> Dict:
 #: contract changes incompatibly.  (The disk cache's code-version stamp
 #: already invalidates packs on *any* source edit; this guards readers
 #: of a foreign cache directory.)
-PACK_FORMAT = 2
+PACK_FORMAT = 3
 
 
 def pack_space(space: Dict) -> bytes:
@@ -954,7 +944,7 @@ def pack_space(space: Dict) -> bytes:
         elif block.code is not None:
             entries.append(
                 (key, (marshal.dumps(block.code), block.sites, block.consts,
-                       block.address, block.count, block.static_successor))
+                       block.address, block.count))
             )
     return pickle.dumps((PACK_FORMAT, entries), protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -990,13 +980,13 @@ def unpack_space(data: bytes) -> Dict:
             if payload is None:
                 space[key] = _INELIGIBLE
                 continue
-            code_bytes, sites, consts, address, count, successor = payload
+            code_bytes, sites, consts, address, count = payload
             code = marshal.loads(code_bytes)
             namespace = _base_namespace(tuple(sites))
             namespace.update(consts)
             exec(code, namespace)
             space[key] = CompiledBlock(
-                namespace["_jit_block"], address, count, None, successor,
+                namespace["_jit_block"], address, count, None,
                 code=code, sites=tuple(sites), consts=dict(consts),
             )
     except (EOFError, KeyError, TypeError, ValueError) as err:
@@ -1027,24 +1017,20 @@ _INELIGIBLE = _IneligibleMark()
 
 
 class BlockEntry:
-    """One pc's row of the block table: the block and its chain link.
+    """One pc's row of the block table.
 
-    ``block`` is ``None`` until the block is compiled or adopted, then
-    the :class:`CompiledBlock` or the falsy ineligible mark.  The chain
-    fields are the dispatch loop's successor cache: ``succ`` is the
-    expected next pc, ``streak`` how many times in a row it was seen,
-    and ``next`` the successor's entry once the link is made.
+    ``count`` is the block's instruction count and ``seen`` its
+    sightings.  ``block`` is ``None`` until the block is compiled or
+    adopted, then the :class:`CompiledBlock` or the falsy ineligible
+    mark.
     """
 
-    __slots__ = ("count", "seen", "block", "succ", "streak", "next")
+    __slots__ = ("count", "seen", "block")
 
     def __init__(self, count: int) -> None:
         self.count = count
         self.seen = 0
         self.block = None
-        self.succ: Optional[int] = None
-        self.streak = 0
-        self.next: Optional["BlockEntry"] = None
 
 
 class BlockJit:
@@ -1054,8 +1040,8 @@ class BlockJit:
     :class:`BlockEntry`.  :meth:`note_execution` counts a sighting and,
     at the hotness threshold, compiles the block (or adopts a sibling
     VM's compilation from ``shared_space``) into the entry.
-    :meth:`invalidate` drops every compiled block and chain link on
-    self-modifying writes; the sighting counts survive.
+    :meth:`invalidate` drops every compiled block on self-modifying
+    writes; the sighting counts survive.
     """
 
     def __init__(
@@ -1075,9 +1061,6 @@ class BlockJit:
         self._share_high = share_high
         self.metrics = metrics if metrics is not None else MetricsRegistry("blockjit")
         self.profiler = prof.active()
-        #: Bumped by invalidate(); dispatch loops holding direct entry
-        #: references compare epochs to detect mid-block invalidation.
-        self.epoch = 0
 
     def note_execution(self, address: int, entry: BlockEntry):
         """Count one sighting of an uncompiled block; returns ``entry.block``.
@@ -1124,20 +1107,17 @@ class BlockJit:
         return block
 
     def invalidate(self) -> None:
-        """Self-modifying code: drop compiled blocks, failure marks and links.
+        """Self-modifying code: drop compiled blocks and failure marks.
 
-        Entries are reset in place, so a reference the dispatch loop
-        still holds sees no closure; the sighting counts survive, so a
-        patched block recompiles on its next execution.  Shared entries
-        stay keyed by the old generation and simply stop being reachable.
+        The VM calls this at the block boundary that handles a write to
+        a code page.  Entries are reset in place; the sighting counts
+        survive, so a patched block recompiles on its next execution.
+        Shared entries stay keyed by the old generation and simply stop
+        being reachable.
         """
         entries = self.table.values()
         if not any(entry.block is not None for entry in entries):
             return
         self.metrics.bump("invalidations")
-        self.epoch += 1
         for entry in entries:
             entry.block = None
-            entry.succ = None
-            entry.streak = 0
-            entry.next = None

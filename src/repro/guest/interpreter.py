@@ -112,9 +112,6 @@ class GuestInterpreter:
         # (start address, count) -> pre-resolved (handler, instr, next)
         # execution plans for the block fast path (see run_block_at)
         self._block_plans: Dict[Tuple[int, int], List[tuple]] = {}
-        # the owning VM's block JIT (repro.guest.blockjit), if any: the
-        # interpreter never runs it, only invalidates it on code writes
-        self.jit = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -158,8 +155,6 @@ class GuestInterpreter:
     def invalidate_decode_cache(self, address: Optional[int] = None) -> None:
         """Drop cached decodes (all, or for one address) after code writes."""
         self._block_plans.clear()
-        if self.jit is not None:
-            self.jit.invalidate()
         if address is None:
             self._decode_cache.clear()
             self._decode_low = 2**32
@@ -180,8 +175,6 @@ class GuestInterpreter:
         # plans hold direct references to cached Instructions; any write
         # that can touch cached code drops every plan (SMC is rare)
         self._block_plans.clear()
-        if self.jit is not None:
-            self.jit.invalidate()
         for start in range(address - 15, address + size):
             self._decode_cache.pop(start, None)
 

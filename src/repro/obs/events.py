@@ -25,8 +25,6 @@ category       names                    payload (``args``)
 ``morph``      ``reconfig``             ``old``/``new`` shape, tile assignment
 ``mem``        ``tlb_miss``             ``address``, ``walk_touches``
 ``net``        ``msg``                  ``src``, ``dst``, ``hops``, ``words``
-``jit``        ``trace_enter`` /        ``pc``; exit adds ``blocks`` (chain
-               ``trace_exit``           length) and ``reason``
 ``smc``        ``write`` /              ``gen``, ``page``; invalidate adds
                ``invalidate``           ``victims`` (blocks dropped)
 ``vm``         (free-form)              run-level markers
@@ -45,7 +43,7 @@ from typing import Deque, Dict, List, Optional
 
 #: Known event categories (free-form categories are allowed; these are
 #: the ones the simulator emits and the exporter styles specially).
-CATEGORIES = ("translate", "codecache", "specq", "morph", "mem", "net", "jit", "smc", "vm")
+CATEGORIES = ("translate", "codecache", "specq", "morph", "mem", "net", "smc", "vm")
 
 #: Default ring-buffer capacity (events kept; older ones are dropped).
 DEFAULT_TRACE_CAPACITY = 1 << 16

@@ -46,12 +46,6 @@ IO_TIME_BUCKETS: Tuple[float, ...] = (
     50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
 )
 
-#: Superblock chain-length buckets (consecutive compiled blocks executed
-#: without returning to the VM dispatch loop), Fibonacci-spaced.
-CHAIN_LENGTH_BUCKETS: Tuple[float, ...] = (
-    1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233,
-)
-
 
 class Histogram:
     """Bucketed counts over a stream of samples.

@@ -10,8 +10,6 @@ Mapping:
 
 * ``translate.start`` / ``translate.end`` pairs become complete ("X")
   duration events on the slave's thread;
-* ``jit.trace_enter`` / ``jit.trace_exit`` pairs (runs of chained
-  compiled blocks) likewise become "X" spans on the execution thread;
 * ``specq.enqueue`` / ``specq.dequeue`` additionally drive a counter
   ("C") track of the translation-queue depth (Figure 9's signal);
 * everything else becomes a thread-scoped instant ("i") event.
@@ -98,33 +96,10 @@ def to_perfetto(
     for tile in tiles:
         tid = tids[tile]
         open_translations: Dict[object, TraceEvent] = {}
-        open_jit_trace: Optional[TraceEvent] = None
         for event in by_tile[tile]:
             args = dict(event.args or {})
             if event.category == "translate" and event.name == "start":
                 open_translations[args.get("pc")] = event
-                continue
-            if event.category == "jit" and event.name == "trace_enter":
-                open_jit_trace = event
-                continue
-            if event.category == "jit" and event.name == "trace_exit":
-                start = open_jit_trace
-                open_jit_trace = None
-                begin = start.cycle if start is not None else event.cycle
-                entry_args = dict(start.args or {}) if start is not None else {}
-                entry_pc = entry_args.get("pc", args.get("pc", 0))
-                trace_events.append(
-                    {
-                        "ph": "X",
-                        "name": f"jit trace 0x{entry_pc:x}",
-                        "cat": event.category,
-                        "pid": _PID,
-                        "tid": tid,
-                        "ts": begin,
-                        "dur": max(0, event.cycle - begin),
-                        "args": args,
-                    }
-                )
                 continue
             if event.category == "translate" and event.name == "end":
                 start = open_translations.pop(args.get("pc"), None)
@@ -166,21 +141,6 @@ def to_perfetto(
                         "args": {"depth": args["qlen"]},
                     }
                 )
-        # a trace_enter with no matching exit (run cut short / ring
-        # overflow) still deserves a mark on the timeline
-        if open_jit_trace is not None:
-            trace_events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "name": "jit.trace_enter",
-                    "cat": "jit",
-                    "pid": _PID,
-                    "tid": tid,
-                    "ts": open_jit_trace.cycle,
-                    "args": dict(open_jit_trace.args or {}),
-                }
-            )
         # a translate.start with no matching end (run cut short / ring
         # overflow) still deserves a mark on the timeline
         for leftover in open_translations.values():

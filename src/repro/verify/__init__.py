@@ -24,8 +24,8 @@ Plus one dynamic-semantics layer:
 And one protocol layer:
 
 * :mod:`repro.verify.protocol` — explicit-state model checking of the
-  runtime protocols (SMC invalidation, superblock chaining, the morph
-  controller FSM, the concurrent disk cache) plus trace conformance:
+  runtime protocols (SMC invalidation, the morph controller FSM, the
+  concurrent disk cache) plus trace conformance:
   replaying :mod:`repro.obs` event streams against the same invariants
   (``TimingVM(checked="protocol")``).
 

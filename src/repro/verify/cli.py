@@ -15,8 +15,8 @@ still runs lint + checked sweep, unchanged):
 * ``lint-src`` — determinism/soundness AST lint over the simulator's
   own Python sources;
 * ``model`` — explicit-state model checking of the simulator's
-  protocols (SMC invalidation, superblock chaining, the morph FSM, the
-  concurrent disk cache): exhaustive BFS over small-scope models with
+  protocols (SMC invalidation, the morph FSM, the concurrent disk
+  cache): exhaustive BFS over small-scope models with
   counterexample traces; ``--planted`` additionally proves each model
   catches its planted-bug variants;
 * ``conform`` — trace conformance: replay raw event streams (from
@@ -366,7 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command == "model":
         parser.add_argument(
             "models", nargs="*",
-            help="models to check: smc, chain, morph, diskcache (default: all)",
+            help="models to check: smc, morph, diskcache (default: all)",
         )
         parser.add_argument("--max-states", type=int, default=None,
                             help="BFS state bound (default 200000)")

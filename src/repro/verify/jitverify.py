@@ -22,10 +22,6 @@ that gap: for each JIT-eligible block it
 Structural defects and semantic counterexamples both raise
 :class:`~repro.verify.findings.VerificationError` with a stable defect
 ``code``, so a corrupted closure is *attributed*, not just rejected.
-
-:func:`check_chains` validates the dispatch loop's successor-cache
-invariants (:mod:`repro.vm.timing`) over a live machine's block table
-— the runtime structure the closures are dispatched through.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dbt.ir import ALL_FLAGS_MASK
-from repro.guest.blockjit import BlockEntry, Ineligible, compile_block
+from repro.guest.blockjit import Ineligible, compile_block
 from repro.guest.isa import Instruction, MemoryOperand, Op, Register
 
 from repro.verify.equiv import DEFAULT_SEED, DEFAULT_VECTORS, EquivStats, SymbolicChecker
@@ -393,53 +389,11 @@ class JitVerifier(SymbolicChecker):
         self._compare(guest_state, jit_state, stage, ALL_FLAGS_MASK)
 
 
-# -- dispatch chain-link invariants ----------------------------------------
-
-
-def check_chains(table: Dict[int, BlockEntry], threshold: int = 4) -> List[Finding]:
-    """Validate the chain fields of a live block table.
-
-    ``table`` is ``BlockJit.table`` (``pc -> BlockEntry``).  Returns
-    ERROR findings for every broken invariant: statically known
-    successors must stay pinned, and a chained entry must point at the
-    live, compiled entry of its expected successor, and only after the
-    streak threshold.
-    """
-    findings: List[Finding] = []
-
-    def fail(code: str, pc: int, message: str) -> None:
-        findings.append(Finding(
-            analyzer="jitverify", severity=Severity.ERROR, code=code,
-            message=message, address=pc, stage="chain",
-        ))
-
-    for pc, entry in table.items():
-        succ = entry.succ
-        static = getattr(entry.block, "static_successor", None)
-        if static is not None and succ != static:
-            fail("chain-succ-mismatch", pc,
-                 "static successor %#x drifted to %r" % (static, succ))
-        nxt = entry.next
-        if nxt is None:
-            continue
-        if succ is None:
-            fail("chain-stale-link", pc, "chained entry with no successor")
-            continue
-        if entry.streak < threshold:
-            fail("chain-premature-link", pc,
-                 "chained after %d repeats (threshold %d)" % (entry.streak, threshold))
-        if nxt is not table.get(succ) or not nxt.block:
-            fail("chain-stale-link", pc,
-                 "next entry is not the live compiled entry for successor %#x" % succ)
-    return findings
-
-
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_VECTORS",
     "EquivStats",
     "JitVerifier",
-    "check_chains",
     "expected_stats",
     "lint_closure_source",
     "run_guest_block",

@@ -7,8 +7,7 @@ The verify ladder's other tiers prove per-block *dataflow* facts
 * :mod:`repro.verify.protocol.mc` — a generic explicit-state BFS
   model checker with counterexample traces;
 * :mod:`repro.verify.protocol.models` — small-scope models of SMC
-  invalidation, superblock chaining, the morph FSM, and the concurrent
-  disk cache, each with planted-bug variants the tests check against;
+  invalidation, the morph FSM, and the concurrent disk cache, each with planted-bug variants the tests check against;
 * :mod:`repro.verify.protocol.conform` — trace conformance replaying
   real :mod:`repro.obs` event streams against the same invariants, so
   the models cannot silently drift from the code.
@@ -34,7 +33,6 @@ from repro.verify.protocol.mc import (
 from repro.verify.protocol.models import (
     MODELS,
     PLANTED_BUGS,
-    ChainModel,
     DiskCacheModel,
     MorphModel,
     SmcModel,
@@ -48,7 +46,6 @@ __all__ = [
     "MODELS",
     "PLANTED_BUGS",
     "SmcModel",
-    "ChainModel",
     "MorphModel",
     "DiskCacheModel",
     "ConformanceChecker",

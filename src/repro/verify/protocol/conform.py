@@ -7,21 +7,18 @@ a live :class:`~repro.obs.events.Tracer` or a ``--raw`` JSON export)
 through per-protocol conformance checkers that enforce the same
 invariants on the *actual* emission order — queue-length bookkeeping
 for ``specq``, start/end pairing per slave tile for ``translate``,
-shape alternation plus hysteresis for ``morph`` reconfigs, trace
-enter/exit pairing for the ``jit`` superblock events, and
-generation/page discipline for the new ``smc`` events.
+shape alternation plus hysteresis for ``morph`` reconfigs, and
+generation/page discipline for the ``smc`` events.
 
 The tracer is a bounded ring buffer, so a long run's stream may be
 missing its oldest prefix (``dropped > 0``).  Conformance therefore
 runs in one of two modes: *strict* (no drops — stateful checks apply
 from the very first event) or *windowed* (drops occurred — each
 checker adopts the first observation as its baseline and unmatched
-leading ends/exits are forgiven, because their openers fell off the
-ring).
+leading ends are forgiven, because their openers fell off the ring).
 
-:func:`conform_vm` additionally audits the live machine structures the
-events can't see: the chain fields of the block JIT's table (via
-``check_chains``) and the translation cache's generation keys.
+:func:`conform_vm` additionally audits what the events can't see: the
+translation cache's generation keys.
 """
 
 from __future__ import annotations
@@ -30,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.verify.findings import Finding, Severity
-
-#: Valid chained-run exit reasons (``TimingVM._close_trace``).
-JIT_EXIT_REASONS = ("cold", "smc", "guest_exit")
 
 #: Valid code-cache levels (``CodeCacheHierarchy``).
 CODECACHE_LEVELS = ("l1", "l1.5", "l2")
@@ -91,9 +85,6 @@ class ConformanceChecker:
         # translate: per-tile open translation (pc, start cycle)
         self._open_translations: Dict[str, Tuple[int, int]] = {}
         self._tiles_seen_start: set = set()
-        # jit: inside a chained run?
-        self._in_trace = False
-        self._jit_events = 0
         # morph: previous reconfig's new shape / cycle of the last flip
         self._morph_prev: Optional[str] = None
         self._morph_last_cycle: Optional[int] = None
@@ -210,36 +201,6 @@ class ConformanceChecker:
             del self._open_translations[tile]
         else:
             self._violate("translate-unknown-event", f"unknown translate event {event.name!r}", event, index)
-
-    def _feed_jit(self, event, index: int) -> None:
-        self._jit_events += 1
-        args = self._args(event)
-        if event.name == "trace_enter":
-            # consecutive enters are legal: a trace that aborts at
-            # length 0 (entry-state mismatch) emits no exit event
-            self._in_trace = True
-        elif event.name == "trace_exit":
-            blocks = args.get("blocks")
-            self._check(
-                isinstance(blocks, int) and blocks >= 1,
-                "jit-empty-trace", f"trace_exit with blocks={blocks!r}",
-                event, index,
-            )
-            reason = args.get("reason")
-            self._check(
-                reason in JIT_EXIT_REASONS,
-                "jit-unknown-exit-reason", f"trace_exit with reason={reason!r}",
-                event, index,
-            )
-            forgivable = not self.strict and self._jit_events == 1
-            self._check(
-                self._in_trace or forgivable,
-                "jit-unpaired-trace-exit", "trace_exit without a trace_enter",
-                event, index,
-            )
-            self._in_trace = False
-        else:
-            self._violate("jit-unknown-event", f"unknown jit event {event.name!r}", event, index)
 
     def _feed_morph(self, event, index: int) -> None:
         args = self._args(event)
@@ -363,8 +324,7 @@ class ConformanceChecker:
     # -- wrap-up -----------------------------------------------------------
 
     def finish(self) -> ConformReport:
-        # an open translation or superblock trace at end-of-stream is
-        # fine (the run may have been snapshotted mid-flight), so the
+        # an open translation at end-of-stream is fine (the run may have been snapshotted mid-flight), so the
         # only end-of-stream rule is structural bookkeeping consistency,
         # which the streaming checks already maintained
         return self.report
@@ -397,11 +357,10 @@ def conform_events(events: Iterable, dropped: int = 0) -> ConformReport:
 def audit_vm(vm) -> List[Finding]:
     """Structural protocol audits over a live :class:`TimingVM`.
 
-    Covers what the event stream cannot see: the chain fields of the
-    block JIT's table (stale links, threshold discipline) and the
-    translation cache's generation keys.
+    Covers what the event stream cannot see: the translation cache's
+    generation keys.
     """
-    findings: List[Finding] = list(vm.check_chain_invariants())
+    findings: List[Finding] = []
 
     translator = vm.subsystem.translator
     audit = getattr(translator, "audit", None)

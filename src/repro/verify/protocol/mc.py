@@ -1,10 +1,10 @@
 """Explicit-state model checking for the simulator's protocols.
 
 A *model* is a small-scope, hand-written abstraction of one stateful
-protocol in the simulator (SMC invalidation, superblock chaining, the
-morph FSM, the concurrent disk cache).  States are hashable values,
-actions are labeled transitions, and safety invariants are named
-predicates over states.  :func:`check_model` explores the full
+protocol in the simulator (SMC invalidation, the morph FSM, the
+concurrent disk cache).  States are hashable values, actions are
+labeled transitions, and safety invariants are named predicates over
+states.  :func:`check_model` explores the full
 reachable state space breadth-first — small-scope bounds keep each
 model to a few thousand states — and returns the exact state and
 transition counts plus, for every violated invariant, a shortest

@@ -1,22 +1,15 @@
-"""Small-scope models of the simulator's four stateful protocols.
+"""Small-scope models of the simulator's three stateful protocols.
 
 Each model abstracts one protocol the code implements:
 
 ``SmcModel``
     Self-modifying-code invalidation: text writes bump the translation
-    generation (``TimingVM.code_writes`` / ``CachingTranslator``), mark
-    pages pending, and the block boundary invalidates the JIT code
-    space (``BlockJit.invalidate`` bumps ``epoch``) before the next
-    dispatch.  The fast path's end-of-iteration epoch check drops any
-    closure reference held in a local.
-
-``ChainModel``
-    Superblock chaining: the ``succ``/``streak``/``next`` fields of the
-    block JIT's ``pc -> BlockEntry`` table, which the dispatch loop in
-    ``vm/timing.py`` maintains.  Links are installed only after
-    ``CHAIN_STREAK_THRESHOLD`` consecutive observations of the same
-    successor (static exits link immediately at full streak), and
-    invalidation must drop every closure and link.
+    generation (``TimingVM.code_writes`` / ``CachingTranslator``) and
+    mark pages pending, and the block boundary that handles the pending
+    pages (``TimingVM._invalidate_smc_pages``) drops every compiled
+    closure (``BlockJit.invalidate``) before the next dispatch.  The
+    dispatch loop looks every block up afresh, so no closure reference
+    survives that boundary.
 
 ``MorphModel``
     The morph controller FSM (``morph/controller.py``): a queue-length
@@ -49,21 +42,19 @@ from .mc import Model, State
 
 
 class SmcModel(Model):
-    """Generation/epoch protocol for self-modifying code.
+    """Generation protocol for self-modifying code.
 
-    State: ``(gen, pending, tc, jit, epoch, held, err)``
+    State: ``(gen, pending, tc, jit, err)``
 
     - ``gen``: translation generation (bumped per text write)
     - ``pending``: a text write happened inside the current block and
       the boundary invalidation has not run yet; no dispatch can occur
       while it is set (the writing block runs to its boundary first)
     - ``tc``: translation-cache contents as ``(generation, pc)`` keys
-    - ``jit``: set of pcs with a compiled closure in the *current*
-      JIT code space (``BlockJit.invalidate`` clears it wholesale)
-    - ``epoch``: JIT epoch counter
-    - ``held``: a closure reference kept in a dispatch-loop local,
-      as ``(pc, epoch_at_capture)`` — the thing the fast path's
-      end-of-iteration epoch check protects
+    - ``jit``: the block table's compiled closures as ``(generation,
+      pc)``, stamped with the generation they were compiled (or
+      adopted) in; at most one per pc, and ``BlockJit.invalidate``
+      clears them all
     - ``err``: the invariant an action just violated, or ``None``
     """
 
@@ -74,34 +65,35 @@ class SmcModel(Model):
         self,
         pcs: int = 2,
         max_writes: int = 2,
-        buggy_skip_epoch_check: bool = False,
         buggy_unkeyed_lookup: bool = False,
         buggy_dispatch_before_invalidate: bool = False,
+        buggy_boundary_keeps_closures: bool = False,
     ) -> None:
         self.pcs = pcs
         self.max_writes = max_writes
-        self.buggy_skip_epoch_check = buggy_skip_epoch_check
         self.buggy_unkeyed_lookup = buggy_unkeyed_lookup
         self.buggy_dispatch_before_invalidate = buggy_dispatch_before_invalidate
+        self.buggy_boundary_keeps_closures = buggy_boundary_keeps_closures
 
     def initial_states(self) -> Iterable[State]:
-        yield (0, False, frozenset(), frozenset(), 0, None, None)
+        yield (0, False, frozenset(), frozenset(), None)
 
     def violations(self, state: State) -> Iterable[str]:
-        err = state[6]
+        err = state[4]
         return (err,) if err else ()
 
     def actions(self, state: State) -> Iterable[Tuple[str, State]]:
-        gen, pending, tc, jit, epoch, held, err = state
+        gen, pending, tc, jit, err = state
         assert err is None  # violating states are sinks
 
         # Translate / compile can proceed any time (slave tiles work
-        # asynchronously); both stamp the *current* generation/epoch.
+        # asynchronously); both stamp the *current* generation.
+        compiled = {pc for _, pc in jit}
         for pc in range(self.pcs):
             if (gen, pc) not in tc:
-                yield (f"translate(p{pc})", (gen, pending, tc | {(gen, pc)}, jit, epoch, held, None))
-            if pc not in jit:
-                yield (f"jit-compile(p{pc})", (gen, pending, tc, jit | {pc}, epoch, held, None))
+                yield (f"translate(p{pc})", (gen, pending, tc | {(gen, pc)}, jit, None))
+            if pc not in compiled:
+                yield (f"jit-compile(p{pc})", (gen, pending, tc, jit | {(gen, pc)}, None))
 
         dispatch_ok = (not pending) or self.buggy_dispatch_before_invalidate
         if dispatch_ok:
@@ -113,194 +105,41 @@ class SmcModel(Model):
                     yield (f"exec-translation(p{pc})", state)
                 elif self.buggy_unkeyed_lookup or pending:
                     # ``pending`` here is only reachable via the
-                    # dispatch-before-invalidate bug: the guest bytes
-                    # changed but the entry was translated from the old
-                    # bytes... and with the generation un-bumped-yet
-                    # semantics, a g != gen entry is simply stale.
+                    # dispatch-before-invalidate bug: the entry was
+                    # translated from the bytes the write just changed.
                     yield (
                         f"exec-stale-translation(p{pc}@g{g})",
-                        (gen, pending, tc, jit, epoch, held, "smc-no-stale-translation"),
+                        (gen, pending, tc, jit, "smc-no-stale-translation"),
                     )
-            if pending:
-                # Dispatch-before-invalidate: even a current-generation
-                # closure was compiled from the pre-write bytes.
-                for pc in sorted(jit):
-                    yield (
-                        f"exec-stale-jit(p{pc})",
-                        (gen, pending, tc, jit, epoch, held, "smc-no-stale-closure"),
-                    )
-            # The dispatch loop captures a closure reference in a local.
-            for pc in sorted(jit):
-                if held != (pc, epoch):
-                    yield (f"hold(p{pc})", (gen, pending, tc, jit, epoch, (pc, epoch), None))
-            # Execute through the held local reference.
-            if held is not None:
-                pc, held_epoch = held
-                if held_epoch != epoch or pending:
-                    yield (
-                        f"exec-held-stale(p{pc}@e{held_epoch})",
-                        (gen, pending, tc, jit, epoch, held, "smc-no-stale-closure"),
-                    )
+            # Execute the table's closure: one compiled before the
+            # latest text write runs the old bytes.
+            for g, pc in sorted(jit):
+                if g == gen:
+                    yield (f"exec-jit(p{pc})", state)
                 else:
-                    yield (f"exec-held(p{pc})", state)
+                    yield (
+                        f"exec-stale-jit(p{pc}@g{g})",
+                        (gen, pending, tc, jit, "smc-no-stale-closure"),
+                    )
 
         # A guest store hits the text section mid-block: bump the
         # generation and mark the boundary invalidation pending.
         if gen < self.max_writes and not pending:
-            yield ("write-text", (gen + 1, True, tc, jit, epoch, held, None))
+            yield ("write-text", (gen + 1, True, tc, jit, None))
 
         # Block boundary with a pending SMC page: invalidate the JIT
-        # space (epoch bump drops every compiled closure) and let the
-        # epoch check clear the held local before the next dispatch.
+        # table, dropping every compiled closure.
         if pending:
-            new_held = held if self.buggy_skip_epoch_check else None
-            yield ("boundary-invalidate", (gen, False, tc, frozenset(), epoch + 1, new_held, None))
+            kept = jit if self.buggy_boundary_keeps_closures else frozenset()
+            yield ("boundary-invalidate", (gen, False, tc, kept, None))
 
     def describe(self, state: State) -> str:
-        gen, pending, tc, jit, epoch, held, err = state
-        return (
-            f"gen={gen} pending={pending} tc={sorted(tc)} jit={sorted(jit)} "
-            f"epoch={epoch} held={held} err={err}"
-        )
+        gen, pending, tc, jit, err = state
+        return f"gen={gen} pending={pending} tc={sorted(tc)} jit={sorted(jit)} err={err}"
 
 
 # ---------------------------------------------------------------------------
-# Model 2: superblock chaining
-# ---------------------------------------------------------------------------
-
-
-class ChainModel(Model):
-    """Dispatch-table chain links under invalidation.
-
-    State: ``(epoch, entries)`` where ``entries`` is a sorted tuple of
-    ``(pc, succ, streak, linked, entry_epoch)`` rows mirroring the
-    compiled rows of ``BlockJit.table`` (``pc -> BlockEntry``) —
-    ``linked`` stands for a non-``None`` ``next``; the instruction
-    count, sightings and closure are abstracted away; ``entry_epoch``
-    records the JIT epoch the entry's closure was compiled in.
-    Invalidation resets every row in place, which the model shows as
-    dropping it.
-    """
-
-    name = "chain"
-    invariants = (
-        "chain-current-generation",
-        "chain-link-live",
-        "chain-link-threshold",
-        "chain-walk-terminates",
-    )
-
-    def __init__(
-        self,
-        pcs: int = 3,
-        threshold: int = 2,
-        max_invalidations: int = 1,
-        buggy_no_dechain: bool = False,
-        buggy_partial_dechain: bool = False,
-        buggy_premature_link: bool = False,
-    ) -> None:
-        self.pcs = pcs
-        self.threshold = threshold
-        self.max_invalidations = max_invalidations
-        self.buggy_no_dechain = buggy_no_dechain
-        self.buggy_partial_dechain = buggy_partial_dechain
-        self.buggy_premature_link = buggy_premature_link
-
-    def initial_states(self) -> Iterable[State]:
-        yield (0, ())
-
-    @staticmethod
-    def _with(entries: Tuple, pc: int, row: Tuple) -> Tuple:
-        rest = tuple(r for r in entries if r[0] != pc)
-        return tuple(sorted(rest + (row,)))
-
-    def actions(self, state: State) -> Iterable[Tuple[str, State]]:
-        epoch, entries = state
-        present = {r[0]: r for r in entries}
-
-        for pc in range(self.pcs):
-            if pc not in present:
-                # Dynamic-exit install: successor unknown, streak 0.
-                yield (f"install(p{pc})", (epoch, self._with(entries, pc, (pc, None, 0, False, epoch))))
-                # Static-exit install: the successor is a compile-time
-                # constant, so the streak starts saturated.
-                for succ in range(self.pcs):
-                    yield (
-                        f"install-static(p{pc}->p{succ})",
-                        (epoch, self._with(entries, pc, (pc, succ, self.threshold, False, epoch))),
-                    )
-
-        for pc, succ, streak, linked, entry_epoch in entries:
-            if linked:
-                continue
-            for npc in range(self.pcs):
-                if succ == npc:
-                    new_streak = min(streak + 1, self.threshold)
-                else:
-                    new_streak = 1
-                ready = new_streak >= self.threshold or self.buggy_premature_link
-                new_linked = ready and npc in present
-                row = (pc, npc, new_streak, new_linked, entry_epoch)
-                yield (f"observe(p{pc}->p{npc})", (epoch, self._with(entries, pc, row)))
-
-        if epoch < self.max_invalidations:
-            if self.buggy_no_dechain:
-                survivors = entries
-            elif self.buggy_partial_dechain:
-                # De-chain drops only unlinked entries: linked sources
-                # survive with dangling successors and a stale epoch.
-                survivors = tuple(r for r in entries if r[3])
-            else:
-                survivors = ()
-            yield ("invalidate", (epoch + 1, survivors))
-
-    def violations(self, state: State) -> Iterable[str]:
-        epoch, entries = state
-        present = {r[0]: r for r in entries}
-        out: List[str] = []
-        for pc, succ, streak, linked, entry_epoch in entries:
-            if entry_epoch != epoch:
-                out.append("chain-current-generation")
-            if linked:
-                if succ is None or succ not in present:
-                    out.append("chain-link-live")
-                if streak < self.threshold:
-                    out.append("chain-link-threshold")
-        # Chain walks: follow linked successors; a walk must end at an
-        # unlinked entry, or close a cycle of live entries (a hot loop),
-        # within |entries| hops — never fall off a dangling link.
-        for start in present:
-            seen = set()
-            pc = start
-            terminated = False
-            while pc in present:
-                if pc in seen:
-                    terminated = True  # live cycle: dispatch continues
-                    break
-                seen.add(pc)
-                _, succ, _, linked, _ = present[pc]
-                if not linked:
-                    terminated = True
-                    break
-                if succ is None or succ not in present:
-                    break  # dangling link
-                pc = succ
-            if not terminated:
-                out.append("chain-walk-terminates")
-        return out
-
-    def describe(self, state: State) -> str:
-        epoch, entries = state
-        rows = ", ".join(
-            f"p{pc}->{'p%d' % succ if succ is not None else '?'}"
-            f"(streak={streak},{'linked' if linked else 'unlinked'},e{e})"
-            for pc, succ, streak, linked, e in entries
-        )
-        return f"epoch={epoch} table=[{rows}]"
-
-
-# ---------------------------------------------------------------------------
-# Model 3: morph controller FSM
+# Model 2: morph controller FSM
 # ---------------------------------------------------------------------------
 
 
@@ -397,7 +236,7 @@ class MorphModel(Model):
 
 
 # ---------------------------------------------------------------------------
-# Model 4: concurrent disk-cache writers
+# Model 3: concurrent disk-cache writers
 # ---------------------------------------------------------------------------
 
 
@@ -486,7 +325,6 @@ class DiskCacheModel(Model):
 #: Registry used by the CLI and tests; order is the reporting order.
 MODELS = {
     "smc": SmcModel,
-    "chain": ChainModel,
     "morph": MorphModel,
     "diskcache": DiskCacheModel,
 }
@@ -495,16 +333,17 @@ MODELS = {
 #: that each checker actually catches its protocol's failure mode),
 #: mapping a variant name to (constructor kwargs, expected invariant).
 PLANTED_BUGS = {
-    "smc-skip-epoch-check": ("smc", {"buggy_skip_epoch_check": True}, "smc-no-stale-closure"),
     "smc-unkeyed-lookup": ("smc", {"buggy_unkeyed_lookup": True}, "smc-no-stale-translation"),
     "smc-dispatch-before-invalidate": (
         "smc",
         {"buggy_dispatch_before_invalidate": True},
         "smc-no-stale-closure",
     ),
-    "chain-no-dechain": ("chain", {"buggy_no_dechain": True}, "chain-current-generation"),
-    "chain-partial-dechain": ("chain", {"buggy_partial_dechain": True}, "chain-link-live"),
-    "chain-premature-link": ("chain", {"buggy_premature_link": True}, "chain-link-threshold"),
+    "smc-boundary-keeps-closures": (
+        "smc",
+        {"buggy_boundary_keeps_closures": True},
+        "smc-no-stale-closure",
+    ),
     "morph-drop-inflight": ("morph", {"buggy_drop_inflight": True}, "morph-no-lost-blocks"),
     "morph-no-hysteresis": ("morph", {"buggy_no_hysteresis": True}, "morph-hysteresis"),
     "morph-zero-slaves": ("morph", {"buggy_zero_slaves": True}, "morph-no-deadlock"),

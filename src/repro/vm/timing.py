@@ -33,7 +33,7 @@ from repro.memsys.memsystem import PipelinedMemorySystem
 from repro.morph import MorphController, QueueLengthPolicy, VirtualArchConfig
 from repro.obs import prof
 from repro.obs.events import NULL_TRACER
-from repro.obs.metrics import CHAIN_LENGTH_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.refmachine.pentium3 import PentiumIIIModel
 from repro.tiled.machine import TileGrid, TileRole, default_placement
 from repro.tiled.network import Network
@@ -48,11 +48,6 @@ SMC_INVALIDATION_COST = 600
 #: Block executions between periodic metrics samples (queue depth,
 #: busy-slave count, cycle progress) — cheap enough to stay always-on.
 METRICS_SAMPLE_INTERVAL_BLOCKS = 32
-
-#: Consecutive executions of the same compiled-block successor before
-#: the dispatch loop chains the two closures (the indirect-exit inline
-#: cache; statically known successors chain on first contact).
-CHAIN_STREAK_THRESHOLD = 4
 
 
 class _TimingObserver(AccessObserver):
@@ -173,10 +168,10 @@ class TimingVM:
         self.program = program
         self.config = config
         #: ``checked="protocol"`` runs the protocol conformance tier:
-        #: a tracer is installed (if none was passed), chain invariants
-        #: are asserted on every SMC invalidation, and :meth:`run` ends
-        #: by replaying the event stream through the conformance
-        #: checkers — any violation raises ``VerificationError``.
+        #: a tracer is installed (if none was passed) and :meth:`run`
+        #: ends by replaying the event stream through the conformance
+        #: checkers and auditing the translation cache — any violation
+        #: raises ``VerificationError``.
         self.protocol_checked = checked == "protocol"
         self.protocol_report = None
         if self.protocol_checked and tracer is None:
@@ -271,8 +266,8 @@ class TimingVM:
         self.syscall_tile = Resource("syscall_tile")
 
         # block JIT: hot guest blocks compile to specialized closures
-        # (repro.guest.blockjit); the dispatch loop chains them into
-        # runs of closure-to-closure calls.  Deliberately NOT a VirtualArchConfig knob:
+        # (repro.guest.blockjit) that the dispatch loop runs in place of
+        # the plan path.  Deliberately NOT a VirtualArchConfig knob:
         # it models nothing, it only accelerates the simulation, and
         # results are bit-identical with it on or off.  Its metrics live
         # in a separate registry so TimingRunResult stays byte-stable.
@@ -292,8 +287,6 @@ class TimingVM:
                 share_range=(self._text_start, self._text_end),
                 metrics=self.jit_metrics,
             )
-            # guest stores into decoded code invalidate the table
-            self.interp.jit = self.jit
 
         self.morph: Optional[MorphController] = None
         if config.morphing:
@@ -319,7 +312,6 @@ class TimingVM:
         self._prev_pc: Optional[int] = None
         self._arrived_indirect = False
         self._executed_instructions = 0
-        self._trace_len = 0
         self.last_exit_kind: Optional[str] = None
 
     def _read_code(self, address: int, length: int) -> bytes:
@@ -353,7 +345,7 @@ class TimingVM:
 
     def assert_protocol(self):
         """Replay the event stream through the protocol conformance
-        checkers and audit the live dispatch/JIT/cache structures;
+        checkers and audit the translation cache's generation keys;
         raises ``VerificationError`` on any violation.  The full
         :class:`~repro.verify.protocol.ConformReport` (event, check and
         violation counts) is kept on ``self.protocol_report``."""
@@ -367,16 +359,6 @@ class TimingVM:
             raise VerificationError("protocol", errors)
         return report
 
-    def _close_trace(self, trace_len: int, pc: int, reason: str) -> None:
-        """Record the end of a run of consecutive compiled-block executions."""
-        self.jit_metrics.observe("chain.length", trace_len, CHAIN_LENGTH_BUCKETS)
-        self.jit_metrics.bump("trace_exits_" + reason)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.now, "jit", "trace_exit", "execution",
-                pc=pc, blocks=trace_len, reason=reason,
-            )
-
     def _dispatch(self, max_guest_instructions: int, blocks: int = -1) -> None:
         """The runtime-execution tile's dispatch loop, shared by
         :meth:`run` and :meth:`step`, and the block JIT's only caller.
@@ -384,22 +366,16 @@ class TimingVM:
         Executes basic blocks until the guest exits or ``blocks`` of
         them have run (a negative ``blocks`` never reaches zero).  The
         per-block collaborators are bound once.  With the block JIT on,
-        each block's row of ``self.jit.table`` is looked up here and its
-        sighting counted; :meth:`BlockJit.note_execution` compiles the
-        block, or adopts a sibling's compile, once it is hot.  From its
-        first compiled execution on, the closure is called directly
-        instead of going through ``run_block_at``.
-
-        The row is also the successor cache: ``succ``, ``streak`` and
-        ``next``.  Once a block's successor is stable (immediately for
-        statically known successors, after ``CHAIN_STREAK_THRESHOLD``
-        repeats for indirect exits) ``next`` references the successor's
-        row, so hot loops run closure-to-closure with no dictionary
-        lookups between blocks — the chained runs the ``chain.length``
-        histogram and the coarse ``jit`` trace events describe.  The
-        guest position and the open chained run survive a stop on
-        ``blocks``; the chained successor reference does not (it only
-        saves a lookup).
+        each block's row of ``self.jit.table`` is looked up here, once
+        per block, and its sighting counted;
+        :meth:`BlockJit.note_execution` compiles the block, or adopts a
+        sibling's compile, once it is hot.  From its first compiled
+        execution on, the closure is called directly instead of going
+        through ``run_block_at``.  No reference to a closure outlives
+        its block, so the SMC invalidation at the block boundary
+        (:meth:`_invalidate_smc_pages`) is all it takes to keep stale
+        closures from running.  The guest position survives a stop on
+        ``blocks``.
         """
         interp = self.interp
         state = interp.state
@@ -422,14 +398,11 @@ class TimingVM:
         prof_exit = profiler.exit
         prof_add = profiler.add
         clock = time.perf_counter_ns
-        epoch = jit.epoch if jit is not None else 0
         pc = self._pc
         prev_pc = self._prev_pc
         arrived_indirect = self._arrived_indirect
         executed_total = self._executed_instructions
         exit_kind = self.last_exit_kind
-        prev_entry = None
-        trace_len = self._trace_len
 
         while blocks and interp.exit_code is None:
             blocks -= 1
@@ -449,30 +422,17 @@ class TimingVM:
                     code_pages.setdefault(page, set()).add(pc)
 
             count = block.guest_instr_count
-            entry = None
+            compiled = None
             if jit is not None:
-                entry = prev_entry.next if prev_entry is not None else None
-                if entry is not None and prev_entry.succ == pc and entry.count == count:
-                    compiled = entry.block  # chained dispatch
-                else:
-                    entry = table.get(pc)
-                    if entry is None or entry.count != count:
-                        entry = table[pc] = BlockEntry(count)
-                    compiled = entry.block
-                    if compiled is None:
-                        compiled = note_execution(pc, entry)
-                        if compiled:
-                            # a fresh install seeds the successor cache
-                            entry.succ = compiled.static_successor
-                            if entry.succ is not None:
-                                entry.streak = CHAIN_STREAK_THRESHOLD
-                    if not compiled:  # cold or ineligible: plan path
-                        entry = None
+                entry = table.get(pc)
+                if entry is None or entry.count != count:
+                    entry = table[pc] = BlockEntry(count)
+                compiled = entry.block
+                if compiled is None:
+                    compiled = note_execution(pc, entry)
 
             self.pending_stall = 0
-            if entry is not None:
-                if trace_len == 0 and tracer.enabled:
-                    tracer.emit(self.now, "jit", "trace_enter", "execution", pc=pc)
+            if compiled:  # cold or ineligible (falsy) blocks: plan path
                 if profiling:
                     # scoped (not flat) timing, so nested memsys
                     # attributions become children of this phase
@@ -484,9 +444,6 @@ class TimingVM:
                         prof_exit()
                         prof_enter("interpreter")
                     executed = run_block_at(pc, count)
-                    entry = None
-                else:
-                    trace_len += 1
                 if profiling:
                     prof_exit()
             elif profiling:
@@ -495,9 +452,6 @@ class TimingVM:
                 prof_exit()
             else:
                 executed = run_block_at(pc, count)
-            if entry is None and trace_len:
-                self._close_trace(trace_len, pc, "cold")
-                trace_len = 0
 
             piii_on_instructions(executed)
             executed_total += executed
@@ -533,65 +487,22 @@ class TimingVM:
             if pending_smc:
                 self._invalidate_smc_pages()
 
-            npc = state.eip
-            if jit is not None and jit.epoch != epoch:
-                # self-modifying code invalidated the table inside this
-                # block: the entry was reset in place, nothing to chain
-                epoch = jit.epoch
-                entry = None
-                if trace_len:
-                    self._close_trace(trace_len, pc, "smc")
-                    trace_len = 0
-            elif entry is not None:
-                # successor inline cache: chain once the target is stable
-                if entry.succ == npc:
-                    entry.streak += 1
-                    if entry.next is None and entry.streak >= CHAIN_STREAK_THRESHOLD:
-                        nxt = table.get(npc)
-                        if nxt is not None and nxt.block:
-                            entry.next = nxt
-                            self.jit_metrics.bump("chains_linked")
-                else:
-                    if entry.next is not None:
-                        self.jit_metrics.bump("chains_broken")
-                    entry.succ = npc
-                    entry.streak = 1
-                    entry.next = None
-            prev_entry = entry
             prev_pc = pc
-            pc = npc
+            pc = state.eip
             arrived_indirect = block.exit_kind == "indirect"
             exit_kind = block.exit_kind
             if executed_total > max_guest_instructions:
                 break
 
-        if trace_len and interp.exit_code is not None:
-            self._close_trace(trace_len, pc, "guest_exit")
-            trace_len = 0
         self._pc = pc
         self._prev_pc = prev_pc
         self._arrived_indirect = arrived_indirect
         self._executed_instructions = executed_total
-        self._trace_len = trace_len
         self.last_exit_kind = exit_kind
         if interp.exit_code is None and executed_total > max_guest_instructions:
             raise RuntimeError(
                 f"workload exceeded {max_guest_instructions} guest instructions"
             )
-
-    def check_chain_invariants(self):
-        """Audit the chain fields of the block JIT's table.
-
-        Returns the list of :class:`repro.verify.findings.Finding`
-        violations (empty on a healthy machine).  Used by the verifier
-        test-suite and available from a debugger mid-run; never called
-        on the hot path.
-        """
-        from repro.verify.jitverify import check_chains
-
-        if self.jit is None:
-            return []
-        return check_chains(self.jit.table, threshold=CHAIN_STREAK_THRESHOLD)
 
     def _sample_metrics(self) -> None:
         """Periodic time-series samples: with these, queue-length-vs-
@@ -605,7 +516,13 @@ class TimingVM:
 
     def _invalidate_smc_pages(self) -> None:
         """Invalidate translations for written code pages (at a block
-        boundary), charging the invalidation cost."""
+        boundary), charging the invalidation cost.
+
+        This is also the block JIT's only invalidation point: every
+        dispatched block, compiled here or adopted from the shared
+        space, registered its pages in ``code_pages``, so a write to any
+        of them lands here before the next dispatch.
+        """
         from repro.guest.memory import PAGE_SIZE as _PAGE
 
         for page in sorted(self.pending_smc):
@@ -623,13 +540,8 @@ class TimingVM:
                     page=page, victims=len(victims), gen=self.code_writes,
                 )
         self.pending_smc.clear()
-        if self.protocol_checked:
-            # de-chaining must be complete before the next dispatch
-            findings = self.check_chain_invariants()
-            if findings:
-                from repro.verify.findings import VerificationError
-
-                raise VerificationError("smc-invalidate", findings)
+        if self.jit is not None:
+            self.jit.invalidate()
 
     def result(self) -> TimingRunResult:
         """Result of a finished (or interrupted) run."""

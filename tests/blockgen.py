@@ -235,13 +235,13 @@ def random_jit_program(seed: int, length: int = 12) -> str:
 
 # -- multi-block loop profile ----------------------------------------------
 #
-# The dispatch loop chains hot compiled blocks, so its differential
-# tests need multi-block loops whose successions are stable enough to
-# chain: a counted loop over several blocks joined by direct jumps,
-# stable computed jumps (``mov esi, label; jmp esi`` — an indirect
-# terminator whose target never changes), and optionally a one-shot
+# The dispatch loop runs hot blocks as compiled closures, so its
+# differential tests need multi-block loops hot enough to compile: a
+# counted loop over several blocks joined by direct jumps, stable
+# computed jumps (``mov esi, label; jmp esi`` — an indirect terminator
+# whose target never changes), and optionally a one-shot
 # self-modifying patch into the loop's own code page mid-run (the SMC
-# de-chain and recompile path).  ``ecx`` (loop counter) and ``esi``
+# invalidate and recompile path).  ``ecx`` (loop counter) and ``esi``
 # (computed-jump target) are reserved; bodies draw from the rest.
 
 _LOOP_BODY_REGS = ("eax", "ebx", "edx", "edi")
@@ -286,14 +286,14 @@ def random_loop_program(
     iterations: int = 40,
     body_length: int = 3,
 ) -> str:
-    """A multi-block counted loop for the JIT-chaining differential tests.
+    """A multi-block counted loop for the JIT differential tests.
 
     Each generated program terminates (the loop is counter-driven and
     the patch never touches the loop control), runs its body hot enough
-    for blocks to compile and chain at the default thresholds, and
-    mixes in the chaining hazards at random: a stable computed jump, a
-    conditional interior branch, and a mid-run self-modifying store
-    into a code page the loop itself spans.
+    for blocks to compile at the default threshold, and mixes in
+    dispatch hazards at random: a stable computed jump, a conditional
+    interior branch, and a mid-run self-modifying store into a code
+    page the loop itself spans.
     """
     rng = random.Random(seed)
     blocks = rng.randrange(2, 5)
@@ -312,7 +312,7 @@ def random_loop_program(
         if j < blocks - 1:
             if interior_jcc and j == 0:
                 # a conditional that settles: taken the same way every
-                # iteration after the first few, so the chain stays hot
+                # iteration after the first few, so the path stays hot
                 lines.append(f"    cmp ecx, {iterations + 1}")
                 lines.append(f"    {rng.choice(('jb', 'jne', 'jl'))} b{j + 1}")
                 lines.append("    add edi, 3")

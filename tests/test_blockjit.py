@@ -194,23 +194,21 @@ class TestEngine:
         monkeypatch.setenv("REPRO_JIT", "off")
         assert jit_enabled_by_env() is False
 
-    def test_invalidate_clears_in_place_and_bumps_epoch(self):
+    def test_invalidate_clears_in_place_and_keeps_sightings(self):
         vm = _vm(assemble(COUNTING_LOOP))
         jit = vm.jit
-        # stop inside the hot loop, once it has chained to itself
-        while not any(entry.next for entry in jit.table.values()):
-            assert vm.step(), "the hot loop never chained"
-        held = next(entry for entry in jit.table.values() if entry.next)
-        seen = held.seen
-        epoch_before = jit.epoch
+        # stop inside the hot loop, once its block has compiled
+        while not _compiled(jit):
+            assert vm.step(), "the hot loop never compiled"
+        row = next(entry for entry in jit.table.values() if entry.block)
+        seen = row.seen
         jit.invalidate()
-        # reset IN PLACE: a row the dispatch loop still holds sees no
-        # closure and no link, and keeps its sightings
-        assert held in jit.table.values()
-        assert (held.block, held.succ, held.streak, held.next) == (None, None, 0, None)
-        assert held.seen == seen
+        # reset IN PLACE: the row stays in the table with no closure
+        # and keeps its sightings
+        assert row in jit.table.values()
+        assert row.block is None
+        assert row.seen == seen
         assert not _compiled(jit)
-        assert jit.epoch == epoch_before + 1
         assert jit.metrics["invalidations"] == 1
 
     def test_counts_survive_invalidation(self):
@@ -242,7 +240,7 @@ class TestEngine:
         assert len(built) == len(set(built))
         assert result == reference
 
-    def test_first_compiled_execution_is_chained_and_profiled_as_jit(self):
+    def test_first_compiled_execution_is_profiled_as_jit(self):
         from repro.obs import prof
 
         profiler = prof.PhaseProfiler()
@@ -256,11 +254,9 @@ class TestEngine:
         assert not any("interpreter;jit.compile" in path for path in paths)
         # the loop block runs 49 times (the entry block holds the first
         # iteration) and compiles on its 2nd sighting; that sighting
-        # already runs the closure, so 48 executions ran compiled and
-        # every one of them counts toward a chained run
-        chains = vm.jit_metrics.snapshot()["histograms"]["chain.length"]
+        # already runs the closure, so 48 executions ran compiled
+        assert vm.jit_metrics["compiles"] == 1
         assert prof.phase_totals(profiler.snapshot())["jit.run"]["calls"] == 48
-        assert chains["total"] == 48
 
 
 class TestSharedSpace:

@@ -7,7 +7,7 @@ workload of the suite.  These tests run the whole grid row at small
 scale and compare full ``dataclasses.asdict`` dumps, which is the same
 equality the figure renderers and the disk cache rely on.  Generated
 multi-block loops (:func:`tests.blockgen.random_loop_program`) drive
-the chained dispatch path harder than the workloads do: computed
+the compiled dispatch path harder than the workloads do: computed
 jumps, interior branches, mid-run self-modifying stores and faults.
 """
 
@@ -132,7 +132,7 @@ def _loop_differential(source):
 
 
 #: A loop whose computed jump (an indirect exit with a stable target)
-#: chains only after the streak threshold, hot for 60 iterations.
+#: lands on a compiled block, hot for 60 iterations.
 COMPUTED_JUMP_LOOP = """
 _start:
     mov ecx, 60
@@ -152,7 +152,7 @@ b1:
 
 #: The load — second in its block — walks 512 bytes further each
 #: iteration until it leaves the mapped page, after its block has
-#: compiled and chained.
+#: compiled.
 FAULTING_LOOP = """
 _start:
     mov ecx, 40
@@ -179,14 +179,17 @@ class TestLoopPrograms:
     def test_random_loop_programs_bit_identical(self, seed):
         _loop_differential(blockgen.random_loop_program(seed))
 
-    def test_computed_jump_loop_chains_and_matches(self):
+    def test_computed_jump_loop_compiles_and_matches(self):
         vm = _loop_differential(COMPUTED_JUMP_LOOP)
-        assert vm.jit_metrics["chains_linked"] >= 2
+        assert vm.jit_metrics["compiles"] >= 1
+        symbols = vm.program.symbols
+        # both the jump's source and its computed target ran compiled
+        assert vm.jit.table[symbols["head"]].block
+        assert vm.jit.table[symbols["b1"]].block
 
     def test_smc_patched_loop_bit_identical(self):
         # seeds whose generated program patches its own loop body: the
-        # compiled blocks and chains over the old bytes must be torn
-        # down and the run must still match the interpreter bit for bit
+        # compiled blocks over the old bytes must be torn down and the run must still match the interpreter bit for bit
         patched = [
             seed for seed in range(12)
             if "movb [head + 2], 9" in blockgen.random_loop_program(seed)
@@ -210,11 +213,62 @@ class TestLoopPrograms:
 
         vm_off, fault_off = run(False)
         vm_on, fault_on = run(True)
-        assert vm_on.jit_metrics["chains_linked"] >= 1
+        assert vm_on.jit_metrics["compiles"] >= 1
+        assert vm_on.jit.table[program.symbols["b1"]].block
         assert fault_on.args == fault_off.args
         assert vm_on.now == vm_off.now
         assert vm_on.interp.state.snapshot() == vm_off.interp.state.snapshot()
         assert vm_on.stats.as_dict() == vm_off.stats.as_dict()
+
+
+#: ``target`` sits behind never-executed filler, past every block the
+#: loop runs, and its ``mov eax, 5`` is patched to 9 after the 10th of
+#: 20 calls: 10 * 5 + 10 * 9 = 140.
+SHARED_SMC_LOOP = """
+_start:
+    mov ecx, 0
+    mov ebx, 0
+again:
+    call target
+    add ebx, eax
+    add ecx, 1
+    cmp ecx, 10
+    jnz skip
+    movb [target + 2], 9
+skip:
+    cmp ecx, 20
+    jnz again
+    mov eax, 1
+    int 0x80
+    hlt
+filler:
+    dz 32
+target:
+    mov eax, 5
+    ret
+"""
+
+
+class TestSharedSpaceSmc:
+    def test_adopted_closure_is_invalidated_by_a_code_write(self):
+        # the second column adopts the first column's closures and never
+        # decodes `target` itself; the patch must still retire the
+        # adopted closure at the block boundary
+        program = assemble(SHARED_SMC_LOOP)
+        cache = TranslationCache()
+        run_timing(
+            program, PRESETS["speculative_4"], translation_cache=cache,
+            program_key="shared-smc", jit=True,
+        )
+        config = PRESETS["morph_threshold_5"]
+        vm = TimingVM(
+            program, config, translation_cache=cache, program_key="shared-smc", jit=True,
+        )
+        on = vm.run()
+        off = run_timing(program, config, jit=False)
+        assert vm.jit_metrics["shared_hits"] >= 1
+        assert _doc(on) == _doc(off)
+        assert on.exit_code == 140
 
 
 @settings(max_examples=10, deadline=None)

@@ -15,13 +15,12 @@ from tests import blockgen
 from repro.dbt.frontend import scan_block
 from repro.dbt.translator import TranslationConfig
 from repro.guest.assembler import assemble
-from repro.guest.blockjit import BlockEntry, CompiledBlock, compile_block
+from repro.guest.blockjit import compile_block
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.memory import GuestMemory
 from repro.verify.findings import VerificationError
 from repro.verify.jitverify import (
     JitVerifier,
-    check_chains,
     expected_stats,
     lint_closure_source,
 )
@@ -200,64 +199,19 @@ class TestTranslationConfigWiring:
         assert result.equiv.refuted == 0
 
 
-class TestChainLinks:
-    def _healthy(self):
-        def fn(interp):  # pragma: no cover - never called
-            return 0
-
-        def entry(count, static_successor):
-            row = BlockEntry(count)
-            row.block = CompiledBlock(fn, 0, count, None, static_successor)
-            return row
-
-        table = {0x1000: entry(3, 0x2000), 0x2000: entry(2, None)}
-        table[0x1000].succ = 0x2000
-        table[0x1000].streak = 4
-        return table
-
-    def test_healthy_table_is_clean(self):
-        table = self._healthy()
-        assert check_chains(table) == []
-
-    def test_chained_healthy_link(self):
-        table = self._healthy()
-        table[0x2000].succ = 0x2000  # give the successor a successor guess
-        table[0x1000].next = table[0x2000]
-        assert check_chains(table) == []
-
-    def test_drifted_static_successor_is_flagged(self):
-        table = self._healthy()
-        table[0x1000].succ = 0x3000
-        codes = [f.code for f in check_chains(table)]
-        assert "chain-succ-mismatch" in codes
-
-    def test_premature_chain_is_flagged(self):
-        table = self._healthy()
-        table[0x1000].streak = 2  # below the streak threshold
-        table[0x1000].next = table[0x2000]
-        codes = [f.code for f in check_chains(table)]
-        assert "chain-premature-link" in codes
-
-    def test_detached_next_entry_is_flagged(self):
-        table = self._healthy()
-        table[0x1000].next = BlockEntry(2)  # not table[0x2000]
-        codes = [f.code for f in check_chains(table)]
-        assert "chain-stale-link" in codes
-
-    def test_link_to_invalidated_entry_is_flagged(self):
-        table = self._healthy()
-        table[0x1000].next = table[0x2000]
-        table[0x2000].block = None  # reset without de-chaining its source
-        codes = [f.code for f in check_chains(table)]
-        assert "chain-stale-link" in codes
-
+class TestDispatchTable:
     def test_live_vm_dispatch_table_is_clean(self):
         from repro.morph.config import PRESETS
+        from repro.verify.protocol import audit_vm
         from repro.vm.timing import TimingVM
 
         from tests.test_fastpath_differential import SELF_PATCHING_LOOP
 
         vm = TimingVM(assemble(SELF_PATCHING_LOOP), PRESETS["speculative_4"], jit=True)
         vm.run()
-        assert vm.jit_metrics["chains_linked"] >= 1
-        assert vm.check_chain_invariants() == []
+        assert vm.jit_metrics["compiles"] >= 1
+        assert audit_vm(vm) == []
+        # every runnable row holds the closure of its own pc and count
+        for pc, entry in vm.jit.table.items():
+            if entry.block:
+                assert (entry.block.address, entry.block.count) == (pc, entry.count)

@@ -1,13 +1,14 @@
 """Seeded stress: self-modifying code while the fabric morphs.
 
 The two most invasive runtime protocols — SMC invalidation (blows away
-translations, JIT closures and chain links mid-run) and dynamic
-morphing (retiles slaves and banks under hysteresis) — are individually
-tested elsewhere.  This module forces them to interleave: a generated
-program patches function immediates dozens of times while running under
-the most trigger-happy morph preset, and the chain fields of the block
-JIT's table are audited with ``check_chain_invariants`` after every
-single block.  The interpreter provides the golden exit code.
+translations and JIT closures mid-run) and dynamic morphing (retiles
+slaves and banks under hysteresis) — are individually tested elsewhere.
+This module forces them to interleave: a generated program patches
+function immediates dozens of times while running under the most
+trigger-happy morph preset, and the VM is audited after every single
+block: the protocol audit must stay clean, and a block boundary that
+handled a code write must leave no compiled closure in the JIT's table.
+The interpreter provides the golden exit code.
 """
 
 import random
@@ -16,6 +17,7 @@ from repro.guest.assembler import assemble
 from repro.guest.interpreter import GuestInterpreter
 from repro.morph.config import PRESETS
 from repro.obs.events import Tracer
+from repro.verify.protocol import audit_vm
 from repro.vm.timing import TimingVM
 
 SEED = 0xC0DE
@@ -29,7 +31,7 @@ def _stress_source(seed: int) -> str:
     Each segment patches the imm8 of one randomly chosen function
     (``mov eax, imm`` assembles as opcode/ModRM/imm8, so the immediate
     byte is at ``fN + 2``), then calls two functions and runs a short
-    hot loop — enough dispatch traffic for chains, JIT traces and
+    hot loop — enough dispatch traffic for JIT compiles and
     translation-queue pressure to build up between invalidations.
     """
     rng = random.Random(seed)
@@ -88,7 +90,7 @@ def _hasten_morph(vm: TimingVM, cycles: int = 200) -> None:
 
 
 class TestMorphSmcStress:
-    def test_stepped_run_keeps_chain_invariants(self):
+    def test_stepped_run_keeps_jit_invariants(self):
         source = _stress_source(SEED)
         vm = TimingVM(
             _program(source), PRESETS["morph_threshold_0"],
@@ -96,13 +98,20 @@ class TestMorphSmcStress:
         )
         _hasten_morph(vm)
         steps = 0
+        invalidations = 0
         while vm.step():
             steps += 1
-            findings = vm.check_chain_invariants()
+            findings = audit_vm(vm)
             assert not findings, (
                 f"step {steps}: " + "; ".join(str(f) for f in findings)
             )
+            if vm.stats["smc_invalidations"] != invalidations:
+                invalidations = vm.stats["smc_invalidations"]
+                assert all(entry.block is None for entry in vm.jit.table.values()), (
+                    f"step {steps}: a compiled closure survived the SMC boundary"
+                )
         assert steps > 100
+        assert vm.jit_metrics["invalidations"] >= 1
         assert vm.stats["smc_invalidations"] >= SEGMENTS // 2
         assert vm.morph.fsm_state()["reconfigurations"] >= 2
         assert vm.interp.exit_code == _golden_exit(source)

@@ -249,66 +249,12 @@ class TestProfileLanes:
         assert [e["ph"] for e in added] == ["M"]
 
 
-HOT_LOOP = """
-_start:
-    mov ecx, 200
-loop:
-    add ebx, ecx
-    sub ecx, 1
-    jnz loop
-    mov eax, 1
-    and ebx, 255
-    int 0x80
-"""
-
-
-class TestJitSpans:
-    def test_jit_pair_becomes_complete_event(self):
-        tracer = Tracer()
-        tracer.emit(100, "jit", "trace_enter", "execution", pc=0x40)
-        tracer.emit(900, "jit", "trace_exit", "execution", pc=0x40, blocks=3, reason="cold")
-        doc = to_perfetto(tracer.events())
-        assert validate_trace_events(doc) == []
-        (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert span["name"] == "jit trace 0x40"
-        assert span["cat"] == "jit"
-        assert span["ts"] == 100
-        assert span["dur"] == 800
-        assert span["args"]["blocks"] == 3
-        assert span["args"]["reason"] == "cold"
-
-    def test_unpaired_trace_enter_becomes_instant(self):
-        tracer = Tracer()
-        tracer.emit(100, "jit", "trace_enter", "execution", pc=0x40)
-        doc = to_perfetto(tracer.events())
-        assert validate_trace_events(doc) == []
-        (mark,) = [e for e in doc["traceEvents"] if e["ph"] == "i"]
-        assert mark["name"] == "jit.trace_enter"
-        assert mark["ts"] == 100
-
-    def test_hot_loop_run_emits_jit_spans(self):
-        # end-to-end: a loop hot enough to compile and chain shows up
-        # as coarse per-trace spans (one per entry/exit, not per block)
-        program = assemble(HOT_LOOP)
-        tracer = Tracer()
-        vm = TimingVM(program, PRESETS["speculative_4"], tracer=tracer, jit=True)
-        vm.run()
-        doc = to_perfetto(tracer.events())
-        assert validate_trace_events(doc) == []
-        spans = [
-            e for e in doc["traceEvents"] if e["ph"] == "X" and e["cat"] == "jit"
-        ]
-        assert spans, "hot loop never entered a compiled trace"
-        # the whole 200-iteration loop ran inside a handful of traces
-        assert sum(e["args"]["blocks"] for e in spans) >= 100
-
-
 def _traced_workload_doc():
     source = (DATA_DIR / "trace_workload.asm").read_text()
     program = assemble(source, name="trace_workload")
     tracer = Tracer()
     # jit pinned off: the golden must not depend on the REPRO_JIT env
-    # knob (jit trace events are covered by TestJitSpans above)
+    # knob
     vm = TimingVM(program, PRESETS["speculative_4"], tracer=tracer, jit=False)
     result = vm.run()
     assert result.exit_code == 36  # the workload's checksum: run went as scripted

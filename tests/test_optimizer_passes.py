@@ -1,8 +1,11 @@
 """Unit tests for the newer optimizer passes: value numbering, strength
 reduction and cross-block flag-liveness peeking."""
 
+import pytest
+
 from repro.guest.assembler import assemble
 from repro.guest.isa import Flag
+from repro.guest.memory import MemoryFault
 from repro.dbt.frontend import build_ir
 from repro.dbt.ir import ALL_FLAGS_MASK, UOpKind, flag_mask
 from repro.dbt.optimizer import (
@@ -173,3 +176,19 @@ class TestFlagPeek:
     def test_empty_successors_conservative(self):
         _, read, _ = ir_for("_start: hlt\n")
         assert successor_flag_liveness(read, []) == ALL_FLAGS_MASK
+
+    def test_unmapped_successor_is_fully_live(self):
+        def read(address, length):
+            raise MemoryFault(address, "unmapped")
+
+        assert successor_flag_liveness(read, [0x1000]) == ALL_FLAGS_MASK
+
+    def test_reader_bug_propagates(self):
+        # only the errors a code reader or the decoder raise for bad
+        # guest bytes mean "conservatively live"; a broken reader must
+        # stop the translation instead
+        def read(address, length):
+            raise RuntimeError("reader bug")
+
+        with pytest.raises(RuntimeError, match="reader bug"):
+            successor_flag_liveness(read, [0x1000])

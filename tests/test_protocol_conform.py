@@ -102,34 +102,6 @@ class TestTranslate:
         }
 
 
-class TestJit:
-    def test_consecutive_enters_are_legal(self):
-        # a trace aborted at length 0 emits no exit event
-        report = conform_events([
-            _ev(10, "jit", "trace_enter", pc=0x1000),
-            _ev(20, "jit", "trace_enter", pc=0x2000),
-            _ev(30, "jit", "trace_exit", blocks=4, reason="cold"),
-        ])
-        assert report.ok
-
-    def test_empty_trace_and_bad_reason(self):
-        report = conform_events([
-            _ev(10, "jit", "trace_enter", pc=0x1000),
-            _ev(20, "jit", "trace_exit", blocks=0, reason="tired"),
-        ])
-        assert set(_codes(report)) == {"jit-empty-trace", "jit-unknown-exit-reason"}
-
-    def test_unpaired_exit_strict(self):
-        report = conform_events([_ev(10, "jit", "trace_exit", blocks=1, reason="cold")])
-        assert _codes(report) == ["jit-unpaired-trace-exit"]
-
-    def test_leading_exit_forgiven_when_windowed(self):
-        report = conform_events(
-            [_ev(10, "jit", "trace_exit", blocks=1, reason="smc")], dropped=5
-        )
-        assert report.ok
-
-
 class TestMorph:
     def _flip(self, cycle, old, new, hysteresis=100):
         return _ev(cycle, "morph", "reconfig", "manager",
@@ -258,7 +230,7 @@ class TestLiveRuns:
         vm.run()
         report = conform_vm(vm)
         assert report.ok, "\n".join(str(f) for f in report.findings)
-        assert report.counts.get("jit", 0) > 0
+        assert vm.jit_metrics["compiles"] >= 1
 
 
 class TestCheckedProtocolMode:
