@@ -5,14 +5,23 @@ relocatable host instruction sequence for one guest basic block plus
 everything the runtime needs — exit stubs for chaining, static
 successor addresses for speculative traversal, and the cycle cost the
 timing model charges per execution.
+
+The facts the code-cache hierarchy and the speculative translator read
+on every fetch — host words, transfer cycles, chainable targets and the
+static successor predictions — are fixed once the block's code is
+final, so the translator records them once with
+:meth:`TranslatedBlock.seal`.  Clones share them with their master.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.host.isa import ExitReason, HostInstr
+
+#: Transfer cost: cycles per 4-byte word of block code moved.
+TRANSFER_PER_WORD = 0.25
 
 
 def pages_spanned(guest_address: int, guest_length: int) -> range:
@@ -76,6 +85,30 @@ class TranslatedBlock:
 
     # populated when the block is placed into a code cache level
     host_address: Optional[int] = None
+
+    # fixed facts, recorded by :meth:`seal` when translation finishes
+    host_words: int = 0
+    transfer_cycles: int = 0
+    chain_targets: FrozenSet[int] = frozenset()
+    predictions: Tuple = ()  # of repro.dbt.predictor.Prediction
+
+    def seal(self, predictions: Sequence) -> None:
+        """Record the fixed facts once ``instrs`` and the stubs are final.
+
+        ``predictions`` are the block's static successor predictions
+        (:func:`repro.dbt.predictor.predict_successors`).  Every block
+        ends in an exit stub, so ``host_words`` is at least 1.
+        """
+        self.host_words = len(self.instrs)
+        self.transfer_cycles = max(1, int(self.host_words * TRANSFER_PER_WORD))
+        self.chain_targets = frozenset(target for _, target in self.stub_patch_offsets())
+        self.predictions = tuple(predictions)
+
+    def clone(self) -> "TranslatedBlock":
+        """A shallow copy: its own placement fields, shared code and facts."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     @property
     def host_size_bytes(self) -> int:

@@ -23,8 +23,11 @@ class Prediction:
 
     ``depth_bonus`` is added to the parent's speculation depth: 0 for
     the predicted direction, 1 for the unlikely direction, and the
-    return-predictor penalty for call returns.
+    return-predictor penalty for call returns.  Slotted: every
+    translated block keeps its predictions for its whole life.
     """
+
+    __slots__ = ("target", "depth_bonus")
 
     target: int
     depth_bonus: int

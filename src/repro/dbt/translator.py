@@ -27,6 +27,7 @@ from repro.dbt.ir import ALL_FLAGS_MASK, ExitKind
 from repro.dbt.optimizer import optimize_block, successor_flag_liveness
 from repro.dbt.optimizer.scheduler import PASS_NAME as SCHEDULER_PASS_NAME
 from repro.dbt.optimizer.scheduler import schedule_block
+from repro.dbt.predictor import predict_successors
 
 #: Translation cost model (slave-tile cycles).  Valgrind-style parsing
 #: of a variable-length CISC plus IR optimization costs thousands of
@@ -210,6 +211,7 @@ class Translator:
         block.optimized = self.config.optimize
         cost += EMIT_PER_HOST_INSTR * len(block.instrs)
         block.translation_cycles = cost
+        block.seal(predict_successors(block))
 
         self.stats.bump("blocks_translated")
         self.stats.bump("guest_instructions", ir.guest_instr_count)

@@ -5,9 +5,9 @@ reconfiguration); this module answers the same question about the
 simulator's own wall-clock, attributing host time to simulator phases —
 ``decode``, ``frontend``, ``optimizer`` (with per-pass children),
 ``codegen``, ``schedule``, ``verify``, ``jit.compile``, ``jit.run``,
-``jit.pack``, ``interpreter``, ``memsys``, ``morph``, ``cache.io`` and
-the harness-level ``run`` — so the next optimization PR knows which 2x
-to chase.
+``jit.pack``, ``interpreter``, ``memsys``, ``morph``, ``vm.fetch``,
+``vm.spec``, ``cache.io`` and the harness-level ``run`` — so the next
+optimization knows which 2x to chase.
 
 Design mirrors :data:`~repro.obs.events.NULL_TRACER`:
 
@@ -62,6 +62,8 @@ PHASES = (
     "interpreter",  # reference-interpreter block execution
     "memsys",       # timing memory-system accesses
     "morph",        # reconfiguration controller
+    "vm.fetch",     # code-cache fetch: L1, L1.5 banks, manager (parent of a demand translate)
+    "vm.spec",      # speculative-translation slave timeline (parent of its translates)
     "cache.io",     # persistent disk-cache reads/writes
 )
 

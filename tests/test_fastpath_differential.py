@@ -139,3 +139,49 @@ class TestVmSelfModifyingCode:
         off = run_timing(program, config, jit=False)
         on = run_timing(program, config, jit=True)
         assert dataclasses.asdict(on) == dataclasses.asdict(off)
+
+
+#: ``g`` starts a page after a pad page no block ever runs from; the
+#: dword store at ``g - 1`` lands on the pad page but its last byte
+#: rewrites the low byte of ``mov eax, 7``'s immediate to 42.
+STRADDLING_STORE = """
+_start:
+    mov ecx, 40
+warm:
+    call g
+    sub ecx, 1
+    jnz warm
+    mov eax, [g - 1]
+    and eax, 0x00FFFFFF
+    or eax, 0x2A000000
+    mov [g - 1], eax
+    call g
+    mov ebx, eax
+    mov eax, 1
+    int 0x80
+    hlt
+.align 4096
+pad:
+    hlt
+.align 4096
+g:
+    mov eax, 7
+    ret
+"""
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["jit_off", "jit_on"])
+def test_store_straddling_into_a_code_page_is_smc(jit):
+    """A store whose first byte is on a data page and whose last byte
+    is on a code page must invalidate that page's translations."""
+    from repro.morph.config import PRESETS
+    from repro.vm.timing import TimingVM
+
+    program = assemble(STRADDLING_STORE)
+    assert program.symbols["g"] % 4096 == 0
+    expected = GuestInterpreter.for_program(assemble(STRADDLING_STORE)).run()
+    assert expected == 42
+
+    result = TimingVM(program, PRESETS["speculative_4"], jit=jit).run()
+    assert result.exit_code == expected
+    assert result.stats.get("vm.smc_invalidations", 0) >= 1

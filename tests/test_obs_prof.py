@@ -235,6 +235,26 @@ class TestProfiledRuns:
                          "jit.compile", "jit.run"):
             assert expected in leaves, f"no {expected} phase recorded"
 
+    def test_fetch_and_speculation_phases_nest_the_translator(self):
+        baseline = _run_vm(jit=True)
+        profiler = PhaseProfiler()
+        previous = prof.set_profiler(profiler)
+        try:
+            profiled = _run_vm(jit=True)
+        finally:
+            prof.set_profiler(previous)
+        assert profiled == baseline
+        snapshot = profiler.snapshot()
+        assert {"vm.fetch", "vm.spec"} <= set(phase_totals(snapshot))
+        assert conservation_violations(snapshot) == []
+        # every translation runs inside the fetch that needed it (on
+        # demand or by advancing the speculative slaves), so its time
+        # is a child of vm.fetch and never counted beside it
+        translate_paths = [p for p in snapshot["paths"] if p.endswith("translate")]
+        assert translate_paths
+        assert all(p.startswith("vm.fetch;") for p in translate_paths)
+        assert "vm.fetch;vm.spec;translate" in translate_paths
+
     def test_env_enables_profiling(self, monkeypatch):
         monkeypatch.setenv(prof.ENABLE_ENV, "1")
         assert prof.enabled_by_env()
