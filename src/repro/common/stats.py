@@ -62,6 +62,11 @@ class StatSet:
             raise ValueError(f"counter {key}: negative increment {amount}")
         found.value += amount
 
+    def lazy_counter(self, key: str) -> "LazyCounter":
+        """A hot-path handle on counter ``key`` that joins the set on its
+        first :meth:`LazyCounter.add` (see :class:`LazyCounter`)."""
+        return LazyCounter(self, key)
+
     def __getitem__(self, key: str) -> int:
         return self._counters[key].value if key in self._counters else 0
 
@@ -95,6 +100,37 @@ class StatSet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{name}={value}" for name, value in self)
         return f"StatSet({self.name}: {body})"
+
+
+class LazyCounter:
+    """A counter of a :class:`StatSet` bound on its first increment.
+
+    ``add`` behaves like ``stats.bump(key, amount)`` — the key appears
+    only once something bumps it, in first-bump order, so a run reports
+    exactly the keys it bumped — but skips the string lookup after the
+    first call.  For counters bumped once per executed block.
+
+    >>> stats = StatSet("l1_code_cache")
+    >>> inserts = stats.lazy_counter("inserts")
+    >>> "inserts" in stats
+    False
+    >>> inserts.add(); inserts.add(2)
+    >>> stats["inserts"]
+    3
+    """
+
+    __slots__ = ("_stats", "_key", "_counter")
+
+    def __init__(self, stats: StatSet, key: str) -> None:
+        self._stats = stats
+        self._key = key
+        self._counter: Optional[Counter] = None
+
+    def add(self, amount: int = 1) -> None:
+        counter = self._counter
+        if counter is None:
+            counter = self._counter = self._stats.counter(self._key)
+        counter.value += amount
 
 
 @dataclass

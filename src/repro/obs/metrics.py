@@ -174,6 +174,13 @@ class MetricsRegistry(StatSet):
         """Record ``value`` into histogram ``key``."""
         self.histogram(key, buckets).observe(value)
 
+    def lazy_histogram(
+        self, key: str, buckets: Sequence[float] = DEFAULT_BUCKETS
+    ) -> "LazyHistogram":
+        """A hot-path handle on histogram ``key`` that joins the registry
+        on its first :meth:`LazyHistogram.observe`."""
+        return LazyHistogram(self, key, buckets)
+
     # -- time series ------------------------------------------------------
 
     def series(self, key: str, capacity: int = DEFAULT_SERIES_CAPACITY) -> TimeSeries:
@@ -222,6 +229,34 @@ class MetricsRegistry(StatSet):
         if hist is None:
             return None
         return hist.track.as_dict()
+
+
+class LazyHistogram:
+    """A histogram of a :class:`MetricsRegistry` bound on its first sample.
+
+    The histogram counterpart of :class:`~repro.common.stats.LazyCounter`:
+    ``observe`` behaves like ``registry.observe(key, value, buckets)``
+    without the per-sample string lookup, and a registry never reports
+    a histogram nobody observed into.
+    """
+
+    __slots__ = ("_registry", "_key", "_buckets", "_histogram")
+
+    def __init__(
+        self, registry: MetricsRegistry, key: str, buckets: Sequence[float]
+    ) -> None:
+        self._registry = registry
+        self._key = key
+        self._buckets = buckets
+        self._histogram: Optional[Histogram] = None
+
+    def observe(self, value: float) -> None:
+        histogram = self._histogram
+        if histogram is None:
+            histogram = self._histogram = self._registry.histogram(
+                self._key, self._buckets
+            )
+        histogram.observe(value)
 
 
 # -- cross-process snapshot merging ---------------------------------------

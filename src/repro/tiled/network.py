@@ -52,12 +52,26 @@ class Network:
         """Like :meth:`latency`, but cycle-aware: when tracing is on, a
         ``net.msg`` event is stamped at injection time ``now`` on the
         sending tile."""
-        cost = self.latency(hops, payload_words)
         if self.tracer.enabled:  # type: ignore[attr-defined]
-            self.tracer.emit(  # type: ignore[attr-defined]
-                now, "net", "msg", src, dst=dst, hops=hops, words=payload_words
-            )
-        return cost
+            self.trace(now, hops, payload_words, src, dst)
+        return self.latency(hops, payload_words)
+
+    def trace(
+        self,
+        now: int,
+        hops: int,
+        payload_words: int = 1,
+        src: str = "net",
+        dst: str = "",
+    ) -> None:
+        """Emit the ``net.msg`` event of a message injected at ``now``.
+
+        For callers that price their messages from precomputed
+        latencies and only need the event when tracing is on.
+        """
+        self.tracer.emit(  # type: ignore[attr-defined]
+            now, "net", "msg", src, dst=dst, hops=hops, words=payload_words
+        )
 
     def round_trip(self, hops: int, request_words: int = 1, reply_words: int = 1) -> int:
         """Request/reply latency excluding service occupancy."""

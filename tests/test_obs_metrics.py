@@ -192,3 +192,30 @@ class TestMetricsRegistry:
         assert registry.summary("missing") is None
         registry.observe("lat", 8)
         assert registry.summary("lat")["count"] == 1
+
+
+class TestLazyHandles:
+    def test_lazy_counter_key_appears_on_first_add_in_bump_order(self):
+        registry = MetricsRegistry("r")
+        first = registry.lazy_counter("first")
+        second = registry.lazy_counter("second")
+        assert registry.as_dict() == {}
+        second.add()
+        registry.bump("plain")
+        first.add(3)
+        second.add()
+        assert list(registry.as_dict().items()) == [("second", 2), ("plain", 1), ("first", 3)]
+
+    def test_lazy_counter_shares_an_existing_key(self):
+        registry = MetricsRegistry("r")
+        registry.bump("hits")
+        registry.lazy_counter("hits").add(2)
+        assert registry["hits"] == 3
+
+    def test_lazy_histogram_appears_on_first_observe(self):
+        registry = MetricsRegistry("r")
+        latency = registry.lazy_histogram("latency", (10, 100))
+        assert registry.snapshot()["histograms"] == {}
+        latency.observe(42)
+        latency.observe(7)
+        assert registry.histogram("latency", (10, 100)).counts == [1, 1, 0]
