@@ -5,8 +5,8 @@ Runs the full experiment grid (by default at full workload scale) and
 writes the results, with per-figure commentary comparing the measured
 shapes against the paper's published ones.  Alongside the markdown it
 writes ``BENCH_results.json`` — a machine-readable record of per-figure
-status, cold/warm wall time and key metric values, so the perf
-trajectory of this repository accumulates run over run.
+status, cold/warm wall time, key metric values and the pool workers'
+telemetry (cache activity, and each group's queue wait and wall time).
 
 The run grid is a work-list executed through the harness's two-level
 cache (in-process memo + persistent ``.runcache/`` disk cache) with
@@ -15,6 +15,7 @@ job count because every simulation is deterministic.
 
     python benchmarks/run_all.py [output_path] [json_path]
                                  [--jobs N] [--no-cache] [--scale S]
+                                 [--no-jit] [--profile]
 """
 
 from __future__ import annotations
@@ -144,11 +145,7 @@ def _parse_args(argv) -> argparse.Namespace:
         "--profile", action="store_true",
         help="enable the phase profiler (REPRO_PROF=1) in this process "
              "and every worker; per-phase host time lands in the JSON "
-             "record and the benchmark history",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to .benchhistory/history.jsonl",
+             "record",
     )
     return parser.parse_args(argv)
 
@@ -267,32 +264,19 @@ in `benchmarks/`.
     print(f"\nwrote {args.output_path} in {time.time() - started:.0f}s total")
 
 
-def _perf_smoke_record() -> dict:
-    """Inner-loop throughput micro-benchmark (trackable across PRs)."""
-    try:
-        import perf_smoke
-    except ImportError:  # run outside benchmarks/ on sys.path
-        return {"status": "skipped", "reason": "perf_smoke not importable"}
-    try:
-        return {"status": "ok", **perf_smoke.measure()}
-    except Exception as exc:  # pragma: no cover - diagnostic only
-        return {"status": "failed", "error": repr(exc)}
-
-
 def _write_results_json(args, figure_records, started, low, high) -> None:
     """Persist the machine-readable benchmark record."""
     passed = sum(1 for record in figure_records if record["status"] == "ok")
     disk = disk_cache()
-    total_seconds = round(time.time() - started, 2)
-    # pooled worker telemetry: per-worker cache hit/miss/latency and
-    # phase profiles, plus the deterministic cross-worker aggregate
+    # pooled worker telemetry: per-worker cache hit/miss/latency, group
+    # records and phase profiles, plus the deterministic aggregate
     telemetry = worker_telemetry()
     doc = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "scale": args.scale,
         "jobs": args.jobs,
         "jit": not args.no_jit,
-        "total_seconds": total_seconds,
+        "total_seconds": round(time.time() - started, 2),
         "figures_passed": passed,
         "figures_failed": len(figure_records) - passed,
         "headline": {
@@ -301,7 +285,6 @@ def _write_results_json(args, figure_records, started, low, high) -> None:
         },
         "run_cache": cache_stats(),
         "disk_cache": disk.stats() if disk is not None else {"enabled": False},
-        "perf_smoke": _perf_smoke_record(),
         "workers": telemetry,
         "figures": figure_records,
     }
@@ -319,43 +302,6 @@ def _write_results_json(args, figure_records, started, low, high) -> None:
     print(f"wrote {args.json_path}")
     if merged_profile is not None and merged_profile.get("paths"):
         print(prof.render_profile(merged_profile, limit=15))
-    if not args.no_history:
-        try:
-            _append_history(args, figure_records, total_seconds, low, high,
-                            merged_profile)
-        except OSError as err:  # history is best-effort, never fail the run
-            print(f"history append failed: {err}", file=sys.stderr)
-
-
-def _append_history(args, figure_records, total_seconds, low, high, profile) -> None:
-    """Give this run a durable line in ``.benchhistory/history.jsonl``."""
-    from repro.obs.history import BenchHistory, make_record
-
-    figures = {
-        record["figure"]: {
-            "cold_seconds": record["cold_seconds"],
-            "warm_seconds": record["warm_seconds"],
-        }
-        for record in figure_records
-        if record.get("status") == "ok" and "cold_seconds" in record
-    }
-    metrics = {}
-    if low is not None:
-        metrics["slowdown_low_band"] = round(low, 3)
-    if high is not None:
-        metrics["slowdown_high_band"] = round(high, 3)
-    record = make_record(
-        "run_all",
-        scale=args.scale,
-        jobs=args.jobs,
-        jit=not args.no_jit,
-        total_seconds=total_seconds,
-        figures=figures or None,
-        metrics=metrics or None,
-        phases=prof.phase_totals(profile) if profile else None,
-    )
-    path = BenchHistory().append(record)
-    print(f"appended history record to {path}")
 
 
 if __name__ == "__main__":

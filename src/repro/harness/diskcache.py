@@ -127,7 +127,28 @@ class DiskCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    def _write_atomic(self, path: Path, data: bytes) -> None:
+        """Stage ``data`` in a temp file beside ``path``, then rename it
+        over ``path``: a concurrent reader sees the old file or the new
+        one, never a torn write."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+
     # -- access -----------------------------------------------------------
+
+    def has(self, workload: str, config: VirtualArchConfig, scale: float) -> bool:
+        """Whether a cell's entry exists (no read, just a stat)."""
+        return self._path(self.cell_key(workload, config, scale)).exists()
 
     def load(
         self, workload: str, config: VirtualArchConfig, scale: float
@@ -195,7 +216,6 @@ class DiskCache:
     def _store(
         self, workload: str, config: VirtualArchConfig, scale: float, result: TimingRunResult
     ) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(self.cell_key(workload, config, scale))
         doc = {
             "format": FORMAT_VERSION,
@@ -205,17 +225,7 @@ class DiskCache:
             "scale": scale,
             "result": result_to_dict(result),
         }
-        fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        self._write_atomic(path, json.dumps(doc, sort_keys=True).encode())
         self.stores += 1
         return path
 
@@ -248,19 +258,8 @@ class DiskCache:
         """Atomically persist an auxiliary binary entry."""
         with self.profiler.phase("cache.io"):
             started = time.perf_counter_ns()
-            self.root.mkdir(parents=True, exist_ok=True)
             path = self.root / f"{name}.bin"
-            fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            self._write_atomic(path, data)
             self.metrics.observe(
                 "blob_store.us", (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS
             )

@@ -85,6 +85,12 @@ _DISK_ENABLED: Optional[bool] = None  # None = follow the environment
 #: (folding them would double count).
 _WORKER_TELEMETRY: Dict[int, dict] = {}
 
+#: One record per group this pool worker has run (workload, scale,
+#: cells, pid, queue wait, wall time), shipped inside every cumulative
+#: snapshot.  Only :func:`_worker_run` appends, so the parent's list
+#: stays empty.
+_GROUPS: List[dict] = []
+
 
 #: Persistent worker pool for :func:`run_many`.  Kept alive across
 #: calls so the workers' process-global caches — assembled programs,
@@ -103,7 +109,11 @@ def _pool(workers: int) -> ProcessPoolExecutor:
         _POOL.shutdown(wait=True)
         _POOL = None
     if _POOL is None:
-        _POOL = ProcessPoolExecutor(max_workers=workers)
+        # a forked worker starts without the parent's disk-cache object,
+        # whose counts are the parent's (see _worker_disk)
+        _POOL = ProcessPoolExecutor(
+            max_workers=workers, initializer=configure_disk_cache, initargs=(False,)
+        )
         _POOL_WORKERS = workers
     return _POOL
 
@@ -214,25 +224,40 @@ def _program(workload: str, scale: float) -> GuestProgram:
     return program
 
 
+def _worker_disk(enabled: bool, root: Optional[str]) -> Optional[DiskCache]:
+    """This worker's disk cache for the parent's cache ``root``.
+
+    Kept from group to group, so its counts and latency histograms are
+    cumulative like the rest of the worker's telemetry; rebuilt only
+    when the parent's root changes (or caching is turned off).
+    """
+    if not (enabled and _DISK is not None and str(_DISK.root.parent) == root):
+        configure_disk_cache(enabled, root)
+    return disk_cache()
+
+
 def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
-                disk_enabled: bool, disk_root: Optional[str]
+                disk_enabled: bool, disk_root: Optional[str], submitted_ns: int
                 ) -> Tuple[List[TimingRunResult], Dict[str, int], dict]:
     """Execute a group of cells in a worker process (module-level: picklable).
 
     Groups are one workload each (see :func:`run_many`), so the worker's
     program memo and translation cache stay warm across its cells.
+    ``submitted_ns`` is the parent's ``perf_counter_ns()`` at submission
+    (a system-wide clock), from which the group's queue wait is taken.
 
     Returns the results, this call's cache-activity *deltas* (disk
     stores, translation hits/misses) — counted from a snapshot, because
     the pool reuses worker processes and the worker-global caches carry
     counts across calls (without this the parent's reports showed zero
     stores for work the workers did) — and the worker's *cumulative*
-    telemetry snapshot: its metrics registry, phase profile, and cache
-    stats, which the parent folds via :func:`worker_telemetry`.
+    telemetry snapshot: its metrics registry, phase profile, cache
+    stats and group records, which the parent folds via
+    :func:`worker_telemetry`.
     """
-    configure_disk_cache(disk_enabled, disk_root)
+    started_ns = time.perf_counter_ns()
+    disk = _worker_disk(disk_enabled, disk_root)
     profiler = prof.active()
-    disk = disk_cache()
     stores_before = disk.stores if disk is not None else 0
     hits_before = _TRANSLATIONS.hits
     misses_before = _TRANSLATIONS.misses
@@ -275,7 +300,7 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         # without ever storing it here.  The parent only dispatched this
         # cell because the disk missed, so make sure it lands on disk.
         for (workload, config, scale), result in zip(cells, results):
-            if not disk._path(disk.cell_key(workload, config, scale)).exists():
+            if not disk.has(workload, config, scale):
                 disk.store(workload, config, scale, result)
     if pack_name is not None and space and (
         len(space) > packed or not disk.has_blob(pack_name)
@@ -299,12 +324,22 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         "translation_hits": _TRANSLATIONS.hits - hits_before,
         "translation_misses": _TRANSLATIONS.misses - misses_before,
     }
+    workload, _, scale = cells[0]
+    _GROUPS.append({
+        "workload": workload,
+        "scale": scale,
+        "cells": len(cells),
+        "pid": os.getpid(),
+        "queue_wait_s": round((started_ns - submitted_ns) / 1e9, 4),
+        "wall_s": round((time.perf_counter_ns() - started_ns) / 1e9, 4),
+    })
     telemetry = {
         "pid": os.getpid(),
         "metrics": METRICS.snapshot(),
         "profile": profiler.snapshot(),
         "disk": disk.stats() if disk is not None else None,
         "translations": _TRANSLATIONS.stats(),
+        "groups": list(_GROUPS),
     }
     return results, deltas, telemetry
 
@@ -369,7 +404,8 @@ def run_many(
     workers = min(jobs, len(grouped))
     pool = _pool(workers)
     futures = [
-        (group, pool.submit(_worker_run, group, disk_enabled, disk_root))
+        (group, pool.submit(_worker_run, group, disk_enabled, disk_root,
+                            time.perf_counter_ns()))
         for group in grouped
     ]
     for group, future in futures:
@@ -406,7 +442,8 @@ def worker_telemetry() -> dict:
     """Per-worker and aggregate telemetry from the last pool activity.
 
     ``workers`` maps worker pid -> its latest cumulative snapshot
-    (metrics registry, phase profile, disk/translation cache stats);
+    (metrics registry, phase profile, disk/translation cache stats, and
+    one record per group the worker ran: queue wait and wall time);
     ``aggregate`` folds them deterministically — workers are visited in
     sorted-pid order and both folds (:func:`merge_registry_snapshots`,
     :func:`repro.obs.prof.merge_profiles`) are order-independent, so

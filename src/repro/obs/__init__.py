@@ -1,6 +1,5 @@
 """Observability layer: cycle-stamped event tracing, a metrics
 registry (counters + histograms + time series), a host phase profiler,
-an append-only benchmark history with a trend-aware regression gate,
 and exporters (Perfetto ``trace_event`` JSON, plain-text run reports,
 report diffs, collapsed flame stacks).
 
@@ -24,7 +23,6 @@ from repro.obs.events import (
     Tracer,
     events_by_tile,
 )
-from repro.obs.history import BenchHistory, check_regressions, make_record
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -55,9 +53,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "events_by_tile",
-    "BenchHistory",
-    "check_regressions",
-    "make_record",
     "Histogram",
     "MetricsRegistry",
     "TimeSeries",

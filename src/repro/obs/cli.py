@@ -23,11 +23,6 @@ Commands:
     profile as collapsed stacks (speedscope / flamegraph.pl format),
     printing the hottest-paths table.
 
-``trend``
-    Render per-figure / per-phase trend tables from the benchmark
-    history (``.benchhistory/history.jsonl``); ``--check`` turns it
-    into the trend-aware regression gate (exit 1 on a regression).
-
 Workloads are either built-in suite names (``164.gzip`` ...) or paths
 to VX86 assembly files, mirroring ``python -m repro.verify``.
 """
@@ -43,7 +38,6 @@ from typing import List, Optional
 from repro.guest.assembler import AssemblyError, assemble
 from repro.guest.program import GuestProgram
 from repro.morph.config import PRESETS
-from repro.obs import history as bench_history
 from repro.obs import prof
 from repro.obs.events import DEFAULT_TRACE_CAPACITY, Tracer
 from repro.obs.perfetto import (
@@ -213,29 +207,6 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _cmd_trend(args: argparse.Namespace) -> int:
-    store = bench_history.BenchHistory(args.dir)
-    records = store.records()
-    if store.skipped:
-        print(f"note: skipped {store.skipped} unreadable record(s)", file=sys.stderr)
-    print(bench_history.trend_table(records, limit=args.limit))
-    if not args.check:
-        return 0
-    problems = bench_history.check_regressions(
-        records,
-        window=args.window,
-        tolerance=args.tolerance,
-        min_samples=args.min_samples,
-    )
-    if problems:
-        print(f"\nREGRESSION vs rolling median ({len(problems)} metric(s)):")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    print("\ntrend gate: OK (no watched metric beyond tolerance)")
-    return 0
-
-
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload", required=True,
@@ -308,35 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flame.set_defaults(func=_cmd_flame)
 
-    trend = commands.add_parser(
-        "trend", help="benchmark-history trend tables and regression gate"
-    )
-    trend.add_argument(
-        "--dir", default=None,
-        help="history directory (default: $REPRO_BENCHHISTORY_DIR or .benchhistory)",
-    )
-    trend.add_argument(
-        "--limit", type=int, default=10,
-        help="runs shown per group (default: 10)",
-    )
-    trend.add_argument(
-        "--check", action="store_true",
-        help="gate: exit 1 if the newest run regressed vs the rolling median",
-    )
-    trend.add_argument(
-        "--window", type=int, default=bench_history.DEFAULT_WINDOW,
-        help=f"rolling-median window (default: {bench_history.DEFAULT_WINDOW})",
-    )
-    trend.add_argument(
-        "--tolerance", type=float, default=bench_history.DEFAULT_TOLERANCE,
-        help=f"relative tolerance (default: {bench_history.DEFAULT_TOLERANCE})",
-    )
-    trend.add_argument(
-        "--min-samples", type=int, default=bench_history.MIN_BASELINE_SAMPLES,
-        help="prior comparable runs required before judging "
-             f"(default: {bench_history.MIN_BASELINE_SAMPLES})",
-    )
-    trend.set_defaults(func=_cmd_trend)
     return parser
 
 

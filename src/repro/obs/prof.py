@@ -368,7 +368,7 @@ def conservation_violations(
 
 
 def phase_totals(snapshot: Mapping) -> Dict[str, Dict[str, int]]:
-    """Per-*leaf* totals across all paths (the trend/report view).
+    """Per-*leaf* totals across all paths (perfbench's per-layer view).
 
     ``{"memsys": {"ns": ..., "calls": ...}, ...}`` — a leaf appearing
     under several parents (``interpreter;memsys`` and ``jit.run;memsys``)

@@ -77,9 +77,29 @@ class TestDiskCacheUnit:
     def test_scale_and_workload_distinguish_cells(self, tmp_path, no_disk):
         result = run_one(WORKLOAD, CONFIG, SCALE)
         cache = DiskCache(tmp_path, version="test")
+        assert not cache.has(WORKLOAD, PRESETS[CONFIG], SCALE)
         cache.store(WORKLOAD, PRESETS[CONFIG], SCALE, result)
+        assert cache.has(WORKLOAD, PRESETS[CONFIG], SCALE)
+        assert not cache.has(WORKLOAD, PRESETS[CONFIG], SCALE + 0.05)
         assert cache.load(WORKLOAD, PRESETS[CONFIG], SCALE + 0.05) is None
         assert cache.load("181.mcf", PRESETS[CONFIG], SCALE) is None
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, no_disk, monkeypatch):
+        """Cells and blobs share one staged write: a failed rename
+        removes the staged file and counts no store."""
+        result = run_one(WORKLOAD, CONFIG, SCALE)
+        cache = DiskCache(tmp_path, version="test")
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("repro.harness.diskcache.os.replace", refuse)
+        with pytest.raises(OSError):
+            cache.store(WORKLOAD, PRESETS[CONFIG], SCALE, result)
+        with pytest.raises(OSError):
+            cache.save_blob("jitpack_x", b"code")
+        assert list(cache.root.iterdir()) == []
+        assert cache.stores == 0 and not cache.has_blob("jitpack_x")
 
     def test_serialization_is_plain_json_data(self, no_disk):
         result = run_one(WORKLOAD, CONFIG, SCALE)

@@ -119,13 +119,14 @@ class TestJitPack:
         # _worker_run reconfigures the process-wide disk cache: restore it
         monkeypatch.setattr(runner, "_DISK", runner._DISK)
         monkeypatch.setattr(runner, "_DISK_ENABLED", runner._DISK_ENABLED)
+        monkeypatch.setattr(runner, "_GROUPS", [])
         monkeypatch.delenv("REPRO_JIT", raising=False)
         clear_cache()
         yield
         clear_cache()
 
     def _cold_results_and_pack(self, root):
-        results, _, _ = runner._worker_run(self.CELLS, True, str(root))
+        results, _, _ = runner._worker_run(self.CELLS, True, str(root), 0)
         pack = DiskCache(root).load_blob(self.PACK)
         assert pack and unpack_space(pack)
         clear_cache()
@@ -142,7 +143,7 @@ class TestJitPack:
         cold, pack = self._cold_results_and_pack(tmp_path / "cold")
         DiskCache(tmp_path / "warm").save_blob(self.PACK, pack[: len(pack) // 2])
         corrupt = runner.METRICS["jitpack.corrupt"]
-        results, _, _ = runner._worker_run(self.CELLS, True, str(tmp_path / "warm"))
+        results, _, _ = runner._worker_run(self.CELLS, True, str(tmp_path / "warm"), 0)
         assert runner.METRICS["jitpack.corrupt"] == corrupt + 1
         assert [dataclasses.asdict(r) for r in results] == [
             dataclasses.asdict(r) for r in cold
@@ -159,4 +160,4 @@ class TestJitPack:
 
         monkeypatch.setattr(runner, "unpack_space", broken)
         with pytest.raises(AttributeError):
-            runner._worker_run(self.CELLS, True, str(tmp_path / "warm"))
+            runner._worker_run(self.CELLS, True, str(tmp_path / "warm"), 0)

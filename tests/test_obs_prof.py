@@ -262,8 +262,8 @@ class TestProfiledRuns:
         assert not prof.enabled_by_env()
 
     def test_null_profiler_costs_nothing_measurable(self):
-        # the perf gate proper lives in benchmarks/perf_smoke.py; this
-        # is the structural half — with profiling off, instrumented
+        # the end-to-end cost is perfbench's to measure; this is the
+        # structural half — with profiling off, instrumented
         # components hold the shared null object, and the null phase is
         # one shared context manager (no per-call allocation)
         if os.environ.get(prof.ENABLE_ENV):

@@ -10,6 +10,7 @@ import pytest
 from repro.harness.figures import figure4_l15_cache
 from repro.harness.runner import (
     RunGrid,
+    _shutdown_pool,
     clear_cache,
     configure_disk_cache,
     run_many,
@@ -18,6 +19,8 @@ from repro.harness.runner import (
 
 SCALE = 0.1
 SMALL = ["164.gzip", "181.mcf"]
+#: more (workload, scale) groups than a 2-worker pool has workers
+COMPACT = ["164.gzip", "181.mcf", "197.parser", "256.bzip2"]
 CONFIGS = ["no_l15", "l15_64k"]
 
 
@@ -97,7 +100,8 @@ def test_worker_telemetry_collected_and_aggregated(tmp_path):
     from repro.harness.runner import clear_worker_telemetry, worker_telemetry
 
     clear_worker_telemetry()
-    cells = [(w, c, SCALE) for w in SMALL for c in CONFIGS]
+    _shutdown_pool()  # a 2-worker pool: some worker runs several groups
+    cells = [(w, c, SCALE) for w in COMPACT for c in CONFIGS]
     run_many(cells, jobs=2)
     telemetry = worker_telemetry()
 
@@ -108,12 +112,24 @@ def test_worker_telemetry_collected_and_aggregated(tmp_path):
         assert "counters" in snap["metrics"]
         assert snap["disk"] is not None
 
+    # one record per (workload, scale) group, each from a known worker
+    records = [g for snap in telemetry["workers"].values() for g in snap["groups"]]
+    assert sorted(g["workload"] for g in records) == sorted(COMPACT)
+    for record in records:
+        assert str(record["pid"]) in telemetry["workers"]
+        assert record["scale"] == SCALE and record["cells"] == len(CONFIGS)
+        assert record["queue_wait_s"] >= 0 and record["wall_s"] > 0
+
     aggregate = telemetry["aggregate"]
     assert aggregate["worker_count"] == len(telemetry["workers"])
     assert aggregate["metrics"]["name"] == "workers.aggregate"
-    # cold sweep: every cell was simulated and stored by some worker
+    # cold sweep: every cell was simulated and stored by some worker,
+    # and a worker's disk counts span all of its groups
     assert aggregate["disk"]["stores"] == len(cells)
     assert aggregate["disk"]["hits"] == 0
+    # each worker probed its own cells once, and counts none of the
+    # parent's probes (a forked worker starts without its disk object)
+    assert aggregate["disk"]["misses"] == len(cells)
     # profiling was off, so the merged profile carries no paths
     assert aggregate["profile"].get("paths", {}) == {}
 
@@ -142,7 +158,7 @@ def test_worker_telemetry_keeps_latest_cumulative_snapshot(tmp_path):
     run_many(cells, jobs=2)
     second_stores = worker_telemetry()["aggregate"]["disk"]["stores"]
     assert first_stores == len(cells)
-    assert second_stores <= first_stores  # cumulative, never double-counted
+    assert second_stores == first_stores  # cumulative, never double-counted
 
 
 def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
