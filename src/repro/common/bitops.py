@@ -66,11 +66,6 @@ def zext8(value: int) -> int:
     return value & MASK8
 
 
-def zext16(value: int) -> int:
-    """Zero-extend the low 16 bits of ``value``."""
-    return value & MASK16
-
-
 def parity8(value: int) -> bool:
     """x86 parity flag: even parity of the low 8 bits."""
     value &= MASK8

@@ -118,10 +118,6 @@ class L1CodeCache:
     def is_chained(self, src_pc: int, dst_pc: int) -> bool:
         return (src_pc, dst_pc) in self._chains
 
-    @property
-    def bytes_used(self) -> int:
-        return self._bytes_used
-
 
 class L15CodeCache:
     """Banked second-level code cache across neighbor tiles.

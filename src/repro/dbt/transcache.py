@@ -12,8 +12,8 @@ Soundness:
 
 * The cache key is ``(program key, translator knobs, code generation,
   guest pc)``.  The knobs tuple covers every :class:`TranslationConfig`
-  field that affects output (``optimize``, ``optimizer_iterations``,
-  ``load_latency``, ``load_occupancy``, ``checked``), so e.g. Figure 8's
+  field that affects output (``optimize``, ``load_latency``,
+  ``load_occupancy``, ``checked``), so e.g. Figure 8's
   optimization ablation and the hardware-MMU presets get their own
   namespaces.
 * ``generation`` is a caller-supplied counter of guest stores into
@@ -57,7 +57,6 @@ def translator_knobs(config: TranslationConfig) -> Tuple:
     """The :class:`TranslationConfig` fields that affect translator output."""
     return (
         config.optimize,
-        config.optimizer_iterations,
         config.load_latency,
         config.load_occupancy,
         config.checked,

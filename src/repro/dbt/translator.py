@@ -44,7 +44,6 @@ class TranslationConfig:
     """Knobs of the translation pipeline."""
 
     optimize: bool = True  # IR passes + list scheduling (Figure 8's knob)
-    optimizer_iterations: int = 2
     #: load intrinsics used to price generated blocks — the software-MMU
     #: defaults, or hardware-assisted values for the Section 5 ablation
     load_latency: int = 6
@@ -177,12 +176,7 @@ class Translator:
             if profiler.enabled:
                 observer = _pass_lap_observer(observer, profiler)
             with profiler.phase("optimizer"):
-                optimize_block(
-                    ir,
-                    iterations=self.config.optimizer_iterations,
-                    flag_live_out=live_out,
-                    observer=observer,
-                )
+                optimize_block(ir, flag_live_out=live_out, observer=observer)
             cost += OPTIMIZE_PER_UOP * uop_count
 
         with profiler.phase("codegen"):

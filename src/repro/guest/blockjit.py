@@ -36,18 +36,20 @@ What the generated code specializes, relative to the interpreter:
   directly (page dict probe + ``int.from_bytes``), falling back to the
   bound accessors only for page-crossing or unmapped addresses, which
   raise the same :class:`MemoryFault` the interpreter sees;
-* **batched accounting** — per-instruction ``stats.bump`` calls are
-  precomputed into one bump per counter at block exit.  Every
-  potentially-faulting site carries a precomputed partial-stats table so
-  a mid-block fault reports exactly the counters the stepping
-  interpreter would have accumulated.
+* **one instruction count** — the guest's only counter,
+  ``stats["instructions"]``, is bumped once at block exit.  Every
+  potentially-faulting site records its guest address, whether a
+  :class:`MemoryFault` there becomes a ``GuestFault``, and how many
+  instructions a fault there has executed, so a mid-block fault counts
+  exactly what the plan path counts.
 
 Equivalence contract: for an eligible block, the compiled function is
 observationally identical to ``count`` interpreter steps — same
-registers, flags, EIP, memory, observer callbacks (order included),
-stats counters, exit codes and faults.  The differential tests drive
-the same random blocks and the full workload suite through both paths
-and assert bit-identical results.
+registers, flags, EIP, memory, observer ``on_read``/``on_write`` calls
+(addresses, sizes and order), instruction count, exit codes and
+faults.  The differential tests drive the same random blocks and the
+full workload suite through both paths and assert bit-identical
+results.
 
 Eligibility: only full straight-line plans (control flow at the last
 instruction only, plan resolves all ``count`` instructions).  Anything
@@ -119,16 +121,14 @@ class Ineligible(Exception):
 class CompiledBlock:
     """One compiled block: the closure plus what a pack needs.
 
-    ``code``, ``sites`` and ``consts`` are retained so the block can be
-    serialized by :func:`pack_space` — marshaling the already-compiled
-    code object lets another process skip codegen *and* parsing.
+    ``code`` and ``sites`` are retained so the block can be serialized
+    by :func:`pack_space` — marshaling the already-compiled code object
+    lets another process skip codegen *and* parsing.
     ``source`` is the generated text of a fresh compile and ``None`` for
     a block rebuilt from a pack.
     """
 
-    __slots__ = (
-        "fn", "address", "count", "source", "code", "sites", "consts",
-    )
+    __slots__ = ("fn", "address", "count", "source", "code", "sites")
 
     def __init__(
         self,
@@ -138,7 +138,6 @@ class CompiledBlock:
         source: Optional[str],
         code=None,
         sites: tuple = (),
-        consts: Optional[Dict] = None,
     ) -> None:
         self.fn = fn
         self.address = address
@@ -146,7 +145,6 @@ class CompiledBlock:
         self.source = source
         self.code = code
         self.sites = sites
-        self.consts = consts if consts is not None else {}
 
 
 def _can_fault(instr: Instruction) -> bool:
@@ -192,18 +190,15 @@ class _Compiler:
         self.count = count
         self.lines: List[str] = []
         self.indent = "    "
-        #: running totals of the stats the block bumps when it completes
-        self.done: Dict[str, int] = {}
-        #: fault sites: (address, convert, stats_if_guestfault, stats_if_raw)
-        self.sites: List[Tuple[int, bool, tuple, tuple]] = []
-        self.consts: Dict[str, object] = {}
+        #: fault sites: (guest address, convert MemoryFault, instructions
+        #: a GuestFault there has executed)
+        self.sites: List[Tuple[int, bool, int]] = []
         self.regs_read: Set[int] = set()
         self.regs_written: Set[int] = set()
         self.uses_flags = False
         self.uses_memory = False
         self.uses_observer = False
         self.index = 0  # current instruction index
-        self.taken_var = False  # JCC terminator emitted a _t local
 
     # -- small emission helpers -------------------------------------------
 
@@ -215,24 +210,10 @@ class _Compiler:
         (self.regs_written if write else self.regs_read).add(number)
         return "r%d" % number
 
-    def _instr_const(self, instr: Instruction) -> str:
-        name = "_I%d" % self.index
-        self.consts[name] = instr
-        return name
-
-    def _site(self, convert: bool, count_instruction: bool = True) -> None:
-        """Mark the next fault-capable statement with a partial-stats site."""
-        partial = tuple(self.done.items())
-        with_instr = partial + (("instructions", self.index + 1),)
-        raw = partial  # MemoryFault escaping uncaught: no instruction bump
-        self.sites.append(
-            (self.instrs[self.index].address, convert,
-             with_instr if count_instruction else partial, raw)
-        )
+    def _site(self, convert: bool) -> None:
+        """Mark the next fault-capable statement as a fault site."""
+        self.sites.append((self.instrs[self.index].address, convert, self.index + 1))
         self.emit("_ip = %d" % (len(self.sites) - 1))
-
-    def _bump(self, key: str, amount: int = 1) -> None:
-        self.done[key] = self.done.get(key, 0) + amount
 
     # -- operand access ----------------------------------------------------
 
@@ -260,7 +241,6 @@ class _Compiler:
         size = 1 if width == 8 else 4
         self.emit("_a = %s" % self._addr_expr(mem))
         self.emit("if OB is not None: OB.on_read(_a, %d)" % size)
-        self._bump("reads")
         self._site(convert=True)
         self.emit("_p = MP.get(_a >> 12)")
         if width == 8:
@@ -284,7 +264,6 @@ class _Compiler:
         self.uses_memory = True
         self.uses_observer = True
         self.emit("if OB is not None: OB.on_write(%s, %d)" % (addr, size))
-        self._bump("writes")
         self._site(convert=True)
         self.emit("_p = MP.get(%s >> 12)" % addr)
         if size == 1:
@@ -630,7 +609,6 @@ class _Compiler:
         esp = self._reg(Register.ESP, write=True)
         self.regs_read.add(int(Register.ESP))
         self.emit("if OB is not None: OB.on_read(%s, 4)" % esp)
-        self._bump("reads")
         self._site(convert=True)
         self.emit("_p = MP.get(%s >> 12)" % esp)
         self.emit("_o = %s & 4095" % esp)
@@ -643,39 +621,19 @@ class _Compiler:
 
     # -- terminators -------------------------------------------------------
 
-    def _emit_branch_observer(self, instr: Instruction, taken: str, target: str) -> None:
-        self.uses_observer = True
-        self.emit("if OB is not None: OB.on_branch(%s, %s, %s)"
-                  % (self._instr_const(instr), taken, target))
-
     def _emit_jcc(self, instr: Instruction) -> None:
         self.uses_flags = True
         cond = flag_ops.condition_expr(instr.cc, "fl")
-        self._bump("branches")
-        self.taken_var = True
         self.emit("if %s:" % cond)
-        self.emit("    _t = 1")
-        saved = self.indent
-        self.indent = saved + "    "
-        self._emit_branch_observer(instr, "True", str(instr.target))
-        self.emit("S.eip = %d" % instr.target)
-        self.indent = saved
+        self.emit("    S.eip = %d" % instr.target)
         self.emit("else:")
-        self.emit("    _t = 0")
-        self.indent = saved + "    "
-        self._emit_branch_observer(instr, "False", str(instr.next_address))
-        self.emit("S.eip = %d" % instr.next_address)
-        self.indent = saved
+        self.emit("    S.eip = %d" % instr.next_address)
 
     def _emit_jmp(self, instr: Instruction) -> None:
         if instr.target is not None:
             target = str(instr.target)
         else:
             target = self._read_operand(instr.dst, 32, "_va")
-            self._bump("indirect_branches")
-        self._bump("branches")
-        self._bump("taken_branches")
-        self._emit_branch_observer(instr, "True", target)
         self.emit("S.eip = %s" % target)
 
     def _emit_call(self, instr: Instruction) -> None:
@@ -683,13 +641,10 @@ class _Compiler:
             target = str(instr.target)
         else:
             target = self._read_operand(instr.dst, 32, "_va")
-            self._bump("indirect_branches")
             if target != "_va":
                 self.emit("_va = %s" % target)
                 target = "_va"
         self._emit_push_value(str(instr.next_address))
-        self._bump("calls")
-        self._emit_branch_observer(instr, "True", target)
         self.emit("S.eip = %s" % target)
 
     def _emit_ret(self, instr: Instruction) -> None:
@@ -698,7 +653,6 @@ class _Compiler:
         esp = self._reg(Register.ESP, write=True)
         self.regs_read.add(int(Register.ESP))
         self.emit("if OB is not None: OB.on_read(%s, 4)" % esp)
-        self._bump("reads")
         self._site(convert=True)
         self.emit("_p = MP.get(%s >> 12)" % esp)
         self.emit("_o = %s & 4095" % esp)
@@ -709,19 +663,14 @@ class _Compiler:
         self.emit("%s = (%s + 4) & 4294967295" % (esp, esp))
         if instr.imm:
             self.emit("%s = (%s + %d) & 4294967295" % (esp, esp, instr.imm))
-        self._bump("rets")
-        self._bump("indirect_branches")
-        self._emit_branch_observer(instr, "True", "_va")
         self.emit("S.eip = _va")
 
     def _emit_int(self, instr: Instruction) -> None:
         if instr.imm != SYSCALL_VECTOR:
-            # unconditional fault, raised before the syscalls bump
             self._site(convert=False)
             self.emit("raise _GF(%d, %r)"
                       % (instr.address, "unsupported interrupt %#x" % instr.imm))
             return
-        self._bump("syscalls")
         # the dispatcher itself may raise: a GuestFault counts the
         # instruction (run_block_at's except clause), a raw MemoryFault
         # escapes the stepping loop uncounted — both replicated here
@@ -864,16 +813,13 @@ class _Compiler:
             body.append("    except (_MF, _GF) as e:")
             for line in writeback:
                 body.append("        " + line)
-            body.append("        _fa, _cv, _gf, _raw = _SITES[_ip]")
+            body.append("        _fa, _cv, _n = _SITES[_ip]")
             body.append("        S.eip = _fa")
-            body.append("        _b = I.stats.bump")
             body.append("        if e.__class__ is _MF:")
-            body.append("            if not _cv:")
-            body.append("                for _k, _n in _raw: _b(_k, _n)")
-            body.append("                raise")
-            body.append("            for _k, _n in _gf: _b(_k, _n)")
+            body.append("            if not _cv: raise")
+            body.append("            I.stats.bump('instructions', _n)")
             body.append("            raise _GF(_fa, str(e)) from e")
-            body.append("        for _k, _n in _gf: _b(_k, _n)")
+            body.append("        I.stats.bump('instructions', _n)")
             body.append("        raise")
         else:
             body += self.lines
@@ -881,22 +827,16 @@ class _Compiler:
         tail = []
         for line in writeback:
             tail.append("    " + line)
-        tail.append("    _b = I.stats.bump")
-        tail.append("    _b('instructions', %d)" % self.count)
-        for key, amount in self.done.items():
-            tail.append("    _b(%r, %d)" % (key, amount))
-        if self.taken_var:
-            tail.append("    if _t: _b('taken_branches', 1)")
+        tail.append("    I.stats.bump('instructions', %d)" % self.count)
         tail.append("    return %d" % self.count)
 
         source = "\n".join(header + body + tail) + "\n"
         namespace = _base_namespace(tuple(self.sites))
-        namespace.update(self.consts)
         code = compile(source, "<blockjit:%#x+%d>" % (self.address, self.count), "exec")
         exec(code, namespace)
         return CompiledBlock(
             namespace["_jit_block"], self.address, self.count, source,
-            code=code, sites=tuple(self.sites), consts=dict(self.consts),
+            code=code, sites=tuple(self.sites),
         )
 
 
@@ -921,7 +861,7 @@ def _base_namespace(sites: tuple) -> Dict:
 #: contract changes incompatibly.  (The disk cache's code-version stamp
 #: already invalidates packs on *any* source edit; this guards readers
 #: of a foreign cache directory.)
-PACK_FORMAT = 3
+PACK_FORMAT = 4
 
 
 def pack_space(space: Dict) -> bytes:
@@ -932,7 +872,7 @@ def pack_space(space: Dict) -> bytes:
     sibling worker process rebuild the closure for ~5% of that.  Blocks
     compiled before packing existed in this process (adopted from a
     pack) round-trip unchanged — ``CompiledBlock`` keeps its code
-    object and namespace constants for exactly this purpose.
+    object and fault sites for exactly this purpose.
     """
     import marshal
     import pickle
@@ -943,7 +883,7 @@ def pack_space(space: Dict) -> bytes:
             entries.append((key, None))
         elif block.code is not None:
             entries.append(
-                (key, (marshal.dumps(block.code), block.sites, block.consts,
+                (key, (marshal.dumps(block.code), block.sites,
                        block.address, block.count))
             )
     return pickle.dumps((PACK_FORMAT, entries), protocol=pickle.HIGHEST_PROTOCOL)
@@ -980,14 +920,13 @@ def unpack_space(data: bytes) -> Dict:
             if payload is None:
                 space[key] = _INELIGIBLE
                 continue
-            code_bytes, sites, consts, address, count = payload
+            code_bytes, sites, address, count = payload
             code = marshal.loads(code_bytes)
             namespace = _base_namespace(tuple(sites))
-            namespace.update(consts)
             exec(code, namespace)
             space[key] = CompiledBlock(
                 namespace["_jit_block"], address, count, None,
-                code=code, sites=tuple(sites), consts=dict(consts),
+                code=code, sites=tuple(sites),
             )
     except (EOFError, KeyError, TypeError, ValueError) as err:
         raise PackError("malformed JIT pack entry: %r" % err) from err

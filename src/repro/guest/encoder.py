@@ -243,8 +243,3 @@ def encode_instruction(instr: Instruction, allow_short: bool = True) -> bytes:
     if op is Op.HLT:
         return bytes([0xF4])
     raise EncodeError(f"cannot encode op {op!r}")
-
-
-def encoded_length(instr: Instruction) -> int:
-    """Length in bytes of the encoding of ``instr``."""
-    return len(encode_instruction(instr))

@@ -5,10 +5,11 @@ differentially tested against this interpreter, and the timing-mode
 virtual machine uses it for functional execution while charging cycles
 from the translated code's cost model.
 
-An optional :class:`AccessObserver` receives every data memory access
-and branch outcome, which is how the memory-system and reference
-Pentium III timing models observe the run without duplicating the
-functional semantics.
+An optional :class:`AccessObserver` receives every data memory access,
+which is how the memory-system and reference Pentium III timing models
+observe the run without duplicating the functional semantics.  The
+observer's access stream and ``stats["instructions"]`` are the whole
+execution record: nothing else is counted.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class AccessObserver:
 
     def on_write(self, address: int, size: int) -> None:
         """A data store of ``size`` bytes at guest address ``address``."""
-
-    def on_branch(self, instr: Instruction, taken: bool, target: int) -> None:
-        """A control-flow instruction resolved to ``target``."""
 
 
 class GuestState:
@@ -199,7 +197,6 @@ class GuestInterpreter:
         size = 1 if width == 8 else 4
         if self.observer is not None:
             self.observer.on_read(address, size)
-        self.stats.bump("reads")
         try:
             if width == 8:
                 return self.memory.read_u8(address)
@@ -221,7 +218,6 @@ class GuestInterpreter:
         size = 1 if width == 8 else 4
         if self.observer is not None:
             self.observer.on_write(address, size)
-        self.stats.bump("writes")
         try:
             if width == 8:
                 self.memory.write_u8(address, value)
@@ -238,7 +234,6 @@ class GuestInterpreter:
         self.state.regs[Register.ESP] = esp
         if self.observer is not None:
             self.observer.on_write(esp, 4)
-        self.stats.bump("writes")
         try:
             self.memory.write_u32(esp, value)
         except MemoryFault as fault:
@@ -249,7 +244,6 @@ class GuestInterpreter:
         esp = self.state.regs[Register.ESP]
         if self.observer is not None:
             self.observer.on_read(esp, 4)
-        self.stats.bump("reads")
         try:
             value = self.memory.read_u32(esp)
         except MemoryFault as fault:
@@ -539,53 +533,32 @@ class GuestInterpreter:
         self._write_operand(instr.dst, value, 32)
 
     def _exec_jcc(self, instr: Instruction) -> Optional[int]:
-        taken = flag_ops.evaluate_condition(instr.cc, self.state.flags)
-        target = instr.target if taken else instr.next_address
-        self.stats.bump("branches")
-        if taken:
-            self.stats.bump("taken_branches")
-        if self.observer is not None:
-            self.observer.on_branch(instr, taken, target)
-        return target
+        if flag_ops.evaluate_condition(instr.cc, self.state.flags):
+            return instr.target
+        return instr.next_address
 
     def _exec_jmp(self, instr: Instruction) -> int:
         if instr.target is not None:
-            target = instr.target
-        else:
-            target = self._read_operand(instr.dst, 32)
-            self.stats.bump("indirect_branches")
-        self.stats.bump("branches")
-        self.stats.bump("taken_branches")
-        if self.observer is not None:
-            self.observer.on_branch(instr, True, target)
-        return target
+            return instr.target
+        return self._read_operand(instr.dst, 32)
 
     def _exec_call(self, instr: Instruction) -> int:
         if instr.target is not None:
             target = instr.target
         else:
             target = self._read_operand(instr.dst, 32)
-            self.stats.bump("indirect_branches")
         self._push(instr.next_address)
-        self.stats.bump("calls")
-        if self.observer is not None:
-            self.observer.on_branch(instr, True, target)
         return target
 
     def _exec_ret(self, instr: Instruction) -> int:
         target = self._pop()
         if instr.imm:
             self.state.regs[Register.ESP] = u32(self.state.regs[Register.ESP] + instr.imm)
-        self.stats.bump("rets")
-        self.stats.bump("indirect_branches")
-        if self.observer is not None:
-            self.observer.on_branch(instr, True, target)
         return target
 
     def _exec_int(self, instr: Instruction) -> None:
         if instr.imm != SYSCALL_VECTOR:
             raise GuestFault(instr.address, f"unsupported interrupt {instr.imm:#x}")
-        self.stats.bump("syscalls")
         regs = self.state.regs
         result = self.syscalls.dispatch(
             regs[Register.EAX],

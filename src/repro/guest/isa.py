@@ -31,10 +31,6 @@ class Register(enum.IntEnum):
     ESI = 6
     EDI = 7
 
-    @property
-    def is_stack_pointer(self) -> bool:
-        return self is Register.ESP
-
 
 #: Parse table from textual register names.
 REGISTER_NAMES = {reg.name.lower(): reg for reg in Register}
@@ -285,11 +281,6 @@ class Instruction:
         return self.address + self.length
 
     @property
-    def is_control_flow(self) -> bool:
-        """True for instructions that can redirect the program counter."""
-        return self.op in _CONTROL_FLOW_OPS
-
-    @property
     def ends_block(self) -> bool:
         """True when a basic block must end after this instruction."""
         return self.op in _BLOCK_ENDERS
@@ -350,7 +341,6 @@ class Instruction:
         return " ".join(parts)
 
 
-_CONTROL_FLOW_OPS = frozenset({Op.JCC, Op.JMP, Op.CALL, Op.RET, Op.INT, Op.HLT})
 _BLOCK_ENDERS = frozenset({Op.JCC, Op.JMP, Op.CALL, Op.RET, Op.INT, Op.HLT})
 
 

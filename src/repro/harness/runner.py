@@ -102,6 +102,15 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
 
+def _worker_init() -> None:
+    """Pool initializer: a forked worker starts without the parent's
+    disk-cache object and with empty harness metrics, so its telemetry
+    counts only its own work (see _worker_disk and _worker_run)."""
+    global METRICS
+    configure_disk_cache(False)
+    METRICS = MetricsRegistry("harness.runner")
+
+
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The shared executor, grown (never shrunk) to ``workers``."""
     global _POOL, _POOL_WORKERS
@@ -109,11 +118,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
         _POOL.shutdown(wait=True)
         _POOL = None
     if _POOL is None:
-        # a forked worker starts without the parent's disk-cache object,
-        # whose counts are the parent's (see _worker_disk)
-        _POOL = ProcessPoolExecutor(
-            max_workers=workers, initializer=configure_disk_cache, initargs=(False,)
-        )
+        _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
         _POOL_WORKERS = workers
     return _POOL
 
@@ -401,8 +406,9 @@ def run_many(
     for workload, cfg, scale in misses:
         groups.setdefault((workload, scale), []).append((workload, cfg, scale))
     grouped = list(groups.values())
-    workers = min(jobs, len(grouped))
-    pool = _pool(workers)
+    # sized from ``jobs`` alone: a pool sized to one call's group count
+    # would be torn down (warm caches and all) by the next, wider call
+    pool = _pool(jobs)
     futures = [
         (group, pool.submit(_worker_run, group, disk_enabled, disk_root,
                             time.perf_counter_ns()))
@@ -521,10 +527,3 @@ class RunGrid:
 
     def row(self, workload: str) -> List[TimingRunResult]:
         return [self.result(workload, c) for c in self.config_names]
-
-
-def grid_cells(
-    workloads: Sequence[str], config_names: Sequence[str], scale: float
-) -> List[Cell]:
-    """Work-list helper for callers assembling multi-figure sweeps."""
-    return RunGrid(workloads, config_names, scale).cells()

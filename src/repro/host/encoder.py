@@ -113,11 +113,3 @@ def encode_host_instruction(instr: HostInstr) -> int:
         return (primary << 26) | index
     imm = _check_imm16(instr)
     return (primary << 26) | (int(instr.rs) << 21) | (int(instr.rt) << 16) | imm
-
-
-def encode_block(instrs) -> bytes:
-    """Encode a sequence of instructions into little-endian bytes."""
-    out = bytearray()
-    for instr in instrs:
-        out += encode_host_instruction(instr).to_bytes(4, "little")
-    return bytes(out)

@@ -225,8 +225,3 @@ class PipelinedMemorySystem:
     @property
     def l1_miss_rate(self) -> float:
         return self.l1.miss_rate
-
-    def bank_miss_rate(self) -> float:
-        accesses = sum(b.cache.stats["accesses"] for b in self.banks)
-        misses = sum(b.cache.stats["misses"] for b in self.banks)
-        return misses / accesses if accesses else 0.0

@@ -266,18 +266,3 @@ def _check_flag_soundness(block: IRBlock, live_out: int, stage: str) -> List[Fin
         elif kind is UOpKind.PUTF:
             live = 0
     return findings
-
-
-def format_block(block: IRBlock, findings: List[Finding]) -> str:
-    """Annotated dump for debugging a failed verification."""
-    by_index: dict = {}
-    for finding in findings:
-        if finding.address is not None:
-            by_index.setdefault(finding.address, []).append(finding)
-    lines = [f"block {block.guest_address:#x}:"]
-    for index, uop in enumerate(block.uops):
-        lines.append(f"  [{index:3}] {uop}")
-        for finding in by_index.get(index, ()):
-            lines.append(f"        ^^^ {finding.code}: {finding.message}")
-    lines.append(f"  term  {block.terminator}")
-    return "\n".join(lines)

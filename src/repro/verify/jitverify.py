@@ -7,9 +7,8 @@ that gap: for each JIT-eligible block it
 
 1. **lints the generated source structurally** — unbound names, the
    ``return -1`` entry-guard contract, the trailing executed-count
-   return, stats bumps against the interpreter's accounting
-   (:func:`expected_stats`), fault-handler shape, flag-mask constants
-   and SMC-notification guards (the latter two surface as
+   return and ``instructions`` bump, fault-handler shape, flag-mask
+   constants and SMC-notification guards (the latter two surface as
    :class:`~repro.verify.symexec.jit_sem.ClosureSummary` notes); then
 
 2. **discharges guest ≡ closure semantically** — the decoded
@@ -27,12 +26,11 @@ Structural defects and semantic counterexamples both raise
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dbt.ir import ALL_FLAGS_MASK
 from repro.guest.blockjit import Ineligible, compile_block
-from repro.guest.isa import Instruction, MemoryOperand, Op, Register
+from repro.guest.isa import Instruction, Register
 
 from repro.verify.equiv import DEFAULT_SEED, DEFAULT_VECTORS, EquivStats, SymbolicChecker
 from repro.verify.findings import Finding, Severity, VerificationError
@@ -41,12 +39,10 @@ from repro.verify.symexec import guest_sem, jit_sem
 from repro.verify.symexec.state import SymState, UnsupportedBlock, initial_state
 
 #: names the closure namespace provides (``_base_namespace`` plus the
-#: builtins the emitted source calls); ``_I<n>`` instruction constants
-#: are matched by pattern.
+#: builtins the emitted source calls)
 _CLOSURE_GLOBALS = frozenset(
     {"_MF", "_GF", "_PF", "_FB", "_SITES", "divmod", "abs", "str"}
 )
-_CONST_NAME = re.compile(r"_I\d+\Z")
 
 _Defect = Tuple[str, str]
 
@@ -87,89 +83,6 @@ def run_guest_block(instrs: Sequence[Instruction], state: SymState) -> SymState:
     return state
 
 
-# -- stats accounting ------------------------------------------------------
-
-#: ops whose destination operand is read before being (possibly) written
-_READS_DST = frozenset({
-    Op.ADD, Op.SUB, Op.CMP, Op.AND, Op.OR, Op.XOR, Op.TEST,
-    Op.SHL, Op.SHR, Op.SAR, Op.INC, Op.DEC, Op.NEG, Op.NOT,
-    Op.IMUL, Op.XCHG,
-})
-_READS_SRC = frozenset({
-    Op.ADD, Op.SUB, Op.CMP, Op.AND, Op.OR, Op.XOR, Op.TEST, Op.MOV,
-    Op.SHL, Op.SHR, Op.SAR, Op.IMUL, Op.MUL, Op.DIV, Op.IDIV,
-    Op.MOVZX, Op.MOVSX, Op.XCHG,
-})
-_WRITES_DST = frozenset({
-    Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.MOV,
-    Op.SHL, Op.SHR, Op.SAR, Op.INC, Op.DEC, Op.NEG, Op.NOT,
-    Op.IMUL, Op.SETCC, Op.LEA, Op.MOVZX, Op.MOVSX, Op.XCHG,
-})
-
-
-def expected_stats(
-    instrs: Sequence[Instruction],
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """The stats bumps a correct closure performs for this block.
-
-    Returns ``(unconditional, conditional)`` bump tables, recomputed
-    from the decoded instructions with the interpreter's accounting
-    rules: one ``reads``/``writes`` per memory operand access (plus the
-    stack traffic of push/pop/call/ret), branch/call/ret/syscall
-    counters on the terminator, ``taken_branches`` behind ``if _t:``
-    for a conditional branch.
-    """
-    plain: Dict[str, int] = {"instructions": len(instrs)}
-    cond: Dict[str, int] = {}
-
-    def bump(table: Dict[str, int], key: str, amount: int = 1) -> None:
-        table[key] = table.get(key, 0) + amount
-
-    for instr in instrs:
-        op = instr.op
-        if op is Op.PUSH:
-            if isinstance(instr.dst, MemoryOperand):
-                bump(plain, "reads")
-            bump(plain, "writes")
-        elif op is Op.POP:
-            bump(plain, "reads")
-            if isinstance(instr.dst, MemoryOperand):
-                bump(plain, "writes")
-        elif op is Op.JCC:
-            bump(plain, "branches")
-            bump(cond, "taken_branches")
-        elif op is Op.JMP:
-            bump(plain, "branches")
-            bump(plain, "taken_branches")
-            if instr.target is None:
-                bump(plain, "indirect_branches")
-                if isinstance(instr.dst, MemoryOperand):
-                    bump(plain, "reads")
-        elif op is Op.CALL:
-            bump(plain, "calls")
-            bump(plain, "writes")  # the pushed return address
-            if instr.target is None:
-                bump(plain, "indirect_branches")
-                if isinstance(instr.dst, MemoryOperand):
-                    bump(plain, "reads")
-        elif op is Op.RET:
-            bump(plain, "reads")  # the popped return address
-            bump(plain, "rets")
-            bump(plain, "indirect_branches")
-        elif op is Op.INT:
-            bump(plain, "syscalls")
-        else:
-            if op in _READS_DST and isinstance(instr.dst, MemoryOperand):
-                bump(plain, "reads")
-            if op in _READS_SRC and isinstance(instr.src, MemoryOperand):
-                bump(plain, "reads")
-            if op in _WRITES_DST and isinstance(instr.dst, MemoryOperand):
-                bump(plain, "writes")
-            if op is Op.XCHG and isinstance(instr.src, MemoryOperand):
-                bump(plain, "writes")
-    return plain, cond
-
-
 # -- structural source lint ------------------------------------------------
 
 
@@ -177,8 +90,7 @@ def _expr_loads(node: ast.AST, scope: set, defects: List[_Defect]) -> None:
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             name = n.id
-            if (name not in scope and name not in _CLOSURE_GLOBALS
-                    and not _CONST_NAME.match(name)):
+            if name not in scope and name not in _CLOSURE_GLOBALS:
                 defects.append(("unbound-name", "read of unbound name %r" % name))
                 scope.add(name)  # report each name once
 
@@ -350,18 +262,11 @@ class JitVerifier(SymbolicChecker):
                     "closure returns %r, interpreter executes %d instructions"
                     % (summary.return_count, count),
                 ))
-            expect_plain, expect_cond = expected_stats(instrs)
-            if summary.bumps != expect_plain:
+            if summary.instructions != count:
                 defects.append((
                     "stats-mismatch",
-                    "closure bumps %r, interpreter accounting is %r"
-                    % (summary.bumps, expect_plain),
-                ))
-            if summary.conditional_bumps != expect_cond:
-                defects.append((
-                    "stats-mismatch",
-                    "conditional bumps %r, interpreter accounting is %r"
-                    % (summary.conditional_bumps, expect_cond),
+                    "closure counts %r instructions, interpreter executes %d"
+                    % (summary.instructions, count),
                 ))
 
         stage = "jit"
@@ -394,7 +299,6 @@ __all__ = [
     "DEFAULT_VECTORS",
     "EquivStats",
     "JitVerifier",
-    "expected_stats",
     "lint_closure_source",
     "run_guest_block",
 ]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.verify.findings import Finding, Severity
 
@@ -337,8 +337,3 @@ def lint_tree(
                             % (rel, code))
         )
     return findings
-
-
-def iter_source_files(root: Optional[Path] = None) -> Iterable[Path]:
-    base = root if root is not None else _repo_root()
-    return sorted((base / "src" / "repro").rglob("*.py"))

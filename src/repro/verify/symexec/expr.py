@@ -76,10 +76,6 @@ def reset() -> None:
     _NEXT_UID = 0
 
 
-def intern_table_size() -> int:
-    return len(_INTERN)
-
-
 def _mk(
     op: str,
     args: Tuple[Expr, ...] = (),
@@ -658,72 +654,6 @@ def store(mem: Expr, addr: Expr, value: Expr, width: int) -> Expr:
 
 
 # ----------------------------------------------------------- utilities
-
-
-def substitute(root: Expr, target: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of ``target`` (by identity) in ``root``."""
-    memo: Dict[int, Expr] = {}
-
-    def walk(node: Expr) -> Expr:
-        if node is target:
-            return replacement
-        if not node.args:
-            return node
-        cached = memo.get(node.uid)
-        if cached is not None:
-            return cached
-        new_args = tuple(walk(a) for a in node.args)
-        if all(n is o for n, o in zip(new_args, node.args)):
-            result = node
-        else:
-            result = rebuild(node, new_args)
-        memo[node.uid] = result
-        return result
-
-    return walk(root)
-
-
-def rebuild(node: Expr, args: Tuple[Expr, ...]) -> Expr:
-    op = node.op
-    if op == "add":
-        return add(*args)
-    if op == "band":
-        return band(*args)
-    if op == "bor":
-        return bor(*args)
-    if op == "bxor":
-        return bxor(*args)
-    if op == "sub":
-        return sub(*args)
-    if op == "mul":
-        return mul(*args)
-    if op == "mulhu":
-        return mulhu(*args)
-    if op == "mulhs":
-        return mulhs(*args)
-    if op in ("divu", "remu", "divs", "rems"):
-        return _divlike(op, *args)
-    if op == "shl":
-        return shl(*args)
-    if op == "shr":
-        return shr(*args)
-    if op == "sar":
-        return sar(*args)
-    if op == "sext8":
-        return sext8(args[0])
-    if op == "parity":
-        return parity(args[0])
-    if op == "eq":
-        return eq(*args)
-    if op == "ult":
-        return ult(*args)
-    if op == "ite":
-        return ite(*args)
-    if op == "load":
-        return load(args[0], args[1], node.value or 4)
-    if op == "store":
-        return store(args[0], args[1], args[2], node.value or 4)
-    raise ValueError(f"cannot rebuild {op}")  # pragma: no cover
 
 
 def variables(root: Expr) -> List[Expr]:

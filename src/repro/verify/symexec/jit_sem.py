@@ -61,10 +61,8 @@ class ClosureSummary:
         self.entry_guard: Optional[int] = None
         #: the tail ``return N`` executed-count (None: absent)
         self.return_count: Optional[int] = None
-        #: unconditional ``stats.bump`` totals parsed from the tail
-        self.bumps: Dict[str, int] = {}
-        #: bumps guarded by ``if _t:`` (JCC taken accounting)
-        self.conditional_bumps: Dict[str, int] = {}
+        #: the tail's ``stats.bump('instructions', N)`` total (None: absent)
+        self.instructions: Optional[int] = None
         #: number of ``_ip = N`` fault sites seen (excluding the prologue)
         self.site_count: int = 0
         self.exit_code_set = False
@@ -132,7 +130,6 @@ _ATTR_TOKENS = {
     ("M", "write_u32"): "M.write_u32",
     ("OB", "on_read"): "OB.call",
     ("OB", "on_write"): "OB.call",
-    ("OB", "on_branch"): "OB.call",
     ("SR", "exited"): "SR.exited",
     ("SR", "exit_code"): "SR.exit_code",
     ("SR", "return_value"): "SR.return_value",
@@ -402,7 +399,7 @@ class _ClosureEval:
                     return
         raise _unsupported(stmt, "unsupported expression statement")
 
-    def _record_bump(self, call: ast.Call, conditional: bool = False) -> None:
+    def _record_bump(self, call: ast.Call) -> None:
         if len(call.args) != 2:
             raise _unsupported(call, "unsupported bump arity")
         key = call.args[0]
@@ -410,10 +407,13 @@ class _ClosureEval:
         if not (isinstance(key, ast.Constant) and isinstance(key.value, str)) \
                 or amount is None:
             raise _unsupported(call, "non-literal bump")
-        if self.branch_depth and not conditional:
+        if self.branch_depth:
             raise _unsupported(call, "stats bump inside a branch")
-        table = self.summary.conditional_bumps if conditional else self.summary.bumps
-        table[key.value] = table.get(key.value, 0) + amount
+        if key.value != "instructions":
+            self.summary.note("stats-mismatch",
+                              "closure bumps the unknown counter %r" % key.value)
+            return
+        self.summary.instructions = (self.summary.instructions or 0) + amount
 
     # -- if statements -----------------------------------------------------
 
@@ -442,7 +442,7 @@ class _ClosureEval:
             for s in node.body:
                 if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
                         and isinstance(s.value.func, ast.Attribute)
-                        and s.value.func.attr in ("on_read", "on_write", "on_branch")):
+                        and s.value.func.attr in ("on_read", "on_write")):
                     raise _unsupported(s, "unsupported observer body")
             if node.orelse:
                 raise _unsupported(node, "observer guard with else")
@@ -462,15 +462,6 @@ class _ClosureEval:
 
         if any(isinstance(s, ast.Raise) for s in node.body):
             return self._fault_if(node)
-
-        # JCC taken-accounting tail: `if _t: _b('taken_branches', 1)`
-        if (isinstance(test, ast.Name) and test.id == "_t" and not node.orelse
-                and len(node.body) == 1 and isinstance(node.body[0], ast.Expr)
-                and isinstance(node.body[0].value, ast.Call)):
-            call = node.body[0].value
-            fn = self._eval(call.func)
-            if isinstance(fn, _Token) and fn.kind == "BUMP":
-                return self._record_bump(call, conditional=True)
 
         # IDIV sign fixup: `if (_n < 0) != (_d < 0): _q = -_q`
         if (not node.orelse and len(node.body) == 1

@@ -20,7 +20,9 @@ frontend reads for a register count, mirroring x86's CL rule).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+from repro.guest.interpreter import AccessObserver
 
 REGS = ("eax", "ecx", "edx", "ebx", "esi", "edi")
 SETCC = ("sete", "setne", "setb", "setae", "setl", "setg", "setbe", "sets", "seto", "setp")
@@ -32,6 +34,24 @@ SHIFTS = ("shl", "shr", "sar")
 BUF_BYTES = 512
 
 _IMMEDIATES = (0, 1, 2, 5, 0x7F, 0x80, 0xFF, 0x100, 0x7FFF, 0xFFFF, 0x7FFFFFFF, 0x80000000)
+
+
+class AccessRecorder(AccessObserver):
+    """Logs ``(kind, address, size)`` for every data access, in order.
+
+    The observer stream is the guest's execution record (with the
+    instruction count), so the differential tests compare it across
+    execution paths.
+    """
+
+    def __init__(self) -> None:
+        self.log: List[Tuple[str, int, int]] = []
+
+    def on_read(self, address: int, size: int) -> None:
+        self.log.append(("read", address, size))
+
+    def on_write(self, address: int, size: int) -> None:
+        self.log.append(("write", address, size))
 
 
 def _imm(rng: random.Random) -> int:

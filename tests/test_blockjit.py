@@ -3,8 +3,8 @@ interpreter.
 
 The contract (see ``repro.guest.blockjit``): for any block the compiler
 accepts, executing the closure leaves *identical* architectural state,
-memory, stats counters and fault behaviour to interpreting the same
-instructions.  These tests drive that contract with the same seeded
+memory, observed data accesses, instruction count and fault behaviour
+to interpreting the same instructions.  These tests drive that contract with the same seeded
 random block generator the symbolic-equivalence layer uses, plus
 targeted unit tests for the engine (thresholds, shared-space adoption,
 code packs, self-modifying-code invalidation), most of which drive it
@@ -41,7 +41,7 @@ PROGRAM_KEY = "jit-test"
 
 
 def _seeded(program, env):
-    interp = GuestInterpreter.for_program(program)
+    interp = GuestInterpreter.for_program(program, observer=blockgen.AccessRecorder())
     for reg in Register:
         if reg is not Register.ESP:
             interp.state.regs[reg] = env[reg.name.lower()]
@@ -115,22 +115,30 @@ class TestCompiledBlockDifferential:
             pytest.skip("ineligible block")
         for k in range(3):
             env = make_vector(seed * 131 + k, names, ones)
+            stepping = _seeded(program, env)
             reference = _seeded(program, env)
             jitted = _seeded(program, env)
 
+            for _ in range(steps):
+                stepping.step()
             ref_count = reference.run_block_at(program.entry, steps)
             jit_count = block.fn(jitted)
 
-            assert jit_count == ref_count
-            assert jitted.state.snapshot() == reference.state.snapshot(), (
-                f"seed {seed} vector {k} diverged\n{source}"
-            )
-            assert jitted.memory.read_bytes(buf, blockgen.BUF_BYTES) == (
-                reference.memory.read_bytes(buf, blockgen.BUF_BYTES)
-            ), f"seed {seed} vector {k}: buffer diverged\n{source}"
-            assert jitted.stats.as_dict() == reference.stats.as_dict(), (
-                f"seed {seed} vector {k}: stats diverged\n{source}"
-            )
+            assert jit_count == ref_count == steps
+            for other in (reference, jitted):
+                where = f"seed {seed} vector {k}, {'plan' if other is reference else 'closure'}"
+                assert other.state.snapshot() == stepping.state.snapshot(), (
+                    f"{where}: state diverged\n{source}"
+                )
+                assert other.memory.read_bytes(buf, blockgen.BUF_BYTES) == (
+                    stepping.memory.read_bytes(buf, blockgen.BUF_BYTES)
+                ), f"{where}: buffer diverged\n{source}"
+                assert other.observer.log == stepping.observer.log, (
+                    f"{where}: data accesses diverged\n{source}"
+                )
+                assert other.stats.as_dict() == stepping.stats.as_dict(), (
+                    f"{where}: instruction count diverged\n{source}"
+                )
 
 
 MIDBLOCK_JUMP = """
@@ -310,6 +318,48 @@ class TestSharedSpace:
         assert third.interp.exit_code == first.interp.exit_code
         assert third.jit_metrics["shared_hits"] == 1
         assert third.jit_metrics["compiles"] == 0
+
+
+CALLING_LOOP = """
+_start:
+    mov ecx, 20
+loop:
+    push ecx
+    call accumulate
+    pop ecx
+    sub ecx, 1
+    jnz loop
+    mov eax, 1
+    mov ebx, [total]
+    and ebx, 255
+    int 0x80
+accumulate:
+    mov eax, [total]
+    add eax, ecx
+    mov [total], eax
+    ret
+.data
+total: dd 0
+"""
+
+
+class TestExecutionRecord:
+    """The observer's access stream and ``stats["instructions"]`` are the
+    guest's whole execution record: no other counter exists on any path."""
+
+    def test_instructions_is_the_only_guest_counter(self):
+        program = assemble(CALLING_LOOP)
+        reference = GuestInterpreter.for_program(program)
+        exit_code = reference.run()
+        assert list(reference.stats.as_dict()) == ["instructions"]
+        for jit in (False, True):
+            vm = TimingVM(program, PRESETS["speculative_4"], jit=jit)
+            result = vm.run()
+            assert result.exit_code == exit_code
+            assert vm.interp.stats.as_dict() == {
+                "instructions": result.guest_instructions,
+            } == reference.stats.as_dict()
+        assert vm.jit_metrics["compiles"] >= 1  # closures ran, too
 
 
 class TestSelfModifyingCode:

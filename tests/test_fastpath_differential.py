@@ -2,17 +2,19 @@
 
 The equivalence checker's seeded random vectors (``make_vector``) are
 reused here to seed full architectural states, which are then executed
-two ways — instruction-by-instruction ``step()`` and the pre-resolved
-block fast path ``run_block_at()`` — over random straight-line blocks.
-Registers, flags, EIP and the data buffer must match exactly, tying
-the symbolic validation layer and the PR 3 interpreter fast path to
-the same input distribution.
+three ways — instruction-by-instruction ``step()``, the pre-resolved
+block fast path ``run_block_at()`` and, when the block is eligible,
+its block-JIT closure — over random straight-line blocks.  Registers,
+flags, EIP, the data buffer, the observed data accesses and the
+instruction count must match exactly, tying the symbolic validation
+layer and the interpreter fast paths to the same input distribution.
 """
 
 import pytest
 
 from tests import blockgen
 from repro.guest.assembler import assemble
+from repro.guest.blockjit import Ineligible, compile_block
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.isa import ALL_FLAGS, Op, Register
 from repro.verify.symexec.concrete import make_vector
@@ -22,7 +24,7 @@ _FLAG_NAMES = tuple(flag.name.lower() for flag in ALL_FLAGS)
 
 
 def _seeded_interpreter(program, env):
-    interp = GuestInterpreter.for_program(program)
+    interp = GuestInterpreter.for_program(program, observer=blockgen.AccessRecorder())
     for reg in Register:
         if reg is not Register.ESP:  # keep the loader's mapped stack
             interp.state.regs[reg] = env[reg.name.lower()]
@@ -57,23 +59,39 @@ def test_step_and_fastpath_agree_on_symexec_vectors(seed):
 
     names = [reg.name.lower() for reg in Register] + list(_FLAG_NAMES)
     ones = {name: 1 for name in _FLAG_NAMES}
+    plan = GuestInterpreter.for_program(program)._build_block_plan(program.entry, steps)
+    try:
+        block = compile_block([item[1] for item in plan], program.entry, steps)
+    except Ineligible:
+        block = None
     for k in range(_VECTORS):
         env = make_vector(seed * 77 + k, names, ones)
         stepping = _seeded_interpreter(program, env)
-        blockwise = _seeded_interpreter(program, env)
+        paths = {"plan": _seeded_interpreter(program, env)}
+        if block is not None:
+            paths["closure"] = _seeded_interpreter(program, env)
 
         for _ in range(steps):
             stepping.step()
-        executed = blockwise.run_block_at(program.entry, steps)
+        assert paths["plan"].run_block_at(program.entry, steps) == steps
+        if block is not None:
+            assert block.fn(paths["closure"]) == steps
 
-        assert executed == steps
-        assert stepping.state.snapshot() == blockwise.state.snapshot(), (
-            f"seed {seed} vector {k} diverged\n{source}"
-        )
-        assert (
-            stepping.memory.read_bytes(buf, blockgen.BUF_BYTES)
-            == blockwise.memory.read_bytes(buf, blockgen.BUF_BYTES)
-        ), f"seed {seed} vector {k}: data buffer diverged\n{source}"
+        for name, other in paths.items():
+            where = f"seed {seed} vector {k}, {name}"
+            assert other.state.snapshot() == stepping.state.snapshot(), (
+                f"{where}: state diverged\n{source}"
+            )
+            assert (
+                other.memory.read_bytes(buf, blockgen.BUF_BYTES)
+                == stepping.memory.read_bytes(buf, blockgen.BUF_BYTES)
+            ), f"{where}: data buffer diverged\n{source}"
+            assert other.observer.log == stepping.observer.log, (
+                f"{where}: data accesses diverged\n{source}"
+            )
+            assert other.stats.as_dict() == stepping.stats.as_dict(), (
+                f"{where}: instruction count diverged\n{source}"
+            )
 
 
 SELF_PATCHING_LOOP = """

@@ -19,11 +19,7 @@ from repro.guest.blockjit import compile_block
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.memory import GuestMemory
 from repro.verify.findings import VerificationError
-from repro.verify.jitverify import (
-    JitVerifier,
-    expected_stats,
-    lint_closure_source,
-)
+from repro.verify.jitverify import JitVerifier, lint_closure_source
 from repro.verify.pipeline import checked_translate_program
 
 SMOKE = (
@@ -124,10 +120,17 @@ class TestPlantedBugs:
         instrs, address, block = _block_of(SMOKE)
         count = len(instrs)
         bad = block.source.replace(
-            f"    _b('instructions', {count})\n",
-            f"    _b('instructions', {count + 1})\n",
+            f"    I.stats.bump('instructions', {count})\n",
+            f"    I.stats.bump('instructions', {count + 1})\n",
         )
         assert bad != block.source
+        assert "stats-mismatch" in _refute(bad, instrs, address, count)
+        # the guest keeps no counter but ``instructions``
+        bad = block.source.replace(
+            f"    I.stats.bump('instructions', {count})\n",
+            f"    I.stats.bump('instructions', {count})\n"
+            "    I.stats.bump('branches', 1)\n",
+        )
         assert "stats-mismatch" in _refute(bad, instrs, address, count)
 
     def test_deleted_smc_guard_is_missing_smc_guard(self):
@@ -147,37 +150,6 @@ class TestPlantedBugs:
             bad = block.source.replace("r0 + r3", "r0 + r9")
         assert bad != block.source
         assert "unbound-name" in _refute(bad, instrs, address, len(instrs))
-
-
-class TestExpectedStats:
-    def test_smoke_accounting(self):
-        instrs, _, _ = _block_of(SMOKE)
-        plain, cond = expected_stats(instrs)
-        assert plain == {"instructions": 5, "syscalls": 1}
-        assert cond == {}
-
-    def test_memory_and_branch_accounting(self):
-        source = (
-            "_start:\n"
-            "    mov [buf], eax\n"
-            "    add ebx, [buf + 4]\n"
-            "    push ecx\n"
-            "    pop edx\n"
-            "    jnz out\n"
-            "out:\n"
-            "    int 0x80\n"
-            ".data\n"
-            "buf: dz 64\n"
-        )
-        program = assemble(source)
-        memory = GuestMemory()
-        program.load(memory)
-        guest = scan_block(memory.read_bytes, program.entry)
-        plain, cond = expected_stats(guest.instructions)
-        assert plain == {
-            "instructions": 5, "reads": 2, "writes": 2, "branches": 1,
-        }
-        assert cond == {"taken_branches": 1}
 
 
 class TestClosureSourceLint:

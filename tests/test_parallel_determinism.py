@@ -175,3 +175,34 @@ def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     for key, result in first.items():
         assert second[key].cycles == result.cycles
         assert second[key].stats == result.stats
+
+
+def test_pool_is_sized_from_jobs_alone(tmp_path):
+    """A one-group call must not start a pool that the next, wider call
+    replaces: the replaced worker's warm caches would be lost."""
+    from repro.harness import runner
+    from repro.harness.runner import clear_worker_telemetry, worker_telemetry
+
+    clear_worker_telemetry()
+    _shutdown_pool()
+    run_many([(SMALL[0], config, SCALE) for config in CONFIGS], jobs=2)
+    pool = runner._POOL
+    run_many([(SMALL[1], CONFIGS[0], SCALE), (COMPACT[2], CONFIGS[0], SCALE)], jobs=2)
+    assert runner._POOL is pool
+    assert worker_telemetry()["aggregate"]["worker_count"] <= 2
+
+
+def test_workers_count_only_their_own_metrics(tmp_path):
+    """A forked worker must not inherit the parent's harness counters:
+    the parent's own lookups would be counted again in every worker
+    snapshot and in the aggregate."""
+    from repro.harness.runner import clear_worker_telemetry, worker_telemetry
+
+    clear_worker_telemetry()
+    _shutdown_pool()  # fork the workers after this test's parent lookups
+    run_many([(workload, CONFIGS[0], SCALE) for workload in SMALL], jobs=2)
+    workers = worker_telemetry()["workers"]
+    assert workers
+    for snap in workers.values():
+        cells = sum(group["cells"] for group in snap["groups"])
+        assert snap["metrics"]["counters"]["run_cache.misses"] == cells
