@@ -20,7 +20,7 @@ grid-level reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import fsum
+from math import copysign, fsum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.stats import RunningMean, StatSet
@@ -270,6 +270,12 @@ class LazyHistogram:
 # property tests in tests/test_metrics_merge.py.
 
 
+def _signed(value: float) -> Tuple[float, float]:
+    """Sort key that orders -0.0 below 0.0, so min/max of signed zeros
+    does not depend on which one comes first."""
+    return (value, copysign(1.0, value))
+
+
 def merge_track_dicts(tracks: Sequence[Mapping]) -> Dict[str, Optional[float]]:
     """Fold serialized :class:`RunningMean` dicts, order-independently."""
     count = sum(int(t.get("count", 0)) for t in tracks)
@@ -280,8 +286,8 @@ def merge_track_dicts(tracks: Sequence[Mapping]) -> Dict[str, Optional[float]]:
         "count": count,
         "total": total,
         "mean": total / count if count else 0.0,
-        "min": min(mins) if mins else None,
-        "max": max(maxs) if maxs else None,
+        "min": min(mins, key=_signed) if mins else None,
+        "max": max(maxs, key=_signed) if maxs else None,
     }
 
 
