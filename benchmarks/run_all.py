@@ -15,7 +15,7 @@ job count because every simulation is deterministic.
 
     python benchmarks/run_all.py [output_path] [json_path]
                                  [--jobs N] [--no-cache] [--scale S]
-                                 [--no-jit] [--profile]
+                                 [--profile]
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ def _parse_args(argv) -> argparse.Namespace:
         help=f"workload scale factor (default {SCALE}; CI smoke uses less)",
     )
     parser.add_argument(
-        "--no-jit", action="store_true",
-        help="disable the block JIT (results are bit-identical; only "
-             "wall-clock changes — this flag exists to measure that)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="enable the phase profiler (REPRO_PROF=1) in this process "
              "and every worker; per-phase host time lands in the JSON "
@@ -153,11 +148,8 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> None:
     args = _parse_args(argv)
     scale = args.scale
-    if args.no_jit:
-        # before any worker pool exists, so every worker inherits it
-        os.environ["REPRO_JIT"] = "0"
     if args.profile:
-        # likewise before the pool: workers resolve REPRO_PROF at import
+        # before any worker pool exists: workers resolve REPRO_PROF at import
         os.environ[prof.ENABLE_ENV] = "1"
         prof.enable()
     if args.no_cache:
@@ -275,7 +267,6 @@ def _write_results_json(args, figure_records, started, low, high) -> None:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "scale": args.scale,
         "jobs": args.jobs,
-        "jit": not args.no_jit,
         "total_seconds": round(time.time() - started, 2),
         "figures_passed": passed,
         "figures_failed": len(figure_records) - passed,

@@ -2,13 +2,15 @@
 
 The paper's thesis is that translation cost belongs off the critical
 path; this module applies the same medicine to the simulator itself.
-Guest blocks climb a two-rung ladder inside the timing VM's dispatch
-loop (:meth:`repro.vm.timing.TimingVM._dispatch`):
+The timing VM's dispatch loop
+(:meth:`repro.vm.timing.TimingVM._dispatch`) runs every block one of
+two ways:
 
-1. **block plans** — ``GuestInterpreter.run_block_at`` executes a
-   cached per-block plan, still paying per-instruction dispatch: one
-   ``handler(instr)`` call, one ``_read_operand`` isinstance ladder and
-   one packed-flags helper call per guest instruction;
+1. **interpreter steps** — ``count`` calls of the reference
+   interpreter's ``GuestInterpreter.step``, paying per-instruction
+   fetch and dispatch: one decode-cache probe, one ``handler(instr)``
+   call, one ``_read_operand`` isinstance ladder and one packed-flags
+   helper call per guest instruction;
 2. **closures** — on a block's :data:`DEFAULT_HOT_THRESHOLD`-th
    sighting the dispatch loop has :class:`BlockJit` emit one
    specialized Python function for the whole block and runs that
@@ -41,7 +43,7 @@ What the generated code specializes, relative to the interpreter:
   potentially-faulting site records its guest address, whether a
   :class:`MemoryFault` there becomes a ``GuestFault``, and how many
   instructions a fault there has executed, so a mid-block fault counts
-  exactly what the plan path counts.
+  exactly what interpreter steps count.
 
 Equivalence contract: for an eligible block, the compiled function is
 observationally identical to ``count`` interpreter steps — same
@@ -51,10 +53,12 @@ faults.  The differential tests drive the same random blocks and the
 full workload suite through both paths and assert bit-identical
 results.
 
-Eligibility: only full straight-line plans (control flow at the last
-instruction only, plan resolves all ``count`` instructions).  Anything
-else — mid-block branch targets, truncated plans, decode failures —
-is marked ineligible and stays on the plan path, which handles it.
+Eligibility: only full straight-line blocks (control flow at the last
+instruction only, all ``count`` instructions fetched from the
+interpreter's decode cache and each with an interpreter handler).
+Anything else — mid-block control flow, fetch faults, unimplemented
+ops — is marked ineligible and keeps running as interpreter steps,
+which reproduce its exact behaviour.
 
 Compiled blocks live in the VM's table and, for blocks inside the
 tracked text section, are shared across grid cells through
@@ -90,10 +94,6 @@ from repro.obs.metrics import COMPILE_TIME_BUCKETS, MetricsRegistry
 #: Compile a block on its Nth sighting (1 = first touch).
 DEFAULT_HOT_THRESHOLD = 2
 
-#: Environment switch: set to 0/off/no/false to disable the JIT
-#: everywhere (the ``--no-jit`` escape hatch plumbs through this).
-ENABLE_ENV = "REPRO_JIT"
-
 _MASK32 = 0xFFFFFFFF
 _ALL_FLAG_MASK = sum(1 << flag for flag in ALL_FLAGS)
 
@@ -105,17 +105,8 @@ _CONTROL_OPS = frozenset({Op.JCC, Op.JMP, Op.CALL, Op.RET, Op.INT, Op.HLT})
 _SHIFT_OPS = frozenset({Op.SHL, Op.SHR, Op.SAR})
 
 
-def jit_enabled_by_env() -> bool:
-    """Whether the environment allows block compilation (default: yes)."""
-    import os
-
-    return os.environ.get(ENABLE_ENV, "1").strip().lower() not in (
-        "0", "off", "no", "false",
-    )
-
-
 class Ineligible(Exception):
-    """The block cannot be compiled; the legacy plan path handles it."""
+    """The block cannot be compiled; interpreter steps run it instead."""
 
 
 class CompiledBlock:
@@ -279,8 +270,8 @@ class _Compiler:
             self.emit("    _p[_o:_o + 4] = (%s).to_bytes(4, 'little')" % value)
         # the interpreter's _note_code_write bounds check, inlined so the
         # common data store costs two comparisons; on a hit the method
-        # purges decodes and plans (compiled blocks go at the VM's next
-        # block boundary, through its SMC page check)
+        # purges decodes (compiled blocks go at the VM's next block
+        # boundary, through its SMC page check)
         self.emit("if %s + %d > DL and %s - 15 <= DH: NC(%s, %d)"
                   % (addr, size, addr, addr, size))
 
@@ -671,9 +662,9 @@ class _Compiler:
             self.emit("raise _GF(%d, %r)"
                       % (instr.address, "unsupported interrupt %#x" % instr.imm))
             return
-        # the dispatcher itself may raise: a GuestFault counts the
-        # instruction (run_block_at's except clause), a raw MemoryFault
-        # escapes the stepping loop uncounted — both replicated here
+        # the dispatcher itself may raise a GuestFault or a raw
+        # MemoryFault; step() counts the instruction either way and
+        # lets the fault escape unconverted, as the handler does here
         self._site(convert=False)
         self.uses_memory = True
         for reg in (Register.EAX, Register.EBX, Register.ECX, Register.EDX):
@@ -756,7 +747,7 @@ class _Compiler:
     def compile(self) -> CompiledBlock:
         instrs = self.instrs
         if not instrs or len(instrs) != self.count:
-            raise Ineligible("plan does not cover the block")
+            raise Ineligible("fewer instructions than the block")
         for instr in instrs[:-1]:
             if instr.op in _CONTROL_OPS:
                 raise Ineligible("control flow before the terminator")
@@ -815,11 +806,9 @@ class _Compiler:
                 body.append("        " + line)
             body.append("        _fa, _cv, _n = _SITES[_ip]")
             body.append("        S.eip = _fa")
-            body.append("        if e.__class__ is _MF:")
-            body.append("            if not _cv: raise")
-            body.append("            I.stats.bump('instructions', _n)")
-            body.append("            raise _GF(_fa, str(e)) from e")
             body.append("        I.stats.bump('instructions', _n)")
+            body.append("        if _cv and e.__class__ is _MF:")
+            body.append("            raise _GF(_fa, str(e)) from e")
             body.append("        raise")
         else:
             body += self.lines
@@ -933,6 +922,28 @@ def unpack_space(data: bytes) -> Dict:
     return space
 
 
+def block_instructions(interp, address: int, count: int) -> List[Instruction]:
+    """The ``count`` straight-line instructions of the block at ``address``.
+
+    Read through the interpreter's decode cache, which a block's
+    earlier, stepped sightings filled, so a compile does not decode
+    again.  Raises :class:`Ineligible` at a fetch fault or at an op the
+    interpreter has no handler for: interpreter steps reproduce those.
+    """
+    handled = interp._dispatch
+    instrs = []
+    for _ in range(count):
+        try:
+            instr = interp.fetch(address)
+        except _guest_fault_class() as fault:
+            raise Ineligible("fetch fault: %s" % fault) from fault
+        if instr.op not in handled:
+            raise Ineligible("no interpreter handler for %s" % instr.op)
+        instrs.append(instr)
+        address = instr.next_address
+    return instrs
+
+
 def compile_block(instrs: List[Instruction], address: int, count: int) -> CompiledBlock:
     """Compile one straight-line block; raises :class:`Ineligible`."""
     return _Compiler(list(instrs), address, count).compile()
@@ -1023,15 +1034,10 @@ class BlockJit:
         if entry.seen < DEFAULT_HOT_THRESHOLD:
             return None
 
-        # the block's earlier sightings ran through run_block_at, which
-        # cached its plan; build (and cache) one only if it is absent
-        plans = self.interp._block_plans
-        plan = plans.get((address, count))
-        if plan is None:
-            plan = plans[(address, count)] = self.interp._build_block_plan(address, count)
         started = time.perf_counter_ns()
         try:
-            block = compile_block([item[1] for item in plan], address, count)
+            instrs = block_instructions(self.interp, address, count)
+            block = compile_block(instrs, address, count)
         except Ineligible:
             block = _INELIGIBLE
         elapsed_ns = time.perf_counter_ns() - started

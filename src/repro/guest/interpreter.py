@@ -15,7 +15,7 @@ execution record: nothing else is counted.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.common.bitops import MASK32, sext8, u32
 from repro.common.stats import StatSet
@@ -107,9 +107,6 @@ class GuestInterpreter:
         self._decode_low = 2**32
         self._decode_high = 0
         self._dispatch = self._build_dispatch()
-        # (start address, count) -> pre-resolved (handler, instr, next)
-        # execution plans for the block fast path (see run_block_at)
-        self._block_plans: Dict[Tuple[int, int], List[tuple]] = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -150,16 +147,6 @@ class GuestInterpreter:
             self._decode_high = address
         return instr
 
-    def invalidate_decode_cache(self, address: Optional[int] = None) -> None:
-        """Drop cached decodes (all, or for one address) after code writes."""
-        self._block_plans.clear()
-        if address is None:
-            self._decode_cache.clear()
-            self._decode_low = 2**32
-            self._decode_high = 0
-        else:
-            self._decode_cache.pop(address, None)
-
     def _note_code_write(self, address: int, size: int) -> None:
         """Self-modifying code: purge decodes a store may have changed.
 
@@ -170,9 +157,6 @@ class GuestInterpreter:
         """
         if address + size <= self._decode_low or address - 15 > self._decode_high:
             return
-        # plans hold direct references to cached Instructions; any write
-        # that can touch cached code drops every plan (SMC is rare)
-        self._block_plans.clear()
         for start in range(address - 15, address + size):
             self._decode_cache.pop(start, None)
 
@@ -282,79 +266,6 @@ class GuestInterpreter:
                     assert self.exit_code is not None
                     return self.exit_code
         raise GuestFault(self.state.eip, f"exceeded {max_instructions} instructions")
-
-    # -- block fast path -------------------------------------------------------
-
-    def _build_block_plan(self, address: int, count: int) -> List[tuple]:
-        """Pre-resolve up to ``count`` sequential instructions at ``address``.
-
-        Each entry is ``(handler, instruction, next_address)`` — the
-        per-step decode-cache probe and dispatch-dict lookup paid once
-        per block instead of once per execution.  The plan stops early
-        at a decode failure or unimplemented op; :meth:`run_block_at`'s
-        slow path then reproduces the exact per-step fault behaviour.
-        """
-        plan: List[tuple] = []
-        dispatch = self._dispatch
-        for _ in range(count):
-            try:
-                instr = self.fetch(address)
-            except GuestFault:
-                break
-            handler = dispatch.get(instr.op)
-            if handler is None:
-                break
-            plan.append((handler, instr, instr.next_address))
-            address = instr.next_address
-        return plan
-
-    def run_block_at(self, address: int, count: int) -> int:
-        """Execute up to ``count`` instructions starting at ``address``.
-
-        The fast path for the timing VM's block loop: equivalent to
-        ``count`` calls of :meth:`step` (same faults, same flags, same
-        observer callbacks, same architectural state), but with the
-        fetch/dispatch work hoisted into a cached per-block plan.  If
-        control flow leaves the pre-resolved straight-line path — a
-        taken branch mid-block, which a well-formed translation only
-        produces at the terminator — execution falls back to
-        :meth:`step` for the remainder.
-
-        Returns the number of instructions executed (< ``count`` only
-        when the guest exited, matching the VM loop's early break).
-        """
-        if self.exit_code is not None:
-            return 0
-        plans = self._block_plans
-        plan_key = (address, count)
-        plan = plans.get(plan_key)
-        if plan is None:
-            plan = self._build_block_plan(address, count)
-            plans[plan_key] = plan
-        state = self.state
-        executed = 0
-        try:
-            for handler, instr, next_address in plan:
-                if state.eip != instr.address:
-                    break
-                next_eip = handler(instr)
-                executed += 1
-                if self.exit_code is not None:
-                    self.stats.bump("instructions", executed)
-                    return executed
-                state.eip = next_address if next_eip is None else next_eip
-        except GuestFault:
-            # per-step execution counts the faulting instruction (the
-            # bump precedes the handler in step()); match it exactly
-            self.stats.bump("instructions", executed + 1)
-            raise
-        if executed:
-            self.stats.bump("instructions", executed)
-        while executed < count:
-            executed += 1
-            if self.step() is StepEvent.EXITED:
-                break
-        return executed
 
     # -- per-op handlers; each returns the next EIP or None for fall-through --
 

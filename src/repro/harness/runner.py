@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lru import LruDict
 from repro.dbt.transcache import TranslationCache
-from repro.guest.blockjit import PackError, jit_enabled_by_env, pack_space, unpack_space
+from repro.guest.blockjit import PackError, pack_space, unpack_space
 from repro.guest.program import GuestProgram
 from repro.harness.diskcache import DiskCache, config_digest, enabled_by_env
 from repro.morph.config import PRESETS, VirtualArchConfig
@@ -104,11 +104,15 @@ _POOL_WORKERS = 0
 
 def _worker_init() -> None:
     """Pool initializer: a forked worker starts without the parent's
-    disk-cache object and with empty harness metrics, so its telemetry
-    counts only its own work (see _worker_disk and _worker_run)."""
+    disk-cache object, with empty harness metrics and with zeroed
+    translation hit/miss counts, so its telemetry counts only its own
+    work (see _worker_disk and _worker_run).  The inherited translated
+    blocks stay: reusing them is exact."""
     global METRICS
     configure_disk_cache(False)
     METRICS = MetricsRegistry("harness.runner")
+    _TRANSLATIONS.hits = 0
+    _TRANSLATIONS.misses = 0
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -274,7 +278,7 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
     pack_name = None
     packed = 0
     space = None
-    if disk is not None and cells and jit_enabled_by_env():
+    if disk is not None and cells:
         workload, _, scale = cells[0]
         space = _TRANSLATIONS.jit_space((workload, scale))
         pack_name = f"jitpack_{workload}_{scale}".replace("/", "_")

@@ -205,8 +205,8 @@ class JitVerifier(SymbolicChecker):
         """Compile the block and verify the closure; False if ineligible.
 
         Ineligible blocks are silently skipped — the engine runs them
-        through the legacy interpreter path, which the equiv ladder
-        already covers.
+        as reference-interpreter steps, which the equiv ladder already
+        covers.
         """
         instrs = list(instrs)
         try:

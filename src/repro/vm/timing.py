@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.common.stats import StatSet
-from repro.guest.blockjit import BlockEntry, BlockJit, jit_enabled_by_env
-from repro.guest.interpreter import AccessObserver, GuestInterpreter
+from repro.guest.blockjit import BlockEntry, BlockJit
+from repro.guest.interpreter import AccessObserver, GuestInterpreter, StepEvent
 from repro.guest.program import GuestProgram
 from repro.dbt.block import pages_spanned
 from repro.dbt.codecache import FETCH_LEVELS, CodeCacheHierarchy, L1_CODE_CAPACITY
@@ -48,6 +48,24 @@ SMC_INVALIDATION_COST = 600
 #: Block executions between periodic metrics samples (queue depth,
 #: busy-slave count, cycle progress) — cheap enough to stay always-on.
 METRICS_SAMPLE_INTERVAL_BLOCKS = 32
+
+
+def _step_block(interp: GuestInterpreter, count: int) -> int:
+    """Run one block as up to ``count`` reference-interpreter steps.
+
+    Each step follows EIP, so a taken branch mid-block is followed
+    exactly.  Returns the number of instructions executed: ``count``,
+    or fewer when the guest exits, counting the exiting instruction but
+    not the block's tail.
+    """
+    step = interp.step
+    exited = StepEvent.EXITED
+    executed = 0
+    while executed < count:
+        executed += 1
+        if step() is exited:
+            break
+    return executed
 
 
 class _TimingObserver(AccessObserver):
@@ -171,7 +189,7 @@ class TimingVM:
         tracer=None,
         translation_cache=None,
         program_key=None,
-        jit: Optional[bool] = None,
+        jit: bool = True,
         checked: Optional[str] = None,
     ) -> None:
         if checked not in (None, False, "protocol"):
@@ -281,11 +299,13 @@ class TimingVM:
 
         # block JIT: hot guest blocks compile to specialized closures
         # (repro.guest.blockjit) that the dispatch loop runs in place of
-        # the plan path.  Deliberately NOT a VirtualArchConfig knob:
+        # interpreter steps.  Deliberately NOT a VirtualArchConfig knob:
         # it models nothing, it only accelerates the simulation, and
-        # results are bit-identical with it on or off.  Its metrics live
-        # in a separate registry so TimingRunResult stays byte-stable.
-        self.jit_enabled = jit if jit is not None else jit_enabled_by_env()
+        # results are bit-identical with it on or off (``jit=False``
+        # runs every block on the golden interpreter, the tests'
+        # reference).  Its metrics live in a separate registry so
+        # TimingRunResult stays byte-stable.
+        self.jit_enabled = jit
         self.jit_metrics = MetricsRegistry("blockjit")
         self.jit: Optional[BlockJit] = None
         if self.jit_enabled:
@@ -388,17 +408,17 @@ class TimingVM:
         per block, and its sighting counted;
         :meth:`BlockJit.note_execution` compiles the block, or adopts a
         sibling's compile, once it is hot.  From its first compiled
-        execution on, the closure is called directly instead of going
-        through ``run_block_at``.  No reference to a closure outlives
-        its block, so the SMC invalidation at the block boundary
-        (:meth:`_invalidate_smc_pages`) is all it takes to keep stale
-        closures from running.  The guest position survives a stop on
+        execution on, the closure runs the block; every other block
+        (cold, ineligible, or with the JIT off) runs as interpreter
+        steps (:func:`_step_block`).  No reference to a closure
+        outlives its block, so the SMC invalidation at the block
+        boundary (:meth:`_invalidate_smc_pages`) is all it takes to
+        keep stale closures from running.  The guest position survives a stop on
         ``blocks``.
         """
         interp = self.interp
         state = interp.state
         fetch = self.hierarchy.fetch
-        run_block_at = interp.run_block_at
         jit = self.jit
         table = jit.table if jit is not None else {}
         note_execution = jit.note_execution if jit is not None else None
@@ -452,26 +472,24 @@ class TimingVM:
                     compiled = note_execution(pc, entry)
 
             self.pending_stall = 0
-            if compiled:  # cold or ineligible (falsy) blocks: plan path
+            executed = -1
+            if compiled:
                 if profiling:
                     # scoped (not flat) timing, so nested memsys
                     # attributions become children of this phase
                     # instead of double-counting beside it
                     prof_enter("jit.run")
-                executed = compiled.fn(interp)
-                if executed < 0:  # entry-state mismatch: plan path
-                    if profiling:
-                        prof_exit()
-                        prof_enter("interpreter")
-                    executed = run_block_at(pc, count)
-                if profiling:
+                    executed = compiled.fn(interp)
                     prof_exit()
-            elif profiling:
-                prof_enter("interpreter")
-                executed = run_block_at(pc, count)
-                prof_exit()
-            else:
-                executed = run_block_at(pc, count)
+                else:
+                    executed = compiled.fn(interp)
+            if executed < 0:  # cold, ineligible (falsy) or entry-guard miss
+                if profiling:
+                    prof_enter("interpreter")
+                    executed = _step_block(interp, count)
+                    prof_exit()
+                else:
+                    executed = _step_block(interp, count)
 
             piii_on_instructions(executed)
             executed_total += executed
@@ -595,7 +613,7 @@ def run_timing(
     tracer=None,
     translation_cache=None,
     program_key=None,
-    jit: Optional[bool] = None,
+    jit: bool = True,
     checked: Optional[str] = None,
 ) -> TimingRunResult:
     """Convenience wrapper: build a :class:`TimingVM` and run it.
@@ -604,9 +622,10 @@ def run_timing(
     event trace; by default the zero-cost null sink is used.  Pass a
     :class:`repro.dbt.transcache.TranslationCache` (plus a stable
     ``program_key``) to reuse translations across runs of the same
-    program — results are bit-identical either way.  ``jit`` overrides
-    the ``REPRO_JIT`` environment default for the block JIT; on or off,
-    results are bit-identical (it only changes wall-clock speed).
+    program — results are bit-identical either way.  ``jit=False``
+    turns the block JIT off and runs every block on the reference
+    interpreter's ``step()``; on or off, results are bit-identical (it
+    only changes wall-clock speed).
     ``checked="protocol"`` runs the protocol conformance tier (see
     :class:`TimingVM`): any invariant violation raises
     ``repro.verify.findings.VerificationError``.

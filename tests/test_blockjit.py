@@ -22,14 +22,15 @@ from repro.guest.blockjit import (
     BlockEntry,
     BlockJit,
     Ineligible,
+    block_instructions,
     compile_block,
-    jit_enabled_by_env,
     pack_space,
     unpack_space,
 )
 from repro.guest.flags import condition_expr, evaluate_condition
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.isa import ALL_FLAGS, ConditionCode, Op, Register
+from repro.guest.memory import MemoryFault
 from repro.morph.config import PRESETS
 from repro.verify.symexec.concrete import make_vector
 from repro.vm.timing import TimingVM
@@ -108,37 +109,53 @@ class TestCompiledBlockDifferential:
         buf = program.symbols["buf"]
         names = [reg.name.lower() for reg in Register] + list(_FLAG_NAMES)
         ones = {name: 1 for name in _FLAG_NAMES}
-        plan = GuestInterpreter.for_program(program)._build_block_plan(program.entry, steps)
+        interp = GuestInterpreter.for_program(program)
         try:
-            block = compile_block([item[1] for item in plan], program.entry, steps)
+            block = compile_block(
+                block_instructions(interp, program.entry, steps), program.entry, steps
+            )
         except Ineligible:
             pytest.skip("ineligible block")
         for k in range(3):
             env = make_vector(seed * 131 + k, names, ones)
             stepping = _seeded(program, env)
-            reference = _seeded(program, env)
             jitted = _seeded(program, env)
 
             for _ in range(steps):
                 stepping.step()
-            ref_count = reference.run_block_at(program.entry, steps)
-            jit_count = block.fn(jitted)
+            assert block.fn(jitted) == steps
 
-            assert jit_count == ref_count == steps
-            for other in (reference, jitted):
-                where = f"seed {seed} vector {k}, {'plan' if other is reference else 'closure'}"
-                assert other.state.snapshot() == stepping.state.snapshot(), (
-                    f"{where}: state diverged\n{source}"
-                )
-                assert other.memory.read_bytes(buf, blockgen.BUF_BYTES) == (
-                    stepping.memory.read_bytes(buf, blockgen.BUF_BYTES)
-                ), f"{where}: buffer diverged\n{source}"
-                assert other.observer.log == stepping.observer.log, (
-                    f"{where}: data accesses diverged\n{source}"
-                )
-                assert other.stats.as_dict() == stepping.stats.as_dict(), (
-                    f"{where}: instruction count diverged\n{source}"
-                )
+            where = f"seed {seed} vector {k}"
+            assert jitted.state.snapshot() == stepping.state.snapshot(), (
+                f"{where}: state diverged\n{source}"
+            )
+            assert jitted.memory.read_bytes(buf, blockgen.BUF_BYTES) == (
+                stepping.memory.read_bytes(buf, blockgen.BUF_BYTES)
+            ), f"{where}: buffer diverged\n{source}"
+            assert jitted.observer.log == stepping.observer.log, (
+                f"{where}: data accesses diverged\n{source}"
+            )
+            assert jitted.stats.as_dict() == stepping.stats.as_dict(), (
+                f"{where}: instruction count diverged\n{source}"
+            )
+
+    def test_syscall_memory_fault_counts_like_step(self):
+        # write(1, 16, 4): the syscall proxy reads an unmapped buffer
+        # and its raw MemoryFault escapes step() after the INT counted
+        program = assemble(
+            "_start:\n    mov ebx, 1\n    mov ecx, 16\n    mov edx, 4\n"
+            "    mov eax, 4\n    int 0x80\n    hlt\n"
+        )
+        stepping = GuestInterpreter.for_program(program)
+        with pytest.raises(MemoryFault):
+            for _ in range(5):
+                stepping.step()
+        jitted = GuestInterpreter.for_program(program)
+        block = compile_block(block_instructions(jitted, program.entry, 5), program.entry, 5)
+        with pytest.raises(MemoryFault):
+            block.fn(jitted)
+        assert jitted.state.snapshot() == stepping.state.snapshot()
+        assert jitted.stats.as_dict() == stepping.stats.as_dict() == {"instructions": 5}
 
 
 MIDBLOCK_JUMP = """
@@ -155,19 +172,28 @@ class TestEligibility:
     def test_setcc_compiles(self):
         program = assemble("_start:\n    cmp eax, 5\n    sete ebx\n    int 0x80\n")
         interp = GuestInterpreter.for_program(program)
-        plan = interp._build_block_plan(program.entry, 2)
-        block = compile_block([entry[1] for entry in plan], program.entry, 2)
+        instrs = block_instructions(interp, program.entry, 2)
+        block = compile_block(instrs, program.entry, 2)
         assert block.fn is not None
 
     def test_midblock_control_flow_is_rejected(self):
-        # a plan that spans past a jmp cannot compile: either the plan
-        # is truncated at the terminator or control flow appears before
-        # the last instruction — both are Ineligible
+        # a straight line that spans past a jmp cannot compile: control
+        # flow appears before the last instruction
         program = assemble(MIDBLOCK_JUMP)
         interp = GuestInterpreter.for_program(program)
-        plan = interp._build_block_plan(program.entry, 2)
+        instrs = block_instructions(interp, program.entry, 2)
         with pytest.raises(Ineligible):
-            compile_block([entry[1] for entry in plan], program.entry, 2)
+            compile_block(instrs, program.entry, 2)
+
+    def test_fetch_fault_or_unhandled_op_is_ineligible(self):
+        # interpreter steps reproduce both exactly; the JIT stays out
+        program = assemble(MIDBLOCK_JUMP)
+        interp = GuestInterpreter.for_program(program)
+        with pytest.raises(Ineligible, match="fetch fault"):
+            block_instructions(interp, 0x10, 1)
+        del interp._dispatch[Op.MOV]
+        with pytest.raises(Ineligible, match="no interpreter handler"):
+            block_instructions(interp, program.symbols["next"], 2)
 
 
 COUNTING_LOOP = """
@@ -193,14 +219,6 @@ class TestEngine:
         # the entry and exit blocks ran once each and stayed cold
         assert vm.jit_metrics["compiles"] == 1
         assert [count for _, count in _compiled(vm.jit)] == [3]
-
-    def test_env_enable_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert jit_enabled_by_env() is True
-        monkeypatch.setenv("REPRO_JIT", "0")
-        assert jit_enabled_by_env() is False
-        monkeypatch.setenv("REPRO_JIT", "off")
-        assert jit_enabled_by_env() is False
 
     def test_invalidate_clears_in_place_and_keeps_sightings(self):
         vm = _vm(assemble(COUNTING_LOOP))
@@ -229,23 +247,36 @@ class TestEngine:
         assert jit.note_execution(pc, jit.table[pc])
         assert jit.metrics["compiles"] == len(compiled) + 1
 
-    def test_compile_reuses_the_cached_block_plan(self, monkeypatch):
+    def test_compile_calls_the_decoder_zero_times(self, monkeypatch):
+        from repro.guest import interpreter
+
         reference = TimingVM(assemble(COUNTING_LOOP), PRESETS["speculative_4"], jit=True).run()
-        built = []
-        build = GuestInterpreter._build_block_plan
+        decodes = []
+        decode = interpreter.decode_instruction
 
-        def counting_build(interp, address, count):
-            built.append((address, count))
-            return build(interp, address, count)
+        def counting_decode(window, offset, address):
+            decodes.append(address)
+            return decode(window, offset, address)
 
-        monkeypatch.setattr(GuestInterpreter, "_build_block_plan", counting_build)
+        compile_decodes = []
+        note_execution = BlockJit.note_execution
+
+        def counting_note_execution(jit, address, entry):
+            before = len(decodes)
+            block = note_execution(jit, address, entry)
+            compile_decodes.append(len(decodes) - before)
+            return block
+
+        monkeypatch.setattr(interpreter, "decode_instruction", counting_decode)
+        monkeypatch.setattr(BlockJit, "note_execution", counting_note_execution)
         vm = _vm(assemble(COUNTING_LOOP))
         result = vm.run()
-        # every compiled block ran interpreted first, which built its
-        # plan; the compile on the next sighting reused that plan
+        # every compiled block ran as interpreter steps first, which
+        # filled the decode cache; the compile on the next sighting
+        # reads its instructions from there
         assert vm.jit_metrics["compiles"] >= 1
-        assert set(_compiled(vm.jit)) <= set(built)
-        assert len(built) == len(set(built))
+        assert decodes and len(decodes) == len(set(decodes))
+        assert compile_decodes and not any(compile_decodes)
         assert result == reference
 
     def test_first_compiled_execution_is_profiled_as_jit(self):

@@ -1,57 +1,60 @@
-"""Block fast path vs per-step execution: exact equivalence.
+"""The timing VM's stepping path vs plain interpretation: exact equivalence.
 
-``GuestInterpreter.run_block_at`` must be indistinguishable from the
-same number of ``step()`` calls — identical architectural state, flags,
-instruction counts and exit codes — on the full workload suite and on
-hand-built edge cases (mid-block exits, control-flow deviation from the
-pre-resolved plan, self-modifying code).
+Blocks the block JIT does not run (cold, ineligible, or every block with
+``jit=False``) execute as ``count`` calls of ``GuestInterpreter.step``
+(:func:`repro.vm.timing._step_block`).  That path must be
+indistinguishable from running the interpreter on its own — identical
+architectural state, instruction counts and exit codes — on the full
+workload suite and on hand-built edge cases (mid-block exits, a taken
+branch mid-block, an exited guest).
 """
 
 import pytest
 
 from repro.guest.assembler import assemble
-from repro.guest.interpreter import GuestInterpreter, StepEvent
+from repro.guest.interpreter import GuestInterpreter
+from repro.guest.isa import Register
+from repro.morph.config import PRESETS
+from repro.vm.timing import TimingVM, _step_block
 from repro.workloads import SPECINT_NAMES, build_workload
 
 SCALE = 0.05
 
-#: Chunk sizes stressing plan reuse, fallback and mid-plan exits.
-CHUNKS = (1, 2, 3, 5, 8, 13)
-
-
-def _run_stepwise(program, max_instructions=10_000_000):
-    interp = GuestInterpreter.for_program(program)
-    interp.run(max_instructions=max_instructions)
-    return interp
-
-
-def _run_blockwise(program, max_instructions=10_000_000):
-    """Drive the program exclusively through the block fast path."""
-    interp = GuestInterpreter.for_program(program)
-    executed = 0
-    chunk_index = 0
-    while interp.exit_code is None:
-        count = CHUNKS[chunk_index % len(CHUNKS)]
-        chunk_index += 1
-        executed += interp.run_block_at(interp.state.eip, count)
-        if executed > max_instructions:
-            raise AssertionError("fast path ran away")
-    return interp
-
 
 @pytest.mark.parametrize("name", SPECINT_NAMES)
 def test_workload_suite_equivalence(name):
-    stepwise = _run_stepwise(build_workload(name, scale=SCALE))
-    blockwise = _run_blockwise(build_workload(name, scale=SCALE))
-    assert blockwise.exit_code == stepwise.exit_code
-    assert blockwise.stats["instructions"] == stepwise.stats["instructions"]
-    assert blockwise.state.snapshot() == stepwise.state.snapshot()
-    assert blockwise.stats.as_dict() == stepwise.stats.as_dict()
+    program = build_workload(name, scale=SCALE)
+    stepwise = GuestInterpreter.for_program(program)
+    stepwise.run()
+    vm = TimingVM(program, PRESETS["speculative_4"], jit=False)
+    result = vm.run()
+    assert result.exit_code == stepwise.exit_code
+    assert result.guest_instructions == stepwise.stats["instructions"]
+    assert vm.interp.state.snapshot() == stepwise.state.snapshot()
+    assert vm.interp.stats.as_dict() == stepwise.stats.as_dict()
+    assert vm.interp.syscalls.output == stepwise.syscalls.output
 
 
-def test_plan_deviation_falls_back_to_stepping():
-    """A taken branch mid-plan must not execute the stale straight-line
-    tail: the fast path follows EIP exactly like step() does."""
+def test_jit_off_runs_every_instruction_through_step(monkeypatch):
+    """With the JIT off, the golden interpreter's ``step`` executes
+    every guest instruction: no other execution path is left."""
+    calls = []
+    step = GuestInterpreter.step
+
+    def counting_step(interp):
+        calls.append(None)
+        return step(interp)
+
+    monkeypatch.setattr(GuestInterpreter, "step", counting_step)
+    program = build_workload("164.gzip", scale=SCALE)
+    result = TimingVM(program, PRESETS["morph_threshold_5"], jit=False).run()
+    assert result.reconfigurations > 0
+    assert len(calls) == result.guest_instructions > 0
+
+
+def test_taken_branch_mid_block_follows_eip():
+    """A taken branch mid-block must not execute the straight-line
+    tail: the stepping path follows EIP exactly like step() does."""
     source = """
         mov eax, 0
         cmp eax, 0
@@ -64,16 +67,16 @@ def test_plan_deviation_falls_back_to_stepping():
         int 0x80
     """
     program = assemble(source)
-    fast = GuestInterpreter.for_program(program)
-    # one oversized "block": the plan covers the not-taken path, but
-    # execution branches away after 3 instructions
-    fast.run_block_at(fast.state.eip, 8)
-    slow = GuestInterpreter.for_program(program)
-    while slow.exit_code is None:
-        slow.step()
-    assert fast.exit_code == slow.exit_code == 7
-    assert fast.state.snapshot() == slow.state.snapshot()
-    assert fast.stats.as_dict() == slow.stats.as_dict()
+    blockwise = GuestInterpreter.for_program(program)
+    # one oversized "block": its straight line is the not-taken path,
+    # but execution branches away after 3 instructions
+    assert _step_block(blockwise, 8) == 6
+    stepwise = GuestInterpreter.for_program(program)
+    while stepwise.exit_code is None:
+        stepwise.step()
+    assert blockwise.exit_code == stepwise.exit_code == 7
+    assert blockwise.state.snapshot() == stepwise.state.snapshot()
+    assert blockwise.stats.as_dict() == stepwise.stats.as_dict()
 
 
 def test_mid_block_exit_counts_exiting_instruction():
@@ -86,33 +89,20 @@ def test_mid_block_exit_counts_exiting_instruction():
     """
     program = assemble(source)
     interp = GuestInterpreter.for_program(program)
-    executed = interp.run_block_at(interp.state.eip, 5)
+    executed = _step_block(interp, 5)
     assert interp.exit_code == 3
     assert executed == 4  # the INT executes and counts; the tail doesn't
     assert interp.stats["instructions"] == 4
+    assert interp.state.regs[Register.ECX] == 5  # the tail's mov never ran
 
 
 def test_exited_interpreter_executes_nothing():
     program = assemble("mov ebx, 0\n mov eax, 1\n int 0x80")
-    interp = GuestInterpreter.for_program(program)
-    while interp.exit_code is None:
-        interp.step()
-    assert interp.run_block_at(interp.state.eip, 4) == 0
-
-
-def test_plans_invalidate_on_decode_cache_flush():
-    program = assemble("mov eax, 2\n mov ebx, 0\n mov eax, 1\n int 0x80")
-    interp = GuestInterpreter.for_program(program)
-    interp.run_block_at(interp.state.eip, 1)
-    assert interp._block_plans
-    interp.invalidate_decode_cache()
-    assert not interp._block_plans
-
-
-def test_step_api_unchanged():
-    program = assemble("mov ebx, 0\n mov eax, 1\n int 0x80")
-    interp = GuestInterpreter.for_program(program)
-    assert interp.step() is StepEvent.OK
-    assert interp.step() is StepEvent.OK
-    assert interp.step() is StepEvent.EXITED
-    assert interp.exit_code == 0
+    vm = TimingVM(program, PRESETS["speculative_4"], jit=False)
+    finished = vm.run()
+    assert vm.finished
+    state = vm.interp.state.snapshot()
+    assert vm.step() is False
+    assert vm.run() == finished
+    assert vm.interp.state.snapshot() == state
+    assert vm.interp.stats["instructions"] == finished.guest_instructions == 3

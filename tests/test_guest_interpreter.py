@@ -3,7 +3,7 @@
 import pytest
 
 from repro.guest.assembler import assemble
-from repro.guest.interpreter import AccessObserver, GuestFault, GuestInterpreter
+from repro.guest.interpreter import AccessObserver, GuestFault, GuestInterpreter, StepEvent
 
 
 def run_program(source: str, stdin: bytes = b"", max_instructions: int = 1_000_000):
@@ -420,3 +420,12 @@ class TestObserver:
             """
         )
         assert interp.stats["instructions"] > 5
+
+
+def test_step_api_unchanged():
+    program = assemble("mov ebx, 0\n mov eax, 1\n int 0x80")
+    interp = GuestInterpreter.for_program(program)
+    assert interp.step() is StepEvent.OK
+    assert interp.step() is StepEvent.OK
+    assert interp.step() is StepEvent.EXITED
+    assert interp.exit_code == 0

@@ -120,7 +120,6 @@ class TestJitPack:
         monkeypatch.setattr(runner, "_DISK", runner._DISK)
         monkeypatch.setattr(runner, "_DISK_ENABLED", runner._DISK_ENABLED)
         monkeypatch.setattr(runner, "_GROUPS", [])
-        monkeypatch.delenv("REPRO_JIT", raising=False)
         clear_cache()
         yield
         clear_cache()

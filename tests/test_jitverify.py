@@ -15,7 +15,7 @@ from tests import blockgen
 from repro.dbt.frontend import scan_block
 from repro.dbt.translator import TranslationConfig
 from repro.guest.assembler import assemble
-from repro.guest.blockjit import compile_block
+from repro.guest.blockjit import block_instructions, compile_block
 from repro.guest.interpreter import GuestInterpreter
 from repro.guest.memory import GuestMemory
 from repro.verify.findings import VerificationError
@@ -72,9 +72,9 @@ class TestAcceptsCompilerOutput:
 
         program = assemble(MIDBLOCK_JUMP)
         interp = GuestInterpreter.for_program(program)
-        plan = interp._build_block_plan(program.entry, 2)
         verifier = JitVerifier(context="mid")
-        assert verifier.check_block([e[1] for e in plan], program.entry) is False
+        instrs = block_instructions(interp, program.entry, 2)
+        assert verifier.check_block(instrs, program.entry) is False
         assert verifier.stats.blocks == 0
 
     @pytest.mark.parametrize("seed", range(30))

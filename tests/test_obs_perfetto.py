@@ -253,8 +253,7 @@ def _traced_workload_doc():
     source = (DATA_DIR / "trace_workload.asm").read_text()
     program = assemble(source, name="trace_workload")
     tracer = Tracer()
-    # jit pinned off: the golden must not depend on the REPRO_JIT env
-    # knob
+    # jit pinned off: the golden is the reference interpreter's trace
     vm = TimingVM(program, PRESETS["speculative_4"], tracer=tracer, jit=False)
     result = vm.run()
     assert result.exit_code == 36  # the workload's checksum: run went as scripted

@@ -89,9 +89,7 @@ def test_parallel_stores_are_counted(tmp_path):
     assert disk.stats()["stores"] == len(cells)
     # the workers also persisted their JIT code packs for each group
     packs = list(disk.root.glob("jitpack_*.bin"))
-    import os
-    if os.environ.get("REPRO_JIT", "1").strip().lower() not in ("0", "off", "no", "false"):
-        assert len(packs) == len(SMALL)
+    assert len(packs) == len(SMALL)
 
 
 def test_worker_telemetry_collected_and_aggregated(tmp_path):
@@ -163,8 +161,9 @@ def test_worker_telemetry_keeps_latest_cumulative_snapshot(tmp_path):
 
 def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     """A second cold parallel sweep must reuse the workers' JIT packs:
-    results stay bit-identical and no result cells are re-stored."""
-    from repro.harness.runner import disk_cache
+    results stay bit-identical, no result cells are re-stored, and
+    fresh workers simulating new cells adopt every group's pack."""
+    from repro.harness.runner import clear_worker_telemetry, disk_cache, worker_telemetry
 
     cells = [(w, c, SCALE) for w in SMALL for c in CONFIGS]
     first = run_many(cells, jobs=2)
@@ -175,6 +174,13 @@ def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     for key, result in first.items():
         assert second[key].cycles == result.cycles
         assert second[key].stats == result.stats
+    clear_cache()
+    clear_worker_telemetry()
+    _shutdown_pool()  # fresh workers start with empty JIT spaces
+    run_many([(w, "speculative_4", SCALE) for w in SMALL], jobs=2)
+    counters = worker_telemetry()["aggregate"]["metrics"]["counters"]
+    assert counters["jitpack.hits"] == len(SMALL)
+    assert counters["jitpack.blocks_adopted"] > 0
 
 
 def test_pool_is_sized_from_jobs_alone(tmp_path):
@@ -206,3 +212,22 @@ def test_workers_count_only_their_own_metrics(tmp_path):
     for snap in workers.values():
         cells = sum(group["cells"] for group in snap["groups"])
         assert snap["metrics"]["counters"]["run_cache.misses"] == cells
+
+
+def test_workers_count_only_their_own_translations(tmp_path):
+    """A forked worker must not inherit the parent's translation
+    hit/miss counts: its ``translations`` telemetry would re-count the
+    blocks the parent translated before the fork."""
+    from repro.harness import runner
+    from repro.harness.runner import clear_worker_telemetry, worker_telemetry
+
+    clear_worker_telemetry()
+    run_many([(SMALL[0], CONFIGS[0], SCALE)], jobs=1)  # the parent translates
+    assert runner.cache_stats()["translations"]["misses"] > 0
+    _shutdown_pool()  # fork the workers after the parent's translations
+    before = runner.METRICS["workers.translation_misses"]
+    run_many([(workload, CONFIGS[1], SCALE) for workload in SMALL], jobs=2)
+    shipped = runner.METRICS["workers.translation_misses"] - before
+    workers = worker_telemetry()["workers"]
+    assert shipped > 0
+    assert sum(snap["translations"]["misses"] for snap in workers.values()) == shipped
