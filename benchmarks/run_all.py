@@ -41,6 +41,7 @@ from repro.harness.runner import (
     cache_stats,
     configure_disk_cache,
     disk_cache,
+    pack_warnings,
     run_one,
     worker_telemetry,
 )
@@ -212,6 +213,9 @@ def main(argv=None) -> None:
             block += [f"*Paper vs measured:* {note}", ""]
         block += ["```", result.render(), "```", ""]
         sections.append("\n".join(block))
+
+    for line in pack_warnings(worker_telemetry()):
+        print(line, file=sys.stderr)
 
     if failures:
         _write_results_json(args, figure_records, started, low=None, high=None)

@@ -34,11 +34,17 @@ immune to callers (like ``FunctionalVM``) that stamp placement state
 onto block objects.  A clone shares its master's sealed facts (host
 words, transfer cycles, chain targets, predictions), so every cell that
 reuses a translation reuses them too.
+
+The cache also keeps each program's guest execution record (see
+:mod:`repro.vm.timing`), beside its JIT space and under the same
+capacity, so every holder of a cache — a harness process, a pool
+worker, a benchmark row — records a program once and replays it for
+every other config.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterator, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.common.lru import LruDict
 from repro.dbt.block import TranslatedBlock
@@ -51,6 +57,10 @@ from repro.dbt.translator import TranslationConfig, Translator
 #: must comfortably exceed that product while still capping worst-case
 #: footprint for long-lived processes sweeping many scales.
 NAMESPACE_CAPACITY = 64
+
+#: The execution-record entry of a program that writes its own text
+#: section: its runs stay live, and none of them records again.
+LIVE_ONLY = "live-only"
 
 
 def translator_knobs(config: TranslationConfig) -> Tuple:
@@ -69,6 +79,7 @@ class TranslationCache:
     def __init__(self, capacity: int = NAMESPACE_CAPACITY) -> None:
         self._spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
         self._jit_spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
+        self._records: "LruDict[Hashable, object]" = LruDict(capacity)
         self.hits = 0
         self.misses = 0
 
@@ -96,6 +107,14 @@ class TranslationCache:
             self._jit_spaces.put(namespace, space)
         return space
 
+    def execution_record(self, key: Hashable) -> Optional[object]:
+        """The ``ExecutionRecord`` (or :data:`LIVE_ONLY`) stored under
+        ``key``, a ``(program key, stdin)`` pair; ``None`` if absent."""
+        return self._records.get(key)
+
+    def store_execution_record(self, key: Hashable, record: object) -> None:
+        self._records.put(key, record)
+
     def blocks(self) -> Iterator[TranslatedBlock]:
         """Every cached block, across all translator namespaces."""
         for key in self._spaces:
@@ -104,6 +123,7 @@ class TranslationCache:
     def clear(self) -> None:
         self._spaces.clear()
         self._jit_spaces.clear()
+        self._records.clear()
         self.hits = 0
         self.misses = 0
 
@@ -116,6 +136,9 @@ class TranslationCache:
             "jit_namespaces": len(self._jit_spaces),
             "jit_blocks": sum(
                 len(self._jit_spaces.peek(key)) for key in self._jit_spaces
+            ),
+            "records": sum(
+                1 for key in self._records if self._records.peek(key) is not LIVE_ONLY
             ),
         }
 

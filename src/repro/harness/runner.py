@@ -16,12 +16,15 @@ Cache keys carry a content hash of the *config object*, not just its
 preset name — a mutated or custom config can never alias a preset's
 cached result.
 
-Below the result caches sit two reuse layers that attack the cold-run
-cost itself: assembled workloads are memoized per (name, scale), and
+Below the result caches sit three reuse layers that attack the cold-run
+cost itself: assembled workloads are memoized per (name, scale);
 translated blocks are shared across configuration columns through a
 :class:`~repro.dbt.transcache.TranslationCache` (config knobs move
-tiles around; they almost never change what the translator emits).
-Both are exact — cached and uncached runs are bit-identical.
+tiles around; they almost never change what the translator emits); and
+the same cache keeps each workload's guest execution record, so a
+process executes a workload's guest once and replays only the timing
+for every other config.  All three are exact — cached and uncached
+runs are bit-identical.
 
 :func:`run_many` executes a deduplicated work-list of grid cells on a
 ``ProcessPoolExecutor``; every run is deterministic, so parallel
@@ -46,7 +49,7 @@ from repro.harness.diskcache import DiskCache, config_digest, enabled_by_env
 from repro.morph.config import PRESETS, VirtualArchConfig
 from repro.obs import prof
 from repro.obs.metrics import IO_TIME_BUCKETS, MetricsRegistry, merge_registry_snapshots
-from repro.vm.timing import TimingRunResult, run_timing
+from repro.vm.timing import TimingRunResult, TimingVM
 from repro.workloads import build_workload
 
 #: A grid cell: (workload name, preset name or config object, scale).
@@ -74,6 +77,10 @@ _TRANSLATIONS = TranslationCache()
 #: Harness-level metrics (run-cache hits/misses, runs executed).
 METRICS = MetricsRegistry("harness.runner")
 
+#: The ``TimingVM.execution_mode`` values counted as ``replay.<mode>``
+#: (a ``"live"`` run is one replay does not apply to).
+REPLAY_MODES = ("recorded", "replayed", "live_only")
+
 #: Lazily constructed process-wide disk cache (None = disabled).
 _DISK: Optional[DiskCache] = None
 _DISK_ENABLED: Optional[bool] = None  # None = follow the environment
@@ -86,7 +93,8 @@ _DISK_ENABLED: Optional[bool] = None  # None = follow the environment
 _WORKER_TELEMETRY: Dict[int, dict] = {}
 
 #: One record per group this pool worker has run (workload, scale,
-#: cells, pid, queue wait, wall time), shipped inside every cumulative
+#: cells, pid, queue wait, wall time, and how many of its cells were
+#: recorded, replayed or live-only), shipped inside every cumulative
 #: snapshot.  Only :func:`_worker_run` appends, so the parent's list
 #: stays empty.
 _GROUPS: List[dict] = []
@@ -207,12 +215,19 @@ def _lookup(workload: str, cfg: VirtualArchConfig, scale: float) -> Optional[Tim
 
 
 def _simulate(workload: str, cfg: VirtualArchConfig, scale: float) -> TimingRunResult:
-    """Run one cell and store the result in the memo and the disk cache."""
+    """Run one cell and store the result in the memo and the disk cache.
+
+    The first cell of a (workload, scale) in this process records the
+    guest and later ones replay it (see :mod:`repro.vm.timing`); the
+    ``replay.*`` counters say how many of each there were."""
     with prof.active().phase("run"):
-        result = run_timing(
+        vm = TimingVM(
             _program(workload, scale), cfg,
             translation_cache=_TRANSLATIONS, program_key=(workload, scale),
         )
+        result = vm.run()
+    if vm.execution_mode in REPLAY_MODES:
+        METRICS.bump(f"replay.{vm.execution_mode}")
     _CACHE.put(_memo_key(workload, cfg, scale), result)
     disk = disk_cache()
     if disk is not None:
@@ -270,6 +285,7 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
     stores_before = disk.stores if disk is not None else 0
     hits_before = _TRANSLATIONS.hits
     misses_before = _TRANSLATIONS.misses
+    modes_before = {mode: METRICS["replay." + mode] for mode in REPLAY_MODES}
     # Warm this group's shared JIT space from a sibling worker's code
     # pack: loading a marshaled code object costs ~5% of compiling the
     # block, so only the first worker ever to touch a workload pays
@@ -341,6 +357,7 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         "pid": os.getpid(),
         "queue_wait_s": round((started_ns - submitted_ns) / 1e9, 4),
         "wall_s": round((time.perf_counter_ns() - started_ns) / 1e9, 4),
+        **{mode: METRICS["replay." + mode] - before for mode, before in modes_before.items()},
     })
     telemetry = {
         "pid": os.getpid(),
@@ -478,6 +495,32 @@ def worker_telemetry() -> dict:
     }
     return {"workers": {str(pid): snap for pid, snap in workers.items()},
             "aggregate": aggregate}
+
+
+#: The pack counters a sweep warns about, and what a nonzero count means.
+PACK_FAILURES = {
+    "jitpack.corrupt": "JIT pack(s) could not be decoded; their blocks were recompiled",
+    "jitpack.save_failed": "JIT pack(s) could not be written (full or read-only cache "
+                           "directory?); later workers recompile their blocks",
+}
+
+
+def pack_warnings(telemetry: dict) -> List[str]:
+    """One warning line per :data:`PACK_FAILURES` counter that the pool
+    workers bumped, summed over :func:`worker_telemetry`'s aggregate.
+
+    A pack failure costs only speed — results stay bit-identical — so
+    without these lines a corrupt or unwritable pack directory would
+    show up only as a slower sweep."""
+    aggregate = telemetry.get("aggregate") or {}
+    counters = (aggregate.get("metrics") or {}).get("counters") or {}
+    disk = _DISK
+    where = f" in {disk.root}" if disk is not None else ""
+    return [
+        f"warning: {name} = {counters[name]}{where}: {meaning}"
+        for name, meaning in PACK_FAILURES.items()
+        if counters.get(name)
+    ]
 
 
 def clear_worker_telemetry() -> None:

@@ -12,13 +12,41 @@ interpreter while cycles are charged from the translated blocks' cost
 model plus the resource timelines.  A Pentium III model observes the
 same trace, so every run directly yields the paper's clock-for-clock
 slowdown.
+
+**Record once, replay per config.**  The guest half of a run — which
+blocks execute, how many instructions each retires, the data-access
+stream, the exit code and the PIII model fed by that stream — depends
+on the program and its stdin, never on the :class:`VirtualArchConfig`.
+So the first untraced, unchecked :meth:`TimingVM.run` of a
+``(program_key, stdin)`` that shares a
+:class:`~repro.dbt.transcache.TranslationCache` records it from the
+live dispatch loop (which stays the reference) into an
+:class:`ExecutionRecord` kept in that cache, and every later such run
+*replays* it: :meth:`TimingVM._replay` does exactly the timing half of
+the dispatch loop — code-cache fetches, memsys accesses, SMC page
+marking, syscall and morph costs, metric samples — and executes no
+guest code.  The key is ``(program_key, stdin)`` because those are the
+guest's only inputs: the program key names the assembled program (the
+translation cache already relies on it), and stdin is what syscalls
+read.  A replay that disagrees with the blocks it fetches raises
+:class:`ReplayError` instead of returning a result.
+
+Runs stay live when replay could not reproduce them or would hide what
+they check: traced runs, ``checked="protocol"`` runs, VMs advanced
+with :meth:`TimingVM.step` (the multi-VM fabric), runs over their
+instruction budget, and programs whose recording stored into their own
+text section.  Those programs are marked live-only in the cache, since
+the translator reads code bytes from guest memory that a replay never
+writes.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Optional
 
 from repro.common.stats import StatSet
@@ -28,6 +56,7 @@ from repro.guest.program import GuestProgram
 from repro.dbt.block import pages_spanned
 from repro.dbt.codecache import FETCH_LEVELS, CodeCacheHierarchy, L1_CODE_CAPACITY
 from repro.dbt.speculative import TranslationSubsystem
+from repro.dbt.transcache import LIVE_ONLY
 from repro.dbt.translator import TranslationConfig, Translator
 from repro.memsys.memsystem import PipelinedMemorySystem
 from repro.morph import MorphController, QueueLengthPolicy, VirtualArchConfig
@@ -137,6 +166,96 @@ class _TimingObserver(AccessObserver):
             self._tracer.emit(
                 vm.now, "smc", "write", "execution", gen=vm.code_writes, page=page,
             )
+
+
+def _words() -> array:
+    """An empty array of unsigned 32-bit guest words (pcs, counts, addresses)."""
+    return array("I")
+
+
+@dataclass
+class ExecutionRecord:
+    """The guest half of one run, as the timing models saw it.
+
+    Block ``i`` was fetched at ``block_pcs[i]`` as a block of
+    ``block_counts[i]`` guest instructions, retired
+    ``block_executed[i]`` of them (fewer only where the guest exited),
+    and made the data accesses ``block_access_ends[i - 1]`` (0 for
+    the first block) up to ``block_access_ends[i]``.  Access ``j`` is
+    ``access_sizes[j]`` bytes at ``access_addresses[j]``, a store when
+    the size is negative.  The outcome fields are the guest's exit code
+    and retired instructions and the Pentium III model's memory stall
+    cycles, from which its cycle count follows.
+    """
+
+    block_pcs: array = field(default_factory=_words)
+    block_counts: array = field(default_factory=_words)
+    block_executed: array = field(default_factory=_words)
+    block_access_ends: array = field(default_factory=_words)
+    access_addresses: array = field(default_factory=_words)
+    access_sizes: array = field(default_factory=lambda: array("b"))
+    exit_code: int = 0
+    instructions: int = 0
+    piii_stall_cycles: int = 0
+
+
+class ReplayError(RuntimeError):
+    """A replayed block disagrees with the :class:`ExecutionRecord`."""
+
+
+class _RecordingObserver(_TimingObserver):
+    """A :class:`_TimingObserver` that also writes an :class:`ExecutionRecord`.
+
+    Installed for the recording run alone, so live runs pay nothing for
+    it.  Each access is appended on its way to the timing models, and
+    the dispatch loop fetches through :meth:`fetch`, which opens a
+    block's entry and closes the previous one: that block retired what
+    the PIII model retired since its fetch, and made the accesses
+    appended since.
+    """
+
+    def __init__(self, vm: "TimingVM") -> None:
+        super().__init__(vm)
+        self.record = record = ExecutionRecord()
+        self._add_address = record.access_addresses.append
+        self._add_size = record.access_sizes.append
+        self._hierarchy_fetch = vm.hierarchy.fetch
+        self._piii = vm.piii
+        self._retired = 0  # PIII instructions at the open block's fetch
+
+    def on_read(self, address: int, size: int) -> None:
+        self._add_address(address)
+        self._add_size(size)
+        self._access(address, False)
+
+    def on_write(self, address: int, size: int) -> None:
+        self._add_address(address)
+        self._add_size(-size)
+        super().on_write(address, size)
+
+    def fetch(self, now: int, pc: int, prev_pc: Optional[int], indirect: bool):
+        lookup = self._hierarchy_fetch(now, pc, prev_pc, indirect)
+        record = self.record
+        if record.block_pcs:
+            self._close_block()
+        record.block_pcs.append(pc)
+        record.block_counts.append(lookup.block.guest_instr_count)
+        return lookup
+
+    def _close_block(self) -> None:
+        retired = self._piii.instructions
+        self.record.block_executed.append(retired - self._retired)
+        self.record.block_access_ends.append(len(self.record.access_addresses))
+        self._retired = retired
+
+    def finish(self, exit_code: int) -> ExecutionRecord:
+        """The completed record of a run that ended with ``exit_code``."""
+        self._close_block()
+        record = self.record
+        record.exit_code = exit_code
+        record.instructions = self._piii.instructions
+        record.piii_stall_cycles = self._piii.memory_stall_cycles
+        return record
 
 
 @dataclass
@@ -322,6 +441,22 @@ class TimingVM:
                 metrics=self.jit_metrics,
             )
 
+        #: The cache holding this program's :class:`ExecutionRecord`,
+        #: and its key; ``None`` when every run of this VM stays live
+        #: (see the module docstring).
+        self._records = None
+        self._record_key = None
+        if (translation_cache is not None and not self.tracer.enabled
+                and not self.protocol_checked):
+            self._records = translation_cache
+            self._record_key = (
+                program_key if program_key is not None else program.name, stdin,
+            )
+        #: How :meth:`run` executed the guest: ``"live"``, ``"recorded"``
+        #: (live, writing the record), ``"replayed"`` or ``"live_only"``
+        #: (live, because the program writes its own code).
+        self.execution_mode: Optional[str] = None
+
         self.morph: Optional[MorphController] = None
         if config.morphing:
             policy = QueueLengthPolicy(threshold=config.morph_threshold)
@@ -368,18 +503,61 @@ class TimingVM:
         one fabric (see :mod:`repro.vm.multivm`): an external scheduler
         interleaves VMs by their cycle counters.  It is :meth:`run`'s
         dispatch loop stopped after one block, so stepping to the end
-        yields exactly :meth:`run`'s result.
+        yields exactly :meth:`run`'s result.  A stepped VM never
+        records or replays.
         """
+        self._record_key = None
         self._dispatch(sys.maxsize, blocks=1)
         return self.interp.exit_code is None
 
     def run(self, max_guest_instructions: int = 10_000_000) -> TimingRunResult:
         """Run the workload to completion (resuming after any
-        :meth:`step` calls); returns the timing result."""
-        self._dispatch(max_guest_instructions)
+        :meth:`step` calls); returns the timing result.
+
+        The guest runs live, records its execution or replays a
+        recorded one (see the module docstring); results are
+        bit-identical either way, and ``execution_mode`` says which
+        happened."""
+        self.execution_mode = self._run_guest(max_guest_instructions)
         if self.protocol_checked:
             self.assert_protocol()
         return self.result()
+
+    def _run_guest(self, max_guest_instructions: int) -> str:
+        """Execute the guest for :meth:`run`; returns the execution mode."""
+        key, self._record_key = self._record_key, None
+        if key is not None:
+            record = self._records.execution_record(key)
+            if record is None:
+                return self._record(key, max_guest_instructions)
+            if record is LIVE_ONLY:
+                self._dispatch(max_guest_instructions)
+                return "live_only"
+            # a replay runs to the guest's exit: a run that the budget
+            # stops runs live, to raise (resumably) where it would
+            if record.instructions - record.block_executed[-1] <= max_guest_instructions:
+                self._replay(record)
+                return "replayed"
+        self._dispatch(max_guest_instructions)
+        return "live"
+
+    def _record(self, key, max_guest_instructions: int) -> str:
+        """Run live while writing the guest's :class:`ExecutionRecord`
+        into the cache, or mark the program live-only if it stored into
+        its own text section."""
+        recorder = _RecordingObserver(self)
+        self.interp.observer = recorder
+        try:
+            self._dispatch(max_guest_instructions, fetch=recorder.fetch)
+        finally:
+            self.interp.observer = self.observer
+        if self.code_writes:
+            self._records.store_execution_record(key, LIVE_ONLY)
+            return "live_only"
+        exit_code = self.interp.exit_code
+        assert exit_code is not None  # _dispatch returns only once the guest exited
+        self._records.store_execution_record(key, recorder.finish(exit_code))
+        return "recorded"
 
     def assert_protocol(self):
         """Replay the event stream through the protocol conformance
@@ -397,7 +575,7 @@ class TimingVM:
             raise VerificationError("protocol", errors)
         return report
 
-    def _dispatch(self, max_guest_instructions: int, blocks: int = -1) -> None:
+    def _dispatch(self, max_guest_instructions: int, blocks: int = -1, fetch=None) -> None:
         """The runtime-execution tile's dispatch loop, shared by
         :meth:`run` and :meth:`step`, and the block JIT's only caller.
 
@@ -414,29 +592,22 @@ class TimingVM:
         outlives its block, so the SMC invalidation at the block
         boundary (:meth:`_invalidate_smc_pages`) is all it takes to
         keep stale closures from running.  The guest position survives a stop on
-        ``blocks``.
+        ``blocks``.  A recording run passes its recorder's ``fetch``.
         """
         interp = self.interp
         state = interp.state
-        fetch = self.hierarchy.fetch
+        if fetch is None:
+            fetch = self.hierarchy.fetch
+        fetch_block = self._fetch_block
+        finish_block = self._finish_block
         jit = self.jit
         table = jit.table if jit is not None else {}
         note_execution = jit.note_execution if jit is not None else None
-        stats = self.stats
-        count_block = self._blocks_executed.add
-        fetch_counters = self._fetch_counters
-        pages_registered = self._pages_registered
-        code_pages = self.code_pages
-        pending_smc = self.pending_smc
         piii_on_instructions = self.piii.on_instructions
-        morph = self.morph
-        tracer = self.tracer
         profiler = self._prof
         profiling = profiler.enabled
         prof_enter = profiler.enter
         prof_exit = profiler.exit
-        prof_add = profiler.add
-        clock = time.perf_counter_ns
         pc = self._pc
         prev_pc = self._prev_pc
         arrived_indirect = self._arrived_indirect
@@ -445,22 +616,7 @@ class TimingVM:
 
         while blocks and interp.exit_code is None:
             blocks -= 1
-            if profiling:
-                # scoped, so a demand translation nests under it
-                prof_enter("vm.fetch")
-                lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
-                prof_exit()
-            else:
-                lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
-            self.now = lookup.ready_time
-            block = lookup.block
-            count_block()
-            fetch_counters[lookup.level].add()
-            if pc not in pages_registered:
-                pages_registered.add(pc)
-                for page in pages_spanned(block.guest_address, block.guest_length):
-                    code_pages.setdefault(page, set()).add(pc)
-
+            block = fetch_block(fetch, pc, prev_pc, arrived_indirect)
             count = block.guest_instr_count
             compiled = None
             if jit is not None:
@@ -494,39 +650,12 @@ class TimingVM:
             piii_on_instructions(executed)
             executed_total += executed
             self.now += block.cost_cycles + self.pending_stall
-
-            if block.exit_kind == "syscall" and interp.exit_code is None:
-                hops = self._syscall_hops
-                if tracer.enabled:
-                    tracer.emit(
-                        self.now, "net", "msg", "execution",
-                        dst="syscall_tile", hops=hops, words=1,
-                    )
-                self.now += self.network.round_trip(hops)
-                self.now = self.syscall_tile.service(self.now, SYSCALL_TILE_OCCUPANCY)
-                stats.bump("syscalls")
-
-            if morph is not None:
-                if profiling:
-                    morph_t0 = clock()
-                    self.now += morph.on_block_executed(self.now)
-                    prof_add("morph", clock() - morph_t0)
-                else:
-                    self.now += morph.on_block_executed(self.now)
-
-            self._blocks_since_metrics += 1
-            if self._blocks_since_metrics >= METRICS_SAMPLE_INTERVAL_BLOCKS:
-                self._blocks_since_metrics = 0
-                self._executed_instructions = executed_total
-                self._sample_metrics()
-
-            if pending_smc:
-                self._invalidate_smc_pages()
+            exit_kind = block.exit_kind
+            finish_block(exit_kind == "syscall" and interp.exit_code is None, executed_total)
 
             prev_pc = pc
             pc = state.eip
-            arrived_indirect = block.exit_kind == "indirect"
-            exit_kind = block.exit_kind
+            arrived_indirect = exit_kind == "indirect"
             if executed_total > max_guest_instructions:
                 break
 
@@ -539,6 +668,133 @@ class TimingVM:
             raise RuntimeError(
                 f"workload exceeded {max_guest_instructions} guest instructions"
             )
+
+    def _replay(self, record: ExecutionRecord) -> None:
+        """Replay ``record``'s guest through this VM's timing models.
+
+        The timing half of :meth:`_dispatch`, block for block: the same
+        :meth:`_fetch_block` and :meth:`_finish_block` around each
+        block, and between them its data accesses at ``now`` plus the
+        block's stall so far (with the SMC page marking of a store) and
+        its cost.  No guest code runs: the exit code and the PIII
+        model's result come from the record.  Raises
+        :class:`ReplayError` where a fetched block is not the recorded
+        one.  Untraced, so no events are emitted.
+        """
+        fetch = self.hierarchy.fetch
+        fetch_block = self._fetch_block
+        finish_block = self._finish_block
+        code_pages = self.code_pages
+        pending_smc = self.pending_smc
+        # the observer's binding: timed under the profiler, like live
+        memsys_access = self.observer._memsys_access
+        counts = record.block_counts
+        executed_counts = record.block_executed
+        access_ends = record.block_access_ends
+        accesses = zip(record.access_addresses, record.access_sizes)
+        last = len(record.block_pcs) - 1
+        accessed = 0
+        executed_total = 0
+        prev_pc: Optional[int] = None
+        arrived_indirect = False
+        exit_kind = None
+
+        for index, pc in enumerate(record.block_pcs):
+            block = fetch_block(fetch, pc, prev_pc, arrived_indirect)
+            if block.guest_address != pc or block.guest_instr_count != counts[index]:
+                raise ReplayError(
+                    f"block {index} of the record is {counts[index]} instructions "
+                    f"at {pc:#x}; the VM fetched {block.guest_instr_count} at "
+                    f"{block.guest_address:#x}"
+                )
+            now = self.now
+            stall = 0
+            end = access_ends[index]
+            for address, size in islice(accesses, end - accessed):
+                if size > 0:
+                    stall += memsys_access(now + stall, address, False).stall_cycles
+                    continue
+                stall += memsys_access(now + stall, address, True).stall_cycles
+                first = address >> 12
+                if first in code_pages:
+                    pending_smc.add(first)
+                for page in range(first + 1, ((address - size - 1) >> 12) + 1):
+                    if page in code_pages:
+                        pending_smc.add(page)
+            accessed = end
+            executed_total += executed_counts[index]
+            self.now = now + block.cost_cycles + stall
+            exit_kind = block.exit_kind
+            finish_block(exit_kind == "syscall" and index != last, executed_total)
+            prev_pc = pc
+            arrived_indirect = exit_kind == "indirect"
+
+        if executed_total != record.instructions or accessed != len(record.access_sizes):
+            raise ReplayError(
+                f"the record's blocks retire {executed_total} instructions and "
+                f"make {accessed} accesses; it holds {record.instructions} and "
+                f"{len(record.access_sizes)}"
+            )
+        self._executed_instructions = executed_total
+        self.last_exit_kind = exit_kind
+        self.interp.exit_code = record.exit_code
+        self.piii.on_instructions(executed_total)
+        self.piii.memory_stall_cycles = record.piii_stall_cycles
+
+    def _fetch_block(self, fetch, pc: int, prev_pc: Optional[int], arrived_indirect: bool):
+        """Fetch the block at ``pc`` through the code caches, advancing
+        ``now`` to when it is ready; counts it and registers its code
+        pages (once per block address) for SMC detection."""
+        if self._prof.enabled:
+            # scoped, so a demand translation nests under it
+            self._prof.enter("vm.fetch")
+            lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
+            self._prof.exit()
+        else:
+            lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
+        self.now = lookup.ready_time
+        block = lookup.block
+        self._blocks_executed.add()
+        self._fetch_counters[lookup.level].add()
+        if pc not in self._pages_registered:
+            self._pages_registered.add(pc)
+            code_pages = self.code_pages
+            for page in pages_spanned(block.guest_address, block.guest_length):
+                code_pages.setdefault(page, set()).add(pc)
+        return block
+
+    def _finish_block(self, syscall: bool, executed_total: int) -> None:
+        """The timing after a block ran: the syscall tile if ``syscall``
+        (a syscall exit the guest did not exit at), morphing, the
+        periodic metric sample and any pending SMC invalidation."""
+        if syscall:
+            hops = self._syscall_hops
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.now, "net", "msg", "execution",
+                    dst="syscall_tile", hops=hops, words=1,
+                )
+            self.now += self.network.round_trip(hops)
+            self.now = self.syscall_tile.service(self.now, SYSCALL_TILE_OCCUPANCY)
+            self.stats.bump("syscalls")
+
+        morph = self.morph
+        if morph is not None:
+            if self._prof.enabled:
+                morph_t0 = time.perf_counter_ns()
+                self.now += morph.on_block_executed(self.now)
+                self._prof.add("morph", time.perf_counter_ns() - morph_t0)
+            else:
+                self.now += morph.on_block_executed(self.now)
+
+        self._blocks_since_metrics += 1
+        if self._blocks_since_metrics >= METRICS_SAMPLE_INTERVAL_BLOCKS:
+            self._blocks_since_metrics = 0
+            self._executed_instructions = executed_total
+            self._sample_metrics()
+
+        if self.pending_smc:
+            self._invalidate_smc_pages()
 
     def _sample_metrics(self) -> None:
         """Periodic time-series samples: with these, queue-length-vs-
@@ -622,7 +878,8 @@ def run_timing(
     event trace; by default the zero-cost null sink is used.  Pass a
     :class:`repro.dbt.transcache.TranslationCache` (plus a stable
     ``program_key``) to reuse translations across runs of the same
-    program — results are bit-identical either way.  ``jit=False``
+    program, and to replay its guest after the first run (see the
+    module docstring) — results are bit-identical either way.  ``jit=False``
     turns the block JIT off and runs every block on the reference
     interpreter's ``step()``; on or off, results are bit-identical (it
     only changes wall-clock speed).

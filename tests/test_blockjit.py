@@ -52,16 +52,16 @@ def _seeded(program, env):
     return interp
 
 
-def _vm(program, cache=None):
+def _vm(program, cache=None, stdin=b""):
     """A timing VM for ``program`` with the block JIT on; a ``cache``
     gives it a shared JIT space under :data:`PROGRAM_KEY`."""
-    return TimingVM(program, PRESETS["speculative_4"], jit=True,
+    return TimingVM(program, PRESETS["speculative_4"], stdin=stdin, jit=True,
                     translation_cache=cache, program_key=PROGRAM_KEY)
 
 
-def _run_vm(program, cache=None):
+def _run_vm(program, cache=None, stdin=b""):
     """Run ``program`` to completion on :func:`_vm`; returns the VM."""
-    vm = _vm(program, cache)
+    vm = _vm(program, cache, stdin)
     vm.run()
     return vm
 
@@ -305,7 +305,10 @@ class TestSharedSpace:
         shared = cache.jit_space(PROGRAM_KEY)
         assert first.jit_metrics["compiles"] == 1
         assert len(shared) == 1, "hot block not published to the shared space"
-        second = _run_vm(assemble(COUNTING_LOOP), cache)
+        # another stdin is another execution record, so this run
+        # executes the guest live, sharing the program's JIT space
+        second = _run_vm(assemble(COUNTING_LOOP), cache, stdin=b"other input")
+        assert second.execution_mode == "recorded"
         assert second.interp.exit_code == first.interp.exit_code
         # the sibling's compile is adopted on the block's FIRST
         # sighting — the threshold gates fresh compiles, not adoption

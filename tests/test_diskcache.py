@@ -184,12 +184,12 @@ class TestHarnessIntegration:
         clear_cache()  # drop the in-process memo; disk survives
         # if the disk hit path were broken this would re-simulate; make
         # that impossible by breaking the simulator entry point
-        original = runner.run_timing
-        runner.run_timing = None  # type: ignore[assignment]
+        original = runner.TimingVM
+        runner.TimingVM = None  # type: ignore[assignment,misc]
         try:
             second = run_one(WORKLOAD, CONFIG, SCALE)
         finally:
-            runner.run_timing = original
+            runner.TimingVM = original  # type: ignore[misc]
         assert second.cycles == first.cycles
         assert second.stats == first.stats
 

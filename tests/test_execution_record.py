@@ -1,0 +1,173 @@
+"""Record once, replay per config (``repro.vm.timing``).
+
+Replay rests on one claim: a program's guest execution — the blocks it
+runs, the instructions each retires and its data-access stream — does
+not depend on the :class:`VirtualArchConfig`.  The first tests check
+that claim on every workload under every preset, with a fresh VM and
+no shared cache per config; if a future preset breaks it, the record
+key (``(program_key, stdin)``) must gain the knob that did.  The rest
+check that a replayed run is bit-identical to a live one, that the
+runs replay cannot reproduce stay live, and that a record which
+disagrees with the VM raises instead of returning a result.
+"""
+
+import dataclasses
+import functools
+import hashlib
+import json
+
+import pytest
+
+from repro.dbt.transcache import LIVE_ONLY, TranslationCache
+from repro.guest.assembler import assemble
+from repro.morph.config import PRESETS
+from repro.obs.events import Tracer
+from repro.vm.timing import ReplayError, TimingVM, _RecordingObserver
+from repro.workloads import SPECINT_NAMES, build_workload
+from tests.test_morph_smc_stress import SEED, _stress_source
+from tests.test_self_modifying_code import SMC_PROGRAM
+
+SCALE = 0.05
+
+#: Programs that store into their own text section: never replayed.
+SMC_PROGRAMS = ["smc", "morph-smc-stress"]
+
+
+@functools.lru_cache(maxsize=None)
+def _program(name):
+    if name == "smc":
+        return assemble(SMC_PROGRAM)
+    if name == "morph-smc-stress":
+        return assemble(_stress_source(SEED))
+    return build_workload(name, scale=SCALE)
+
+
+def _digest(result) -> str:
+    text = json.dumps(dataclasses.asdict(result), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stream_digest(record) -> str:
+    """The ``(pc, count, executed)`` + access stream and outcome of a record."""
+    sha = hashlib.sha256()
+    for column in (record.block_pcs, record.block_counts, record.block_executed,
+                   record.block_access_ends, record.access_addresses,
+                   record.access_sizes):
+        sha.update(column.tobytes())
+        sha.update(b"|")
+    sha.update(repr((record.exit_code, record.instructions,
+                     record.piii_stall_cycles)).encode())
+    return sha.hexdigest()
+
+
+def _recorded_live(program, config):
+    """A live run with no translation cache, and the guest's record of it."""
+    vm = TimingVM(program, config)
+    recorder = _RecordingObserver(vm)
+    vm.interp.observer = recorder
+    vm._dispatch(10_000_000, fetch=recorder.fetch)
+    return vm.result(), recorder.finish(vm.interp.exit_code)
+
+
+@functools.lru_cache(maxsize=None)
+def _live(name):
+    """``{preset: (result digest, stream digest)}``, one fresh VM each."""
+    out = {}
+    for preset, config in PRESETS.items():
+        result, record = _recorded_live(_program(name), config)
+        out[preset] = (_digest(result), _stream_digest(record))
+    return out
+
+
+def _shared_vm(name, cache, preset="speculative_4", **kwargs):
+    return TimingVM(_program(name), PRESETS[preset], translation_cache=cache,
+                    program_key=name, **kwargs)
+
+
+@pytest.mark.parametrize("name", SPECINT_NAMES + SMC_PROGRAMS)
+def test_guest_execution_is_config_independent(name):
+    streams = {preset: stream for preset, (_, stream) in _live(name).items()}
+    assert len(set(streams.values())) == 1, streams
+
+
+@pytest.mark.parametrize("name", SPECINT_NAMES + SMC_PROGRAMS)
+def test_replay_matches_live(name):
+    live = _live(name)
+    cache = TranslationCache()
+    modes = []
+    for preset in PRESETS:
+        vm = _shared_vm(name, cache, preset)
+        assert _digest(vm.run()) == live[preset][0], preset
+        modes.append(vm.execution_mode)
+    if name in SMC_PROGRAMS:
+        assert modes == ["live_only"] * len(modes)
+        assert cache.execution_record((name, b"")) is LIVE_ONLY
+        assert cache.stats()["records"] == 0
+    else:
+        assert modes == ["recorded"] + ["replayed"] * (len(modes) - 1)
+        assert cache.stats()["records"] == 1
+
+
+def test_budget_overrun_raises_like_live():
+    cache = TranslationCache()
+    _shared_vm("181.mcf", cache).run()
+    replayable = _shared_vm("181.mcf", cache)
+    with pytest.raises(RuntimeError) as replayed:
+        replayable.run(max_guest_instructions=500)
+    with pytest.raises(RuntimeError) as live:
+        TimingVM(_program("181.mcf"), PRESETS["speculative_4"]).run(
+            max_guest_instructions=500)
+    assert str(replayed.value) == str(live.value) == "workload exceeded 500 guest instructions"
+    # it stopped where a live run stops, and can resume like one
+    assert replayable.result().guest_instructions < 600
+    assert _digest(replayable.run()) == _live("181.mcf")["speculative_4"][0]
+
+
+def test_stepped_vm_stays_live():
+    cache = TranslationCache()
+    _shared_vm("181.mcf", cache).run()
+    vm = _shared_vm("181.mcf", cache)
+    for _ in range(5):
+        vm.step()
+    result = vm.run()
+    assert vm.execution_mode == "live"
+    assert _digest(result) == _live("181.mcf")["speculative_4"][0]
+
+
+def test_traced_and_checked_runs_stay_live():
+    cache = TranslationCache()
+    _shared_vm("181.mcf", cache).run()
+    traced = _shared_vm("181.mcf", cache, tracer=Tracer())
+    checked = _shared_vm("181.mcf", cache, checked="protocol")
+    for vm in (traced, checked):
+        vm.run()
+        assert vm.execution_mode == "live"
+    assert len(traced.tracer) > 0
+
+
+def test_stdin_is_part_of_the_key():
+    cache = TranslationCache()
+    _shared_vm("181.mcf", cache).run()
+    other = _shared_vm("181.mcf", cache, stdin=b"x")
+    other.run()
+    assert other.execution_mode == "recorded"
+    assert cache.stats()["records"] == 2
+    cache.clear()
+    assert cache.stats()["records"] == 0
+
+
+@pytest.mark.parametrize("tamper", ["count", "executed", "truncated"])
+def test_tampered_record_raises(tamper):
+    cache = TranslationCache()
+    _shared_vm("181.mcf", cache).run()
+    record = cache.execution_record(("181.mcf", b""))
+    if tamper == "count":
+        record.block_counts[3] += 1
+    elif tamper == "executed":
+        record.block_executed[3] += 1
+    else:
+        for column in (record.block_pcs, record.block_counts, record.block_executed,
+                       record.block_access_ends):
+            column.pop()
+    with pytest.raises(ReplayError):
+        _shared_vm("181.mcf", cache).run()

@@ -150,6 +150,30 @@ class TestJitPack:
         # the recompiled space replaced the truncated pack
         assert unpack_space(DiskCache(tmp_path / "warm").load_blob(self.PACK))
 
+    def test_truncated_pack_in_a_pooled_sweep_warns(self, tmp_path):
+        cells = [("181.mcf", "speculative_4", 0.05), ("181.mcf", "no_l15", 0.05)]
+        cold, _, _ = runner._worker_run(
+            [(w, PRESETS[c], s) for w, c, s in cells], True, str(tmp_path / "cold"), 0)
+        pack = DiskCache(tmp_path / "cold").load_blob(self.PACK)
+        clear_cache()
+        DiskCache(tmp_path / "warm").save_blob(self.PACK, pack[: len(pack) // 2])
+        # fresh workers, forked from a parent with no warm JIT space
+        runner._shutdown_pool()
+        runner.clear_worker_telemetry()
+        runner.configure_disk_cache(True, tmp_path / "warm")
+        try:
+            results = runner.run_many(cells, jobs=2)
+            warnings = runner.pack_warnings(runner.worker_telemetry())
+        finally:
+            runner._shutdown_pool()
+            runner.clear_worker_telemetry()
+        assert [dataclasses.asdict(results[(w, c, s)]) for w, c, s in cells] == [
+            dataclasses.asdict(r) for r in cold
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: jitpack.corrupt = 1 in ")
+        assert str(tmp_path / "warm") in warnings[0]
+
     def test_other_unpack_errors_propagate(self, tmp_path, monkeypatch):
         _, pack = self._cold_results_and_pack(tmp_path / "cold")
         DiskCache(tmp_path / "warm").save_blob(self.PACK, pack)

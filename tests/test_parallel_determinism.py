@@ -117,6 +117,9 @@ def test_worker_telemetry_collected_and_aggregated(tmp_path):
         assert str(record["pid"]) in telemetry["workers"]
         assert record["scale"] == SCALE and record["cells"] == len(CONFIGS)
         assert record["queue_wait_s"] >= 0 and record["wall_s"] > 0
+        # fresh workers: each group records its workload, then replays it
+        assert (record["recorded"], record["replayed"], record["live_only"]) == (
+            1, len(CONFIGS) - 1, 0)
 
     aggregate = telemetry["aggregate"]
     assert aggregate["worker_count"] == len(telemetry["workers"])

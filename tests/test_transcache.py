@@ -94,7 +94,7 @@ class TestCachingTranslator:
         caching.translate(program.entry)
         assert cache.stats() == {
             "hits": 0, "misses": 2, "namespaces": 1, "blocks": 2,
-            "jit_namespaces": 0, "jit_blocks": 0,
+            "jit_namespaces": 0, "jit_blocks": 0, "records": 0,
         }
 
     def test_knobs_separate_namespaces(self):
