@@ -11,10 +11,12 @@ two ways:
    fetch and dispatch: one decode-cache probe, one ``handler(instr)``
    call, one ``_read_operand`` isinstance ladder and one packed-flags
    helper call per guest instruction;
-2. **closures** — on a block's :data:`DEFAULT_HOT_THRESHOLD`-th
-   sighting the dispatch loop has :class:`BlockJit` emit one
-   specialized Python function for the whole block and runs that
-   instead.
+2. **closures** — once a block has been stepped long enough to have
+   paid for its compile (its :data:`DEFAULT_HOT_THRESHOLD`-th
+   sighting, the break-even point derived below) the dispatch loop has
+   :class:`BlockJit` emit one specialized Python function for the
+   whole block and runs that instead.  A closure a sibling VM already
+   compiled is adopted on the first sighting.
 
 :class:`BlockJit` owns all per-VM JIT state in one pc-keyed table of
 :class:`BlockEntry` rows (sightings, compiled block).  ``_dispatch``
@@ -91,8 +93,34 @@ from repro.guest.syscalls import SYSCALL_VECTOR
 from repro.obs import prof
 from repro.obs.metrics import COMPILE_TIME_BUCKETS, MetricsRegistry
 
-#: Compile a block on its Nth sighting (1 = first touch).
-DEFAULT_HOT_THRESHOLD = 2
+#: Compile a block on its Nth sighting (1 = first touch): the
+#: ski-rental break-even, where the stepping a block has already cost
+#: equals the compile it would buy.  That rule keeps every block's cost
+#: within about twice the better of "always step" and "compile on the
+#: first sighting", without knowing how often the block will run.
+#:
+#: Since record/replay, only a row's recording cell executes the guest,
+#: so a compile must pay for itself within that one run.  Inputs,
+#: measured with the phase profiler on the recording cell (``no_l15``)
+#: of every row-workload program (176.gcc and 255.vortex at scale 1.0;
+#: 164.gzip, 181.mcf, 197.parser and 256.bzip2 at 0.5) on a 2-core
+#: x86-64 container, compiling on the 2nd sighting to sample 3299
+#: compiles:
+#:
+#: * ``jit.compile``: ~450 us + ~110 us per guest instruction (one
+#:   instruction ~550 us, 16+ ~2.5 ms); the median compiled block has
+#:   5 instructions and costs 0.9 ms, 190 us per instruction on gcc
+#:   and vortex, 150-180 us on the compact four;
+#: * ``interpreter`` self time, warm (the first sighting's decode
+#:   excluded, since every block pays it either way): 7.0-9.9 us per
+#:   instruction; ``jit.run`` self time: 1.6-3.3 us per instruction.
+#:
+#: A block of ``n`` instructions compiling in ``C`` breaks even on the
+#: sighting ``C / (n * step) + 1``: 18-25 for the median block of each
+#: program, 22 pooled over all 3299.  At this threshold 176.gcc (1572
+#: blocks, 3.7 sightings each) compiles none and 255.vortex (7.1 each)
+#: 9, while each compact program still compiles its 9-27 hot blocks.
+DEFAULT_HOT_THRESHOLD = 22
 
 _MASK32 = 0xFFFFFFFF
 _ALL_FLAG_MASK = sum(1 << flag for flag in ALL_FLAGS)
@@ -1015,11 +1043,12 @@ class BlockJit:
     def note_execution(self, address: int, entry: BlockEntry):
         """Count one sighting of an uncompiled block; returns ``entry.block``.
 
-        The hotness threshold gates fresh *compiles*; a compilation a
-        sibling VM already paid for is adopted from the shared space on
-        first sighting (sweeps re-run one program under many configs, so
-        by the second cell nearly every block dispatches compiled from
-        its very first execution).
+        :data:`DEFAULT_HOT_THRESHOLD` gates fresh *compiles*: a block
+        compiles on the sighting where its stepping has paid for the
+        compile.  A compilation a sibling VM already paid for costs
+        nothing, so it is adopted from the shared space on the first
+        sighting (a live run that shares a program's translation cache
+        with an earlier one, or a worker seeded from a JIT pack).
         """
         entry.seen += 1
         count = entry.count

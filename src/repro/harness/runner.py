@@ -81,6 +81,11 @@ METRICS = MetricsRegistry("harness.runner")
 #: (a ``"live"`` run is one replay does not apply to).
 REPLAY_MODES = ("recorded", "replayed", "live_only")
 
+#: Block-JIT counters of each simulated VM, summed into :data:`METRICS`
+#: as ``jit.<name>``: what the hotness threshold compiled, what it
+#: found ineligible and what it adopted from a sibling's compile.
+JIT_COUNTERS = ("compiles", "ineligible", "shared_hits", "compiled_guest_instructions")
+
 #: Lazily constructed process-wide disk cache (None = disabled).
 _DISK: Optional[DiskCache] = None
 _DISK_ENABLED: Optional[bool] = None  # None = follow the environment
@@ -219,7 +224,8 @@ def _simulate(workload: str, cfg: VirtualArchConfig, scale: float) -> TimingRunR
 
     The first cell of a (workload, scale) in this process records the
     guest and later ones replay it (see :mod:`repro.vm.timing`); the
-    ``replay.*`` counters say how many of each there were."""
+    ``replay.*`` counters say how many of each there were, and the
+    ``jit.*`` counters what the block JIT did in the live runs."""
     with prof.active().phase("run"):
         vm = TimingVM(
             _program(workload, scale), cfg,
@@ -228,6 +234,8 @@ def _simulate(workload: str, cfg: VirtualArchConfig, scale: float) -> TimingRunR
         result = vm.run()
     if vm.execution_mode in REPLAY_MODES:
         METRICS.bump(f"replay.{vm.execution_mode}")
+    for name in JIT_COUNTERS:
+        METRICS.bump("jit." + name, vm.jit_metrics[name])
     _CACHE.put(_memo_key(workload, cfg, scale), result)
     disk = disk_cache()
     if disk is not None:

@@ -40,6 +40,11 @@ _FLAG_NAMES = tuple(flag.name.lower() for flag in ALL_FLAGS)
 #: Namespace of the shared JIT space in the engine tests' caches.
 PROGRAM_KEY = "jit-test"
 
+#: The engine tests count compiles and closure runs of short loops:
+#: compile eagerly (see ``tests/conftest.py``); a test that sets its own
+#: threshold overrides this.
+pytestmark = pytest.mark.usefixtures("eager_jit")
+
 
 def _seeded(program, env):
     interp = GuestInterpreter.for_program(program, observer=blockgen.AccessRecorder())

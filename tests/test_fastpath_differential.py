@@ -22,6 +22,10 @@ from repro.verify.symexec.concrete import make_vector
 _VECTORS = 4
 _FLAG_NAMES = tuple(flag.name.lower() for flag in ALL_FLAGS)
 
+#: Every VM test here checks closures against ``step()``: compile
+#: eagerly so the closures run (see ``tests/conftest.py``).
+pytestmark = pytest.mark.usefixtures("eager_jit")
+
 
 def _seeded_interpreter(program, env):
     interp = GuestInterpreter.for_program(program, observer=blockgen.AccessRecorder())

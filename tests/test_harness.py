@@ -107,6 +107,7 @@ class TestRunManyLookups:
         assert disk.misses == len(self.CELLS) and disk.hits == 0
 
 
+@pytest.mark.usefixtures("eager_jit")
 class TestJitPack:
     """The worker's JIT pack path: corrupt packs are counted, not fatal,
     and nothing but an undecodable pack is forgiven."""

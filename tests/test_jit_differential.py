@@ -29,6 +29,10 @@ from repro.workloads import SPECINT_NAMES, build_workload
 
 SCALE = 0.05
 
+#: Every test here compares closures with ``step()``: compile eagerly so
+#: the closures run (see ``tests/conftest.py``).
+pytestmark = pytest.mark.usefixtures("eager_jit")
+
 DATA_DIR = Path(__file__).parent / "data"
 #: Written (shrunk) whenever the hypothesis loop differential fails;
 #: rename to ``loop_regression_<what>.asm`` when committing one as a
@@ -48,8 +52,10 @@ class TestSuiteBitIdentity:
         program = build_workload(workload, scale=SCALE)
         config = PRESETS["speculative_4"]
         off = run_timing(program, config, jit=False)
-        on = run_timing(program, config, jit=True)
+        vm = TimingVM(program, config, jit=True)
+        on = vm.run()
         assert _doc(on) == _doc(off), f"{workload}: JIT changed the results"
+        assert vm.jit_metrics["compiles"] > 0, f"{workload}: no closure ran"
 
     def test_jit_matches_interpreter_when_morphing(self):
         # reconfiguration interacts with the dispatch loop (stall

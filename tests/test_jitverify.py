@@ -172,6 +172,7 @@ class TestTranslationConfigWiring:
 
 
 class TestDispatchTable:
+    @pytest.mark.usefixtures("eager_jit")
     def test_live_vm_dispatch_table_is_clean(self):
         from repro.morph.config import PRESETS
         from repro.verify.protocol import audit_vm

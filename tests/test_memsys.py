@@ -44,6 +44,32 @@ class TestPageTable:
         table.map_page(1)
         assert table.mapped_pages == 1
 
+    def test_map_region_equals_page_by_page_mapping(self):
+        # regions straddling 4 MiB directory slots, unaligned ends, a
+        # zero-size region, overlaps and a non-identity page overwritten
+        regions = [
+            ((1 << 22) - 3 * PAGE_SIZE, 5 * PAGE_SIZE),
+            (0x8048123, 0x2001),
+            (0x8049000, 0x10),
+            ((1 << 22) - PAGE_SIZE + 1, 2),
+            (0x8048FFF, 0),
+            (0xBFF00000, 0x100000),
+            (0x08100000, (1 << 24) + 0x1234),
+            (0x08101000, 3 * (1 << 22)),
+        ]
+        bulk, paged = PageTable(), PageTable()
+        for table in (bulk, paged):
+            table.map_page(guest_page=0x08049, host_frame=100)
+        for start, size in regions:
+            bulk.map_region(start, size)
+            for page in range(start >> 12, ((start + size - 1) >> 12) + 1):
+                paged.map_page(page)
+            assert bulk._directory == paged._directory
+            assert bulk.mapped_pages == paged.mapped_pages == sum(
+                len(table) for table in paged._directory.values()
+            )
+        assert bulk.walk(0x08049010) == (0x08049010, 2)
+
 
 class TestTlb:
     def test_hit_after_miss(self):

@@ -13,6 +13,8 @@ The interpreter provides the golden exit code.
 
 import random
 
+import pytest
+
 from repro.guest.assembler import assemble
 from repro.guest.interpreter import GuestInterpreter
 from repro.morph.config import PRESETS
@@ -90,6 +92,7 @@ def _hasten_morph(vm: TimingVM, cycles: int = 200) -> None:
 
 
 class TestMorphSmcStress:
+    @pytest.mark.usefixtures("eager_jit")
     def test_stepped_run_keeps_jit_invariants(self):
         source = _stress_source(SEED)
         vm = TimingVM(

@@ -9,6 +9,7 @@ import pytest
 
 from repro.harness.figures import figure4_l15_cache
 from repro.harness.runner import (
+    JIT_COUNTERS,
     RunGrid,
     _shutdown_pool,
     clear_cache,
@@ -133,6 +134,10 @@ def test_worker_telemetry_collected_and_aggregated(tmp_path):
     assert aggregate["disk"]["misses"] == len(cells)
     # profiling was off, so the merged profile carries no paths
     assert aggregate["profile"].get("paths", {}) == {}
+    # what the block JIT did in the workers' recording runs
+    counters = aggregate["metrics"]["counters"]
+    assert {"jit." + name for name in JIT_COUNTERS} <= set(counters)
+    assert 0 < counters["jit.compiles"] <= counters["jit.compiled_guest_instructions"]
 
 
 def test_worker_telemetry_cleared_and_absent_when_serial(tmp_path):
@@ -162,12 +167,14 @@ def test_worker_telemetry_keeps_latest_cumulative_snapshot(tmp_path):
     assert second_stores == first_stores  # cumulative, never double-counted
 
 
+@pytest.mark.usefixtures("eager_jit")
 def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     """A second cold parallel sweep must reuse the workers' JIT packs:
     results stay bit-identical, no result cells are re-stored, and
     fresh workers simulating new cells adopt every group's pack."""
     from repro.harness.runner import clear_worker_telemetry, disk_cache, worker_telemetry
 
+    _shutdown_pool()  # workers forked under eager_jit compile, and pack, the hot blocks
     cells = [(w, c, SCALE) for w in SMALL for c in CONFIGS]
     first = run_many(cells, jobs=2)
     stores_after_first = disk_cache().stats()["stores"]
@@ -182,6 +189,7 @@ def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     _shutdown_pool()  # fresh workers start with empty JIT spaces
     run_many([(w, "speculative_4", SCALE) for w in SMALL], jobs=2)
     counters = worker_telemetry()["aggregate"]["metrics"]["counters"]
+    _shutdown_pool()  # later tests get workers with the default threshold
     assert counters["jitpack.hits"] == len(SMALL)
     assert counters["jitpack.blocks_adopted"] > 0
 

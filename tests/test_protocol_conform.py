@@ -222,6 +222,7 @@ class TestLiveRuns:
         assert replayed.events == live.events
         assert replayed.checks == live.checks
 
+    @pytest.mark.usefixtures("eager_jit")
     def test_workload_with_jit_conforms(self):
         from repro.workloads.suite import build_workload
 
