@@ -32,6 +32,11 @@ class Prediction:
     target: int
     depth_bonus: int
 
+    def __reduce__(self):
+        # a frozen dataclass with hand-written slots has no __dict__ for
+        # pickle's default state, and its setattr-based restore raises
+        return Prediction, (self.target, self.depth_bonus)
+
 
 #: Depth penalty for return-address predictions (low-priority queue).
 RETURN_PREDICTION_PENALTY = 3

@@ -39,7 +39,9 @@ The cache also keeps each program's guest execution record (see
 :mod:`repro.vm.timing`), beside its JIT space and under the same
 capacity, so every holder of a cache — a harness process, a pool
 worker, a benchmark row — records a program once and replays it for
-every other config.
+every other config.  :meth:`TranslationCache.row_state` and
+:meth:`TranslationCache.adopt_row` move one program's namespaces and
+records into another process's cache (the harness's row packs).
 """
 
 from __future__ import annotations
@@ -114,6 +116,32 @@ class TranslationCache:
 
     def store_execution_record(self, key: Hashable, record: object) -> None:
         self._records.put(key, record)
+
+    def row_state(self, key: Hashable) -> Dict:
+        """What this cache holds for program ``key`` besides its JIT
+        space: ``{"spaces": {knobs: space}, "records": {stdin:
+        record}}``, sharing the live maps (the harness pickles it into a
+        row pack, see :mod:`repro.harness.runner`)."""
+        return {
+            "spaces": {ns[1]: self._spaces.peek(ns) for ns in self._spaces if ns[0] == key},
+            "records": {rk[1]: self._records.peek(rk) for rk in self._records if rk[0] == key},
+        }
+
+    def adopt_row(self, key: Hashable, state: Dict) -> None:
+        """Merge a :meth:`row_state` of program ``key`` into this cache.
+
+        Entries already present win: the translator and the guest are
+        deterministic, so an adopted block or record equals the one it
+        would have produced."""
+        for knobs, blocks in state["spaces"].items():
+            space = self.space((key, knobs))
+            for block_key, block in blocks.items():
+                space.setdefault(block_key, block)
+        for stdin, record in state["records"].items():
+            if record == LIVE_ONLY:
+                record = LIVE_ONLY  # readers test identity; unpickling copies
+            if self._records.get((key, stdin)) is None:
+                self._records.put((key, stdin), record)
 
     def blocks(self) -> Iterator[TranslatedBlock]:
         """Every cached block, across all translator namespaces."""

@@ -907,37 +907,51 @@ def pack_space(space: Dict) -> bytes:
 
 
 class PackError(ValueError):
-    """A JIT pack that cannot be decoded: a truncated or garbled pickle,
+    """A pack that cannot be decoded: a truncated or garbled pickle,
     bad marshal data, or an entry of the wrong shape."""
+
+
+def load_pack(data: bytes, fmt: int) -> Optional[Tuple]:
+    """Unpickle a pack written as ``(format, *payload)``.
+
+    Returns the payload, or ``None`` if the pack has another format
+    (the caller rebuilds what it holds); raises :class:`PackError` on
+    undecodable input.  Only feed this bytes from a trusted cache
+    directory — it unpickles.
+    """
+    import pickle
+
+    try:
+        found, *payload = pickle.loads(data)
+    except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
+            IndexError, KeyError, MemoryError, OverflowError, TypeError,
+            ValueError) as err:
+        # what garbled pickles raise; a bogus length field alone can
+        # claim more memory than exists
+        raise PackError("undecodable pack: %r" % err) from err
+    return tuple(payload) if found == fmt else None
 
 
 def unpack_space(data: bytes) -> Dict:
     """Rebuild a shared JIT space from :func:`pack_space` output.
 
     Returns ``{}`` on a format mismatch (the caller just recompiles) and
-    raises :class:`PackError` on undecodable input.  Only feed this
-    bytes from a trusted cache directory — it unpickles.
+    raises :class:`PackError` on undecodable input (see
+    :func:`load_pack`).
     """
     import marshal
-    import pickle
 
-    try:
-        fmt, entries = pickle.loads(data)
-    except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
-            IndexError, KeyError, MemoryError, OverflowError, TypeError,
-            ValueError) as err:
-        # what garbled pickles raise; a bogus length field alone can
-        # claim more memory than exists
-        raise PackError("undecodable JIT pack: %r" % err) from err
-    if fmt != PACK_FORMAT:
+    payload = load_pack(data, PACK_FORMAT)
+    if payload is None:
         return {}
     space: Dict = {}
     try:
-        for key, payload in entries:
-            if payload is None:
+        (entries,) = payload
+        for key, entry in entries:
+            if entry is None:
                 space[key] = _INELIGIBLE
                 continue
-            code_bytes, sites, address, count = payload
+            code_bytes, sites, address, count = entry
             code = marshal.loads(code_bytes)
             namespace = _base_namespace(tuple(sites))
             exec(code, namespace)

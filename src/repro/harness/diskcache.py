@@ -30,7 +30,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.morph.config import VirtualArchConfig
 from repro.obs import prof
@@ -231,9 +231,15 @@ class DiskCache:
 
     # -- opaque blobs ------------------------------------------------------
 
-    def has_blob(self, name: str) -> bool:
-        """Whether an auxiliary entry exists (no read, just a stat)."""
-        return (self.root / f"{name}.bin").exists()
+    def blob_stamp(self, name: str) -> Optional[Tuple[int, int]]:
+        """``(mtime ns, size)`` of an auxiliary entry, ``None`` if absent
+        (no read, just a stat): tells a reader whether the entry exists,
+        and whether it changed since the reader last read or wrote it."""
+        try:
+            info = (self.root / f"{name}.bin").stat()
+        except OSError:
+            return None
+        return info.st_mtime_ns, info.st_size
 
     def load_blob(self, name: str) -> Optional[bytes]:
         """Read an auxiliary binary entry (e.g. a JIT code pack).

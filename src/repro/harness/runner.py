@@ -28,22 +28,34 @@ runs are bit-identical.
 
 :func:`run_many` executes a deduplicated work-list of grid cells on a
 ``ProcessPoolExecutor``; every run is deterministic, so parallel
-results are bit-identical to serial ones.  Hit/miss behaviour is
-recorded in a :class:`~repro.obs.metrics.MetricsRegistry` (surfaced by
-``benchmarks/run_all.py`` into ``BENCH_results.json``).
+results are bit-identical to serial ones.  Pool workers share those
+three layers through the disk cache's versioned directory, the way the
+paper's slave tiles share one L2 code cache: at the end of a group a
+worker saves a *row pack* per (workload, scale) —
+``rowpack_<workload>_<scale>.bin``: the assembled program, its
+translated namespaces and its execution records — and a worker that
+later gets the row merges the pack first, so it replays where it would
+have built, recorded and translated.  Beside it sits the row's *JIT
+pack* of compiled closures (``jitpack_<workload>_<scale>.bin``).  Both
+go through one load path and one save path: a pack that will not
+decode is counted (``<pack>.corrupt``), rebuilt and overwritten, and
+:func:`pack_warnings` turns such counts into warnings.  Hit/miss
+behaviour is recorded in a :class:`~repro.obs.metrics.MetricsRegistry`
+(surfaced by ``benchmarks/run_all.py`` into ``BENCH_results.json``).
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lru import LruDict
 from repro.dbt.transcache import TranslationCache
-from repro.guest.blockjit import PackError, pack_space, unpack_space
+from repro.guest.blockjit import PackError, load_pack, pack_space, unpack_space
 from repro.guest.program import GuestProgram
 from repro.harness.diskcache import DiskCache, config_digest, enabled_by_env
 from repro.morph.config import PRESETS, VirtualArchConfig
@@ -85,6 +97,17 @@ REPLAY_MODES = ("recorded", "replayed", "live_only")
 #: as ``jit.<name>``: what the hotness threshold compiled, what it
 #: found ineligible and what it adopted from a sibling's compile.
 JIT_COUNTERS = ("compiles", "ineligible", "shared_hits", "compiled_guest_instructions")
+
+#: Bumped when the row pack layout changes incompatibly; a pack of
+#: another format is ignored and its row built, recorded and translated
+#: afresh.  (The disk cache's code-version stamp already invalidates
+#: packs on *any* source edit; this guards readers of a foreign cache.)
+ROWPACK_FORMAT = 1
+
+#: The :meth:`DiskCache.blob_stamp` of each row pack this process last
+#: read or wrote, keyed ``(cache directory, (workload, scale))``: a
+#: worker merges a row pack only when another worker has rewritten it.
+_ROW_STAMPS: Dict[Tuple[str, Tuple[str, float]], Tuple[int, int]] = {}
 
 #: Lazily constructed process-wide disk cache (None = disabled).
 _DISK: Optional[DiskCache] = None
@@ -268,6 +291,129 @@ def _worker_disk(enabled: bool, root: Optional[str]) -> Optional[DiskCache]:
     return disk_cache()
 
 
+def _pack_name(kind: str, row: Tuple[str, float]) -> str:
+    """The blob name of a row's ``jitpack`` or ``rowpack``."""
+    workload, scale = row
+    return f"{kind}_{workload}_{scale}".replace("/", "_")
+
+
+def _load_pack(disk: DiskCache, name: str, counters: str, decode) -> Optional[object]:
+    """Read the pack blob ``name`` and ``decode`` it: the one load path
+    of the JIT and row packs.
+
+    Counts ``<counters>.hits``, ``.misses`` (no blob, or one of another
+    format) or ``.corrupt`` (a :class:`PackError`: what the pack held is
+    rebuilt), and the decode latency; returns the decoded value, or
+    ``None``.
+    """
+    data = disk.load_blob(name)
+    if data is None:
+        METRICS.bump(counters + ".misses")
+        return None
+    with prof.active().phase("jit.pack"):
+        started = time.perf_counter_ns()
+        try:
+            value = decode(data)
+        except PackError:
+            value = None
+            METRICS.bump(counters + ".corrupt")
+        else:
+            METRICS.bump(counters + (".misses" if value is None else ".hits"))
+        METRICS.observe(counters + ".unpack.us",
+                        (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
+    return value
+
+
+def _save_pack(disk: DiskCache, name: str, counters: str, encode) -> bool:
+    """Write ``encode()`` as the pack blob ``name``; whether it was
+    written.  Packing is an optimization: a full or read-only cache
+    directory must not fail the run, but it is counted as
+    ``<counters>.save_failed``."""
+    with prof.active().phase("jit.pack"):
+        started = time.perf_counter_ns()
+        try:
+            disk.save_blob(name, encode())
+            saved = True
+        except OSError:
+            saved = False
+        METRICS.bump(counters + (".saves" if saved else ".save_failed"))
+        METRICS.observe(counters + ".pack.us",
+                        (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
+    return saved
+
+
+def _adopt_jit_pack(disk: DiskCache, row: Tuple[str, float]) -> Tuple[Dict, int]:
+    """Warm ``row``'s shared JIT space from a sibling worker's code pack,
+    unless this process already has one; returns the space and its size.
+
+    Loading a marshaled code object costs ~5% of compiling the block,
+    so only the first worker ever to compile a block pays codegen."""
+    space = _TRANSLATIONS.jit_space(row)
+    if not space:
+        adopted = _load_pack(disk, _pack_name("jitpack", row), "jitpack",
+                             lambda data: unpack_space(data) or None)
+        if adopted:
+            space.update(adopted)
+            METRICS.bump("jitpack.blocks_adopted", len(adopted))
+    return space, len(space)
+
+
+def _row_size(row: Tuple[str, float]) -> int:
+    """Translated blocks plus execution records held for ``row``: what
+    a row pack grows by."""
+    state = _TRANSLATIONS.row_state(row)
+    return sum(map(len, state["spaces"].values())) + len(state["records"])
+
+
+def _adopt_row_pack(disk: DiskCache, row: Tuple[str, float]) -> Optional[int]:
+    """Merge ``row``'s pack into this process's caches if the pack
+    changed since this process last read or wrote it.
+
+    Returns the row's :func:`_row_size` afterwards, or ``None`` when
+    the disk holds no usable pack (absent, undecodable or of another
+    format), so the group's end writes one."""
+    name = _pack_name("rowpack", row)
+    stamp = disk.blob_stamp(name)
+    if stamp is None:
+        METRICS.bump("rowpack.misses")
+        return None
+    seen = (str(disk.root), row)
+    if _ROW_STAMPS.get(seen) != stamp:
+        adopted = _load_pack(disk, name, "rowpack", _unpack_row)
+        if adopted is None:
+            return None
+        program, state = adopted
+        if _PROGRAMS.peek(row) is None:
+            _PROGRAMS.put(row, program)
+        _TRANSLATIONS.adopt_row(row, state)
+        _ROW_STAMPS[seen] = stamp
+    return _row_size(row)
+
+
+def _pack_row(program: GuestProgram, state: Dict) -> bytes:
+    """A row pack: a row's assembled program and its
+    :meth:`TranslationCache.row_state`."""
+    return pickle.dumps((ROWPACK_FORMAT, program, state), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _unpack_row(data: bytes) -> Optional[Tuple[GuestProgram, Dict]]:
+    """The ``(program, row state)`` of a :func:`_pack_row` blob;
+    ``None`` for another format, :class:`PackError` if undecodable."""
+    payload = load_pack(data, ROWPACK_FORMAT)
+    if payload is None:
+        return None
+    try:
+        program, state = payload
+        shaped = (isinstance(program, GuestProgram)
+                  and isinstance(state["records"], dict)
+                  and all(isinstance(space, dict) for space in state["spaces"].values()))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise PackError("malformed row pack: %r" % err) from err
+    if not shaped:
+        raise PackError("malformed row pack")
+    return program, state
+
+
 def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
                 disk_enabled: bool, disk_root: Optional[str], submitted_ns: int
                 ) -> Tuple[List[TimingRunResult], Dict[str, int], dict]:
@@ -275,6 +421,8 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
 
     Groups are one workload each (see :func:`run_many`), so the worker's
     program memo and translation cache stay warm across its cells.
+    Before the cells the worker adopts the row's JIT and row packs from
+    the disk cache, and after them it saves each one that grew.
     ``submitted_ns`` is the parent's ``perf_counter_ns()`` at submission
     (a system-wide clock), from which the group's queue wait is taken.
 
@@ -294,38 +442,11 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
     hits_before = _TRANSLATIONS.hits
     misses_before = _TRANSLATIONS.misses
     modes_before = {mode: METRICS["replay." + mode] for mode in REPLAY_MODES}
-    # Warm this group's shared JIT space from a sibling worker's code
-    # pack: loading a marshaled code object costs ~5% of compiling the
-    # block, so only the first worker ever to touch a workload pays
-    # codegen.  Packs live in the disk cache's versioned directory and
-    # self-invalidate with it.
-    pack_name = None
-    packed = 0
-    space = None
-    if disk is not None and cells:
-        workload, _, scale = cells[0]
-        space = _TRANSLATIONS.jit_space((workload, scale))
-        pack_name = f"jitpack_{workload}_{scale}".replace("/", "_")
-        if not space:
-            data = disk.load_blob(pack_name)
-            if data is None:
-                METRICS.bump("jitpack.misses")
-            else:
-                with profiler.phase("jit.pack"):
-                    started = time.perf_counter_ns()
-                    try:
-                        space.update(unpack_space(data))
-                        METRICS.bump("jitpack.hits")
-                        METRICS.bump("jitpack.blocks_adopted", len(space))
-                    except PackError:
-                        METRICS.bump("jitpack.corrupt")
-                        # undecodable pack: recompile from scratch
-                    METRICS.observe(
-                        "jitpack.unpack.us",
-                        (time.perf_counter_ns() - started) / 1e3,
-                        IO_TIME_BUCKETS,
-                    )
-        packed = len(space)
+    workload, _, scale = cells[0]
+    row = (workload, scale)
+    if disk is not None:
+        jit_space, jit_before = _adopt_jit_pack(disk, row)
+        row_before = _adopt_row_pack(disk, row)
     results = [run_one(workload, config, scale) for workload, config, scale in cells]
     if disk is not None:
         # A long-lived worker may serve a cell from its in-process memo
@@ -335,29 +456,21 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         for (workload, config, scale), result in zip(cells, results):
             if not disk.has(workload, config, scale):
                 disk.store(workload, config, scale, result)
-    if pack_name is not None and space and (
-        len(space) > packed or not disk.has_blob(pack_name)
-    ):
-        with profiler.phase("jit.pack"):
-            started = time.perf_counter_ns()
-            try:
-                disk.save_blob(pack_name, pack_space(space))
-                METRICS.bump("jitpack.saves")
-                METRICS.bump("jitpack.blocks_saved", len(space))
-            except OSError:
-                # packing is an optimization: a full or read-only cache
-                # directory must not fail the run, but it is counted
-                METRICS.bump("jitpack.save_failed")
-            METRICS.observe(
-                "jitpack.pack.us", (time.perf_counter_ns() - started) / 1e3,
-                IO_TIME_BUCKETS,
-            )
+        jit_name = _pack_name("jitpack", row)
+        if jit_space and (len(jit_space) > jit_before or disk.blob_stamp(jit_name) is None):
+            if _save_pack(disk, jit_name, "jitpack", lambda: pack_space(jit_space)):
+                METRICS.bump("jitpack.blocks_saved", len(jit_space))
+        program = _PROGRAMS.peek(row)
+        if program is not None and (row_before is None or _row_size(row) > row_before):
+            row_name = _pack_name("rowpack", row)
+            if _save_pack(disk, row_name, "rowpack",
+                          lambda: _pack_row(program, _TRANSLATIONS.row_state(row))):
+                _ROW_STAMPS[(str(disk.root), row)] = disk.blob_stamp(row_name)
     deltas = {
         "disk_stores": (disk.stores - stores_before) if disk is not None else 0,
         "translation_hits": _TRANSLATIONS.hits - hits_before,
         "translation_misses": _TRANSLATIONS.misses - misses_before,
     }
-    workload, _, scale = cells[0]
     _GROUPS.append({
         "workload": workload,
         "scale": scale,
@@ -470,6 +583,7 @@ def clear_cache() -> None:
     _CACHE.clear()
     _PROGRAMS.clear()
     _TRANSLATIONS.clear()
+    _ROW_STAMPS.clear()
     METRICS.bump("run_cache.clears")
 
 
@@ -510,6 +624,10 @@ PACK_FAILURES = {
     "jitpack.corrupt": "JIT pack(s) could not be decoded; their blocks were recompiled",
     "jitpack.save_failed": "JIT pack(s) could not be written (full or read-only cache "
                            "directory?); later workers recompile their blocks",
+    "rowpack.corrupt": "row pack(s) could not be decoded; their rows were built, "
+                       "recorded and translated again",
+    "rowpack.save_failed": "row pack(s) could not be written (full or read-only cache "
+                           "directory?); later workers rebuild those rows",
 }
 
 

@@ -245,6 +245,13 @@ class HostInstr:
     shamt: int = 0
     target: int = 0
 
+    def __reduce__(self):
+        # one constructor call per instruction loads faster than the
+        # slotted dataclass's field-by-field __setstate__ (176.gcc's row
+        # pack holds ~17k distinct instructions)
+        return HostInstr, (self.op, self.rd, self.rs, self.rt, self.imm,
+                           self.shamt, self.target)
+
     def __str__(self) -> str:
         op = self.op
         name = op.value

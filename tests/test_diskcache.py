@@ -99,7 +99,16 @@ class TestDiskCacheUnit:
         with pytest.raises(OSError):
             cache.save_blob("jitpack_x", b"code")
         assert list(cache.root.iterdir()) == []
-        assert cache.stores == 0 and not cache.has_blob("jitpack_x")
+        assert cache.stores == 0 and cache.blob_stamp("jitpack_x") is None
+
+    def test_blob_stamp_changes_when_a_blob_is_rewritten(self, tmp_path):
+        cache = DiskCache(tmp_path, version="test")
+        assert cache.blob_stamp("rowpack_x") is None
+        cache.save_blob("rowpack_x", b"one")
+        first = cache.blob_stamp("rowpack_x")
+        assert first is not None and first == cache.blob_stamp("rowpack_x")
+        cache.save_blob("rowpack_x", b"three")
+        assert cache.blob_stamp("rowpack_x") != first
 
     def test_serialization_is_plain_json_data(self, no_disk):
         result = run_one(WORKLOAD, CONFIG, SCALE)

@@ -194,6 +194,38 @@ def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     assert counters["jitpack.blocks_adopted"] > 0
 
 
+def test_fresh_workers_adopt_row_packs(tmp_path):
+    """Workers that never saw a row take its program, translations and
+    execution record from the row pack a sibling saved: they build,
+    record and translate nothing, and their results equal a serial run."""
+    from repro.harness import runner
+    from repro.harness.runner import clear_worker_telemetry, worker_telemetry
+
+    _shutdown_pool()
+    run_many([(w, c, SCALE) for w in SMALL for c in CONFIGS], jobs=2)
+    _shutdown_pool()  # fresh workers: nothing of the first sweep in memory
+    clear_worker_telemetry()
+    clear_cache()
+    later = [(w, c, SCALE) for w in SMALL for c in ("speculative_4", "l15_128k")]
+    shipped = runner.METRICS["workers.translation_misses"]
+    pooled = run_many(later, jobs=2)
+    telemetry = worker_telemetry()
+    _shutdown_pool()
+    counters = telemetry["aggregate"]["metrics"]["counters"]
+    assert counters.get("replay.recorded", 0) == 0
+    assert counters.get("program_cache.misses", 0) == 0
+    assert sum(w["translations"]["misses"] for w in telemetry["workers"].values()) == 0
+    assert runner.METRICS["workers.translation_misses"] == shipped
+    assert counters["replay.replayed"] == len(later)
+    assert counters["rowpack.hits"] == len(SMALL)
+
+    configure_disk_cache(enabled=False)
+    clear_cache()
+    for workload, config, scale in later:
+        serial = run_one(workload, config, scale)
+        assert pooled[(workload, config, scale)] == serial
+
+
 def test_pool_is_sized_from_jobs_alone(tmp_path):
     """A one-group call must not start a pool that the next, wider call
     replaces: the replaced worker's warm caches would be lost."""

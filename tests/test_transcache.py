@@ -7,15 +7,24 @@ the executable section (the generation key) or leak between translator
 configurations (the knobs namespace).
 """
 
+import pickle
+
 import pytest
 
-from repro.dbt.transcache import CachingTranslator, TranslationCache, translator_knobs
+from repro.dbt.predictor import Prediction
+from repro.dbt.transcache import (
+    LIVE_ONLY,
+    CachingTranslator,
+    TranslationCache,
+    translator_knobs,
+)
 from repro.dbt.translator import TranslationConfig, Translator
 from repro.guest.assembler import assemble
 from repro.guest.memory import GuestMemory
+from repro.host.isa import HostInstr, HostOp, HostReg
 from repro.harness import runner
 from repro.morph.config import PRESETS
-from repro.vm.timing import run_timing
+from repro.vm.timing import ExecutionRecord, TimingVM, run_timing
 from repro.workloads import build_workload
 
 from tests.test_self_modifying_code import SMC_PROGRAM, _expected_exit
@@ -184,3 +193,82 @@ class TestHarnessReuse:
         for config, cell in (("conservative_1", first), ("speculative_4", second)):
             fresh = run_timing(fresh_program, PRESETS[config])
             assert (cell.cycles, cell.stats) == (fresh.cycles, fresh.stats)
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestRowState:
+    """A program's translated namespaces and execution records leave a
+    cache through :meth:`TranslationCache.row_state` and re-enter
+    another through :meth:`TranslationCache.adopt_row`, pickled in
+    between (the harness's row packs)."""
+
+    def test_value_types_pickle(self):
+        instr = HostInstr(HostOp.ADDIU, rt=HostReg.V0, rs=HostReg.SP, imm=-4)
+        assert _round_trip(instr) == instr
+        prediction = Prediction(0x1000, 1)
+        assert _round_trip(prediction) == prediction
+        record = ExecutionRecord(exit_code=3, instructions=7, piii_stall_cycles=11)
+        record.block_pcs.append(0x8048000)
+        record.access_sizes.append(-4)
+        assert _round_trip(record) == record
+
+    def test_translated_namespace_and_record_round_trip(self):
+        cache = TranslationCache()
+        program = build_workload("181.mcf", scale=0.05)
+        vm = TimingVM(program, PRESETS["speculative_4"],
+                      translation_cache=cache, program_key="mcf")
+        first = vm.run()
+        assert vm.execution_mode == "recorded"
+        state = cache.row_state("mcf")
+        (blocks,) = state["spaces"].values()
+        (record,) = state["records"].values()
+        assert blocks and isinstance(record, ExecutionRecord)
+        copy = _round_trip(state)
+        assert copy["records"] == state["records"]
+        (copied,) = copy["spaces"].values()
+        assert copied.keys() == blocks.keys()
+        for key, block in blocks.items():
+            twin = copied[key]
+            assert twin is not block and twin == block  # every field
+            # the sealed facts, and what a fetch derives from them
+            assert (twin.host_words, twin.transfer_cycles, twin.chain_targets,
+                    twin.predictions) == (block.host_words, block.transfer_cycles,
+                                          block.chain_targets, block.predictions)
+            assert all(isinstance(p, Prediction) for p in twin.predictions)
+        assert any(block.predictions for block in copied.values())
+
+        # a fresh cache that adopts the copy replays without translating
+        adopter = TranslationCache()
+        adopter.adopt_row("mcf", copy)
+        vm = TimingVM(program, PRESETS["no_l15"],
+                      translation_cache=adopter, program_key="mcf")
+        replayed = vm.run()
+        assert vm.execution_mode == "replayed" and adopter.misses == 0
+        fresh = run_timing(program, PRESETS["no_l15"])
+        assert (replayed.cycles, replayed.stats) == (fresh.cycles, fresh.stats)
+        assert first.guest_instructions == replayed.guest_instructions
+
+    def test_row_state_is_per_program(self):
+        cache = TranslationCache()
+        cache.space(("a", (True,)))[(0, 16)] = "block a"
+        cache.space(("b", (True,)))[(0, 16)] = "block b"
+        cache.store_execution_record(("a", b""), "record a")
+        assert cache.row_state("a") == {
+            "spaces": {(True,): {(0, 16): "block a"}},
+            "records": {b"": "record a"},
+        }
+        assert cache.row_state("c") == {"spaces": {}, "records": {}}
+
+    def test_adopt_row_keeps_present_entries_and_live_only_identity(self):
+        cache = TranslationCache()
+        cache.space(("a", (True,)))[(0, 16)] = "mine"
+        cache.adopt_row("a", _round_trip({
+            "spaces": {(True,): {(0, 16): "theirs", (0, 32): "new"}},
+            "records": {b"": LIVE_ONLY},
+        }))
+        assert cache.space(("a", (True,))) == {(0, 16): "mine", (0, 32): "new"}
+        # timing tests the live-only marker by identity
+        assert cache.execution_record(("a", b"")) is LIVE_ONLY
