@@ -155,6 +155,13 @@ def main(argv=None) -> None:
         prof.enable()
     if args.no_cache:
         configure_disk_cache(enabled=False)
+    disk = disk_cache()
+    if disk is not None:
+        # each code edit leaves a cache directory behind; this sweep
+        # owns the cache root, so clear out the old versions first
+        pruned = disk.prune_stale_versions()
+        if pruned:
+            print(f"pruned {pruned} stale cache version(s) under {disk.root.parent}")
     figures = [
         figure1_timeline,
         figure4_l15_cache,

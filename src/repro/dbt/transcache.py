@@ -36,10 +36,9 @@ words, transfer cycles, chain targets, predictions), so every cell that
 reuses a translation reuses them too.
 
 The cache also keeps each program's guest execution record (see
-:mod:`repro.vm.timing`), beside its JIT space and under the same
-capacity, so every holder of a cache — a harness process, a pool
-worker, a benchmark row — records a program once and replays it for
-every other config.  :meth:`TranslationCache.row_state` and
+:mod:`repro.vm.timing`) under the same capacity, so every holder of a
+cache — a harness process, a pool worker, a benchmark row — records a
+program once and replays it for every other config.  :meth:`TranslationCache.row_state` and
 :meth:`TranslationCache.adopt_row` move one program's namespaces and
 records into another process's cache (the harness's row packs).
 """
@@ -80,7 +79,6 @@ class TranslationCache:
 
     def __init__(self, capacity: int = NAMESPACE_CAPACITY) -> None:
         self._spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
-        self._jit_spaces: "LruDict[Hashable, Dict]" = LruDict(capacity)
         self._records: "LruDict[Hashable, object]" = LruDict(capacity)
         self.hits = 0
         self.misses = 0
@@ -93,22 +91,6 @@ class TranslationCache:
             self._spaces.put(namespace, space)
         return space
 
-    def jit_space(self, namespace: Hashable) -> Dict:
-        """The block-JIT share map for one namespace.
-
-        Keyed ``(generation, address, count) -> CompiledBlock`` (or the
-        ineligible sentinel) by :class:`repro.guest.blockjit.BlockJit`.
-        Compiled closures depend only on the guest bytes and the block
-        plan, never on translator knobs, so unlike :meth:`space` the
-        namespace is just the program key — every cell of a sweep shares
-        one compile of each hot block.
-        """
-        space = self._jit_spaces.get(namespace)
-        if space is None:
-            space = {}
-            self._jit_spaces.put(namespace, space)
-        return space
-
     def execution_record(self, key: Hashable) -> Optional[object]:
         """The ``ExecutionRecord`` (or :data:`LIVE_ONLY`) stored under
         ``key``, a ``(program key, stdin)`` pair; ``None`` if absent."""
@@ -118,10 +100,10 @@ class TranslationCache:
         self._records.put(key, record)
 
     def row_state(self, key: Hashable) -> Dict:
-        """What this cache holds for program ``key`` besides its JIT
-        space: ``{"spaces": {knobs: space}, "records": {stdin:
-        record}}``, sharing the live maps (the harness pickles it into a
-        row pack, see :mod:`repro.harness.runner`)."""
+        """What this cache holds for program ``key``: ``{"spaces":
+        {knobs: space}, "records": {stdin: record}}``, sharing the live
+        maps (the harness pickles it into a row pack, see
+        :mod:`repro.harness.runner`)."""
         return {
             "spaces": {ns[1]: self._spaces.peek(ns) for ns in self._spaces if ns[0] == key},
             "records": {rk[1]: self._records.peek(rk) for rk in self._records if rk[0] == key},
@@ -150,7 +132,6 @@ class TranslationCache:
 
     def clear(self) -> None:
         self._spaces.clear()
-        self._jit_spaces.clear()
         self._records.clear()
         self.hits = 0
         self.misses = 0
@@ -161,10 +142,9 @@ class TranslationCache:
             "misses": self.misses,
             "namespaces": len(self._spaces),
             "blocks": sum(len(self._spaces.peek(key)) for key in self._spaces),
-            "jit_namespaces": len(self._jit_spaces),
-            "jit_blocks": sum(
-                len(self._jit_spaces.peek(key)) for key in self._jit_spaces
-            ),
+            # always 0: compiled closures are no longer cached here;
+            # kept only for perfbench/child.py, its one reader
+            "jit_blocks": 0,
             "records": sum(
                 1 for key in self._records if self._records.peek(key) is not LIVE_ONLY
             ),
@@ -202,11 +182,11 @@ class CachingTranslator(Translator):
         """Classify the namespace's cached blocks by generation.
 
         ``live`` entries are keyed to the current generation, ``stale``
-        ones to older generations (unreachable but harmlessly retained,
-        like the JIT's shared space), and ``future`` ones to a
-        generation newer than the counter — impossible unless the
-        generation source regressed, so the protocol-conformance tier
-        treats any ``future`` entry as an invariant violation.
+        ones to older generations (unreachable but harmlessly retained),
+        and ``future`` ones to a generation newer than the counter —
+        impossible unless the generation source regressed, so the
+        protocol-conformance tier treats any ``future`` entry as an
+        invariant violation.
         """
         current = self._generation()
         counts = {"live": 0, "stale": 0, "future": 0}

@@ -15,8 +15,7 @@ two ways:
    paid for its compile (its :data:`DEFAULT_HOT_THRESHOLD`-th
    sighting, the break-even point derived below) the dispatch loop has
    :class:`BlockJit` emit one specialized Python function for the
-   whole block and runs that instead.  A closure a sibling VM already
-   compiled is adopted on the first sighting.
+   whole block and runs that instead.
 
 :class:`BlockJit` owns all per-VM JIT state in one pc-keyed table of
 :class:`BlockEntry` rows (sightings, compiled block).  ``_dispatch``
@@ -62,11 +61,10 @@ Anything else — mid-block control flow, fetch faults, unimplemented
 ops — is marked ineligible and keeps running as interpreter steps,
 which reproduce its exact behaviour.
 
-Compiled blocks live in the VM's table and, for blocks inside the
-tracked text section, are shared across grid cells through
-:meth:`repro.dbt.transcache.TranslationCache.jit_space`, keyed by
-(SMC generation, address, count) — the same staleness rule translations
-use, so self-modifying code can never execute stale compiled code.
+Compiled blocks live only in the VM's own table and are never shared
+with another VM.  Grid cells reuse guest execution through the
+execution record instead (see :mod:`repro.vm.timing`): a replayed cell
+runs no guest code, so it needs no closures.
 """
 
 from __future__ import annotations
@@ -138,32 +136,16 @@ class Ineligible(Exception):
 
 
 class CompiledBlock:
-    """One compiled block: the closure plus what a pack needs.
+    """One compiled block: the closure and its generated ``source``
+    (what :mod:`repro.verify.jitverify` proves against the block)."""
 
-    ``code`` and ``sites`` are retained so the block can be serialized
-    by :func:`pack_space` — marshaling the already-compiled code object
-    lets another process skip codegen *and* parsing.
-    ``source`` is the generated text of a fresh compile and ``None`` for
-    a block rebuilt from a pack.
-    """
+    __slots__ = ("fn", "address", "count", "source")
 
-    __slots__ = ("fn", "address", "count", "source", "code", "sites")
-
-    def __init__(
-        self,
-        fn: Callable,
-        address: int,
-        count: int,
-        source: Optional[str],
-        code=None,
-        sites: tuple = (),
-    ) -> None:
+    def __init__(self, fn: Callable, address: int, count: int, source: str) -> None:
         self.fn = fn
         self.address = address
         self.count = count
         self.source = source
-        self.code = code
-        self.sites = sites
 
 
 def _can_fault(instr: Instruction) -> bool:
@@ -849,12 +831,9 @@ class _Compiler:
 
         source = "\n".join(header + body + tail) + "\n"
         namespace = _base_namespace(tuple(self.sites))
-        code = compile(source, "<blockjit:%#x+%d>" % (self.address, self.count), "exec")
-        exec(code, namespace)
-        return CompiledBlock(
-            namespace["_jit_block"], self.address, self.count, source,
-            code=code, sites=tuple(self.sites),
-        )
+        exec(compile(source, "<blockjit:%#x+%d>" % (self.address, self.count), "exec"),
+             namespace)
+        return CompiledBlock(namespace["_jit_block"], self.address, self.count, source)
 
 
 def _guest_fault_class():
@@ -874,41 +853,9 @@ def _base_namespace(sites: tuple) -> Dict:
     }
 
 
-#: Bumped when the pack layout or the generated code's namespace
-#: contract changes incompatibly.  (The disk cache's code-version stamp
-#: already invalidates packs on *any* source edit; this guards readers
-#: of a foreign cache directory.)
-PACK_FORMAT = 4
-
-
-def pack_space(space: Dict) -> bytes:
-    """Serialize a shared JIT space for cross-process reuse.
-
-    Compiling a block costs ~1ms, almost all of it codegen plus
-    ``builtins.compile``; marshaling the finished code object lets a
-    sibling worker process rebuild the closure for ~5% of that.  Blocks
-    compiled before packing existed in this process (adopted from a
-    pack) round-trip unchanged — ``CompiledBlock`` keeps its code
-    object and fault sites for exactly this purpose.
-    """
-    import marshal
-    import pickle
-
-    entries = []
-    for key, block in space.items():
-        if block is _INELIGIBLE:
-            entries.append((key, None))
-        elif block.code is not None:
-            entries.append(
-                (key, (marshal.dumps(block.code), block.sites,
-                       block.address, block.count))
-            )
-    return pickle.dumps((PACK_FORMAT, entries), protocol=pickle.HIGHEST_PROTOCOL)
-
-
 class PackError(ValueError):
     """A pack that cannot be decoded: a truncated or garbled pickle,
-    bad marshal data, or an entry of the wrong shape."""
+    or a payload of the wrong shape."""
 
 
 def load_pack(data: bytes, fmt: int) -> Optional[Tuple]:
@@ -933,35 +880,9 @@ def load_pack(data: bytes, fmt: int) -> Optional[Tuple]:
 
 
 def unpack_space(data: bytes) -> Dict:
-    """Rebuild a shared JIT space from :func:`pack_space` output.
-
-    Returns ``{}`` on a format mismatch (the caller just recompiles) and
-    raises :class:`PackError` on undecodable input (see
-    :func:`load_pack`).
-    """
-    import marshal
-
-    payload = load_pack(data, PACK_FORMAT)
-    if payload is None:
-        return {}
-    space: Dict = {}
-    try:
-        (entries,) = payload
-        for key, entry in entries:
-            if entry is None:
-                space[key] = _INELIGIBLE
-                continue
-            code_bytes, sites, address, count = entry
-            code = marshal.loads(code_bytes)
-            namespace = _base_namespace(tuple(sites))
-            exec(code, namespace)
-            space[key] = CompiledBlock(
-                namespace["_jit_block"], address, count, None,
-                code=code, sites=tuple(sites),
-            )
-    except (EOFError, KeyError, TypeError, ValueError) as err:
-        raise PackError("malformed JIT pack entry: %r" % err) from err
-    return space
+    """Always ``{}``: JIT packs no longer exist.  Kept only because
+    ``perfbench/child.py`` imports the name; it goes with that import."""
+    return {}
 
 
 def block_instructions(interp, address: int, count: int) -> List[Instruction]:
@@ -1003,8 +924,8 @@ class _IneligibleMark:
         return "<ineligible>"
 
 
-#: Stored in a table entry, a shared space or a pack for a block that
-#: failed eligibility, so neither this VM nor a sibling retries it.
+#: Stored in the table entry of a block that failed eligibility, so the
+#: VM does not retry it.
 _INELIGIBLE = _IneligibleMark()
 
 
@@ -1012,9 +933,8 @@ class BlockEntry:
     """One pc's row of the block table.
 
     ``count`` is the block's instruction count and ``seen`` its
-    sightings.  ``block`` is ``None`` until the block is compiled or
-    adopted, then the :class:`CompiledBlock` or the falsy ineligible
-    mark.
+    sightings.  ``block`` is ``None`` until the block is compiled, then
+    the :class:`CompiledBlock` or the falsy ineligible mark.
     """
 
     __slots__ = ("count", "seen", "block")
@@ -1026,57 +946,31 @@ class BlockEntry:
 
 
 class BlockJit:
-    """Per-VM block table with optional shared caching.
+    """Per-VM block table; shares nothing with any other VM.
 
     ``table`` maps each guest pc the VM has dispatched to its
     :class:`BlockEntry`.  :meth:`note_execution` counts a sighting and,
-    at the hotness threshold, compiles the block (or adopts a sibling
-    VM's compilation from ``shared_space``) into the entry.
+    at the hotness threshold, compiles the block into the entry.
     :meth:`invalidate` drops every compiled block on self-modifying
     writes; the sighting counts survive.
     """
 
-    def __init__(
-        self,
-        interp,
-        shared_space: Optional[Dict] = None,
-        generation: Optional[Callable[[], int]] = None,
-        share_range: Optional[Tuple[int, int]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, interp, metrics: Optional[MetricsRegistry] = None) -> None:
         self.interp = interp
         self.table: Dict[int, BlockEntry] = {}
-        self.shared = shared_space
-        self._generation = generation if generation is not None else (lambda: 0)
-        share_low, share_high = share_range if share_range is not None else (0, 0)
-        self._share_low = share_low
-        self._share_high = share_high
         self.metrics = metrics if metrics is not None else MetricsRegistry("blockjit")
         self.profiler = prof.active()
 
     def note_execution(self, address: int, entry: BlockEntry):
         """Count one sighting of an uncompiled block; returns ``entry.block``.
 
-        :data:`DEFAULT_HOT_THRESHOLD` gates fresh *compiles*: a block
-        compiles on the sighting where its stepping has paid for the
-        compile.  A compilation a sibling VM already paid for costs
-        nothing, so it is adopted from the shared space on the first
-        sighting (a live run that shares a program's translation cache
-        with an earlier one, or a worker seeded from a JIT pack).
+        :data:`DEFAULT_HOT_THRESHOLD` gates compiles: a block compiles
+        on the sighting where its stepping has paid for the compile.
         """
         entry.seen += 1
-        count = entry.count
-        shared_key = None
-        if self.shared is not None and self._share_low <= address < self._share_high:
-            shared_key = (self._generation(), address, count)
-            cached = self.shared.get(shared_key)
-            if cached is not None:
-                self.metrics.bump("shared_hits" if cached else "ineligible_shared")
-                entry.block = cached
-                return cached
         if entry.seen < DEFAULT_HOT_THRESHOLD:
             return None
-
+        count = entry.count
         started = time.perf_counter_ns()
         try:
             instrs = block_instructions(self.interp, address, count)
@@ -1090,8 +984,6 @@ class BlockJit:
             self.metrics.bump("compiled_guest_instructions", count)
             self.metrics.observe("compile.us", elapsed_ns / 1e3, COMPILE_TIME_BUCKETS)
         entry.block = block
-        if shared_key is not None:
-            self.shared[shared_key] = block
         return block
 
     def invalidate(self) -> None:
@@ -1100,8 +992,6 @@ class BlockJit:
         The VM calls this at the block boundary that handles a write to
         a code page.  Entries are reset in place; the sighting counts
         survive, so a patched block recompiles on its next execution.
-        Shared entries stay keyed by the old generation and simply stop
-        being reachable.
         """
         entries = self.table.values()
         if not any(entry.block is not None for entry in entries):

@@ -27,6 +27,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -99,7 +101,8 @@ class DiskCache:
 
     Layout: ``<root>/v<FORMAT_VERSION>-<code stamp>/<cell key>.json``.
     A new code version gets a fresh subdirectory, which is how stale
-    entries self-invalidate (old subdirectories are simply never read).
+    entries self-invalidate (old subdirectories are never read, and
+    :meth:`prune_stale_versions` deletes them).
     """
 
     def __init__(self, root: Optional[os.PathLike] = None, version: Optional[str] = None) -> None:
@@ -242,7 +245,7 @@ class DiskCache:
         return info.st_mtime_ns, info.st_size
 
     def load_blob(self, name: str) -> Optional[bytes]:
-        """Read an auxiliary binary entry (e.g. a JIT code pack).
+        """Read an auxiliary binary entry (e.g. a row pack).
 
         Blobs live in the same versioned subdirectory as results, so
         they self-invalidate on code changes the same way; they do not
@@ -271,6 +274,32 @@ class DiskCache:
             )
         return path
 
+    # -- housekeeping -----------------------------------------------------
+
+    def prune_stale_versions(self) -> int:
+        """Delete the directories of other code versions beside :attr:`root`.
+
+        Only directories named ``v<FORMAT_VERSION>-<16 hex digits>``
+        go; every other file under the cache root stays.  A directory
+        that vanishes meanwhile (another process pruning it) is not an
+        error.  Returns how many directories were removed.  Only the
+        owner of a whole sweep may call this (``benchmarks/run_all.py``
+        does, before its sweep): a concurrent process of another code
+        version may still be using its directory.
+        """
+        stale = re.compile(r"v%d-[0-9a-f]{16}" % FORMAT_VERSION)
+        try:
+            siblings = list(self.root.parent.iterdir())
+        except FileNotFoundError:
+            return 0
+        removed = 0
+        for path in siblings:
+            if (path.name != self.root.name and stale.fullmatch(path.name)
+                    and path.is_dir() and not path.is_symlink()):
+                shutil.rmtree(path, onerror=_vanished_is_fine)
+                removed += 1
+        return removed
+
     # -- reporting --------------------------------------------------------
 
     def stats(self) -> dict:
@@ -291,6 +320,12 @@ class DiskCache:
         if latency:
             out["latency_us"] = latency
         return out
+
+
+def _vanished_is_fine(function, path, exc_info) -> None:
+    """``shutil.rmtree`` error handler: re-raise all but a missing file."""
+    if not issubclass(exc_info[0], FileNotFoundError):
+        raise exc_info[1]
 
 
 def enabled_by_env() -> bool:

@@ -35,11 +35,10 @@ worker saves a *row pack* per (workload, scale) —
 ``rowpack_<workload>_<scale>.bin``: the assembled program, its
 translated namespaces and its execution records — and a worker that
 later gets the row merges the pack first, so it replays where it would
-have built, recorded and translated.  Beside it sits the row's *JIT
-pack* of compiled closures (``jitpack_<workload>_<scale>.bin``).  Both
-go through one load path and one save path: a pack that will not
-decode is counted (``<pack>.corrupt``), rebuilt and overwritten, and
-:func:`pack_warnings` turns such counts into warnings.  Hit/miss
+have built, recorded and translated.  A pack that will not decode is
+counted (``rowpack.corrupt``), rebuilt and overwritten, and
+:func:`pack_warnings` turns such counts into warnings.  Compiled JIT
+closures are not shared: a worker that replays a row runs none.  Hit/miss
 behaviour is recorded in a :class:`~repro.obs.metrics.MetricsRegistry`
 (surfaced by ``benchmarks/run_all.py`` into ``BENCH_results.json``).
 """
@@ -55,7 +54,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lru import LruDict
 from repro.dbt.transcache import TranslationCache
-from repro.guest.blockjit import PackError, load_pack, pack_space, unpack_space
+from repro.guest.blockjit import PackError, load_pack
 from repro.guest.program import GuestProgram
 from repro.harness.diskcache import DiskCache, config_digest, enabled_by_env
 from repro.morph.config import PRESETS, VirtualArchConfig
@@ -94,9 +93,9 @@ METRICS = MetricsRegistry("harness.runner")
 REPLAY_MODES = ("recorded", "replayed", "live_only")
 
 #: Block-JIT counters of each simulated VM, summed into :data:`METRICS`
-#: as ``jit.<name>``: what the hotness threshold compiled, what it
-#: found ineligible and what it adopted from a sibling's compile.
-JIT_COUNTERS = ("compiles", "ineligible", "shared_hits", "compiled_guest_instructions")
+#: as ``jit.<name>``: what the hotness threshold compiled and what it
+#: found ineligible.
+JIT_COUNTERS = ("compiles", "ineligible", "compiled_guest_instructions")
 
 #: Bumped when the row pack layout changes incompatibly; a pack of
 #: another format is ignored and its row built, recorded and translated
@@ -130,7 +129,7 @@ _GROUPS: List[dict] = []
 
 #: Persistent worker pool for :func:`run_many`.  Kept alive across
 #: calls so the workers' process-global caches — assembled programs,
-#: translated blocks, JIT-compiled closures — stay warm from one
+#: translated blocks, execution records — stay warm from one
 #: figure's sweep to the next (a multi-figure grid revisits the same
 #: workloads under different configs; tearing the pool down between
 #: figures used to throw that warm state away each time).
@@ -291,71 +290,54 @@ def _worker_disk(enabled: bool, root: Optional[str]) -> Optional[DiskCache]:
     return disk_cache()
 
 
-def _pack_name(kind: str, row: Tuple[str, float]) -> str:
-    """The blob name of a row's ``jitpack`` or ``rowpack``."""
+def _row_pack_name(row: Tuple[str, float]) -> str:
+    """The blob name of a row's pack."""
     workload, scale = row
-    return f"{kind}_{workload}_{scale}".replace("/", "_")
+    return f"rowpack_{workload}_{scale}".replace("/", "_")
 
 
-def _load_pack(disk: DiskCache, name: str, counters: str, decode) -> Optional[object]:
-    """Read the pack blob ``name`` and ``decode`` it: the one load path
-    of the JIT and row packs.
+def _load_row_pack(disk: DiskCache, name: str) -> Optional[Tuple[GuestProgram, Dict]]:
+    """Read the row pack blob ``name`` and decode it (:func:`_unpack_row`).
 
-    Counts ``<counters>.hits``, ``.misses`` (no blob, or one of another
-    format) or ``.corrupt`` (a :class:`PackError`: what the pack held is
-    rebuilt), and the decode latency; returns the decoded value, or
-    ``None``.
+    Counts ``rowpack.hits``, ``.misses`` (no blob, or one of another
+    format) or ``.corrupt`` (a :class:`PackError`: the row is rebuilt),
+    and the decode latency; returns the decoded pack, or ``None``.
     """
     data = disk.load_blob(name)
     if data is None:
-        METRICS.bump(counters + ".misses")
+        METRICS.bump("rowpack.misses")
         return None
     with prof.active().phase("jit.pack"):
         started = time.perf_counter_ns()
         try:
-            value = decode(data)
+            value = _unpack_row(data)
         except PackError:
             value = None
-            METRICS.bump(counters + ".corrupt")
+            METRICS.bump("rowpack.corrupt")
         else:
-            METRICS.bump(counters + (".misses" if value is None else ".hits"))
-        METRICS.observe(counters + ".unpack.us",
+            METRICS.bump("rowpack.misses" if value is None else "rowpack.hits")
+        METRICS.observe("rowpack.unpack.us",
                         (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
     return value
 
 
-def _save_pack(disk: DiskCache, name: str, counters: str, encode) -> bool:
-    """Write ``encode()`` as the pack blob ``name``; whether it was
-    written.  Packing is an optimization: a full or read-only cache
-    directory must not fail the run, but it is counted as
-    ``<counters>.save_failed``."""
+def _save_row_pack(disk: DiskCache, row: Tuple[str, float], program: GuestProgram) -> None:
+    """Write ``row``'s pack and remember its stamp.  Packing is an
+    optimization: a full or read-only cache directory must not fail the
+    run, but it is counted as ``rowpack.save_failed``."""
+    name = _row_pack_name(row)
     with prof.active().phase("jit.pack"):
         started = time.perf_counter_ns()
         try:
-            disk.save_blob(name, encode())
+            disk.save_blob(name, _pack_row(program, _TRANSLATIONS.row_state(row)))
             saved = True
         except OSError:
             saved = False
-        METRICS.bump(counters + (".saves" if saved else ".save_failed"))
-        METRICS.observe(counters + ".pack.us",
+        METRICS.bump("rowpack.saves" if saved else "rowpack.save_failed")
+        METRICS.observe("rowpack.pack.us",
                         (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
-    return saved
-
-
-def _adopt_jit_pack(disk: DiskCache, row: Tuple[str, float]) -> Tuple[Dict, int]:
-    """Warm ``row``'s shared JIT space from a sibling worker's code pack,
-    unless this process already has one; returns the space and its size.
-
-    Loading a marshaled code object costs ~5% of compiling the block,
-    so only the first worker ever to compile a block pays codegen."""
-    space = _TRANSLATIONS.jit_space(row)
-    if not space:
-        adopted = _load_pack(disk, _pack_name("jitpack", row), "jitpack",
-                             lambda data: unpack_space(data) or None)
-        if adopted:
-            space.update(adopted)
-            METRICS.bump("jitpack.blocks_adopted", len(adopted))
-    return space, len(space)
+    if saved:
+        _ROW_STAMPS[(str(disk.root), row)] = disk.blob_stamp(name)
 
 
 def _row_size(row: Tuple[str, float]) -> int:
@@ -372,14 +354,14 @@ def _adopt_row_pack(disk: DiskCache, row: Tuple[str, float]) -> Optional[int]:
     Returns the row's :func:`_row_size` afterwards, or ``None`` when
     the disk holds no usable pack (absent, undecodable or of another
     format), so the group's end writes one."""
-    name = _pack_name("rowpack", row)
+    name = _row_pack_name(row)
     stamp = disk.blob_stamp(name)
     if stamp is None:
         METRICS.bump("rowpack.misses")
         return None
     seen = (str(disk.root), row)
     if _ROW_STAMPS.get(seen) != stamp:
-        adopted = _load_pack(disk, name, "rowpack", _unpack_row)
+        adopted = _load_row_pack(disk, name)
         if adopted is None:
             return None
         program, state = adopted
@@ -421,8 +403,8 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
 
     Groups are one workload each (see :func:`run_many`), so the worker's
     program memo and translation cache stay warm across its cells.
-    Before the cells the worker adopts the row's JIT and row packs from
-    the disk cache, and after them it saves each one that grew.
+    Before the cells the worker adopts the row's pack from the disk
+    cache, and after them it saves the pack if the row grew.
     ``submitted_ns`` is the parent's ``perf_counter_ns()`` at submission
     (a system-wide clock), from which the group's queue wait is taken.
 
@@ -445,7 +427,6 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
     workload, _, scale = cells[0]
     row = (workload, scale)
     if disk is not None:
-        jit_space, jit_before = _adopt_jit_pack(disk, row)
         row_before = _adopt_row_pack(disk, row)
     results = [run_one(workload, config, scale) for workload, config, scale in cells]
     if disk is not None:
@@ -456,16 +437,9 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         for (workload, config, scale), result in zip(cells, results):
             if not disk.has(workload, config, scale):
                 disk.store(workload, config, scale, result)
-        jit_name = _pack_name("jitpack", row)
-        if jit_space and (len(jit_space) > jit_before or disk.blob_stamp(jit_name) is None):
-            if _save_pack(disk, jit_name, "jitpack", lambda: pack_space(jit_space)):
-                METRICS.bump("jitpack.blocks_saved", len(jit_space))
         program = _PROGRAMS.peek(row)
         if program is not None and (row_before is None or _row_size(row) > row_before):
-            row_name = _pack_name("rowpack", row)
-            if _save_pack(disk, row_name, "rowpack",
-                          lambda: _pack_row(program, _TRANSLATIONS.row_state(row))):
-                _ROW_STAMPS[(str(disk.root), row)] = disk.blob_stamp(row_name)
+            _save_row_pack(disk, row, program)
     deltas = {
         "disk_stores": (disk.stores - stores_before) if disk is not None else 0,
         "translation_hits": _TRANSLATIONS.hits - hits_before,
@@ -621,9 +595,6 @@ def worker_telemetry() -> dict:
 
 #: The pack counters a sweep warns about, and what a nonzero count means.
 PACK_FAILURES = {
-    "jitpack.corrupt": "JIT pack(s) could not be decoded; their blocks were recompiled",
-    "jitpack.save_failed": "JIT pack(s) could not be written (full or read-only cache "
-                           "directory?); later workers recompile their blocks",
     "rowpack.corrupt": "row pack(s) could not be decoded; their rows were built, "
                        "recorded and translated again",
     "rowpack.save_failed": "row pack(s) could not be written (full or read-only cache "

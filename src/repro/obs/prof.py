@@ -58,7 +58,7 @@ PHASES = (
     "verify",       # checked-mode verifiers
     "jit.compile",  # block JIT closure compilation
     "jit.run",      # executing compiled closures
-    "jit.pack",     # (un)marshaling shared JIT code packs
+    "jit.pack",     # row pack (un)pickling (perfbench reads this name)
     "interpreter",  # reference-interpreter block execution
     "memsys",       # timing memory-system accesses
     "morph",        # reconfiguration controller

@@ -52,9 +52,8 @@ class SmcModel(Model):
       while it is set (the writing block runs to its boundary first)
     - ``tc``: translation-cache contents as ``(generation, pc)`` keys
     - ``jit``: the block table's compiled closures as ``(generation,
-      pc)``, stamped with the generation they were compiled (or
-      adopted) in; at most one per pc, and ``BlockJit.invalidate``
-      clears them all
+      pc)``, stamped with the generation they were compiled in; at
+      most one per pc, and ``BlockJit.invalidate`` clears them all
     - ``err``: the invariant an action just violated, or ``None``
     """
 

@@ -428,18 +428,7 @@ class TimingVM:
         self.jit_metrics = MetricsRegistry("blockjit")
         self.jit: Optional[BlockJit] = None
         if self.jit_enabled:
-            shared = None
-            if translation_cache is not None and self._text_end > self._text_start:
-                shared = translation_cache.jit_space(
-                    program_key if program_key is not None else program.name
-                )
-            self.jit = BlockJit(
-                self.interp,
-                shared_space=shared,
-                generation=lambda: self.code_writes,
-                share_range=(self._text_start, self._text_end),
-                metrics=self.jit_metrics,
-            )
+            self.jit = BlockJit(self.interp, metrics=self.jit_metrics)
 
         #: The cache holding this program's :class:`ExecutionRecord`,
         #: and its key; ``None`` when every run of this VM stays live
@@ -584,8 +573,8 @@ class TimingVM:
         per-block collaborators are bound once.  With the block JIT on,
         each block's row of ``self.jit.table`` is looked up here, once
         per block, and its sighting counted;
-        :meth:`BlockJit.note_execution` compiles the block, or adopts a
-        sibling's compile, once it is hot.  From its first compiled
+        :meth:`BlockJit.note_execution` compiles the block once it is
+        hot.  From its first compiled
         execution on, the closure runs the block; every other block
         (cold, ineligible, or with the JIT off) runs as interpreter
         steps (:func:`_step_block`).  No reference to a closure
@@ -811,9 +800,9 @@ class TimingVM:
         boundary), charging the invalidation cost.
 
         This is also the block JIT's only invalidation point: every
-        dispatched block, compiled here or adopted from the shared
-        space, registered its pages in ``code_pages``, so a write to any
-        of them lands here before the next dispatch.
+        dispatched block, compiled or not, registered its pages in
+        ``code_pages``, so a write to any of them lands here before the
+        next dispatch.
         """
         from repro.guest.memory import PAGE_SIZE as _PAGE
 

@@ -6,16 +6,15 @@ accepts, executing the closure leaves *identical* architectural state,
 memory, observed data accesses, instruction count and fault behaviour
 to interpreting the same instructions.  These tests drive that contract with the same seeded
 random block generator the symbolic-equivalence layer uses, plus
-targeted unit tests for the engine (thresholds, shared-space adoption,
-code packs, self-modifying-code invalidation), most of which drive it
-through the timing VM's dispatch loop, its one caller.
+targeted unit tests for the engine (thresholds, ineligibility,
+self-modifying-code invalidation), most of which drive it through the
+timing VM's dispatch loop, its one caller.
 """
 
 import pytest
 
 from tests import blockgen
 from repro.dbt.frontend import scan_block
-from repro.dbt.transcache import TranslationCache
 from repro.guest import blockjit
 from repro.guest.assembler import assemble
 from repro.guest.blockjit import (
@@ -24,8 +23,6 @@ from repro.guest.blockjit import (
     Ineligible,
     block_instructions,
     compile_block,
-    pack_space,
-    unpack_space,
 )
 from repro.guest.flags import condition_expr, evaluate_condition
 from repro.guest.interpreter import GuestInterpreter
@@ -36,9 +33,6 @@ from repro.verify.symexec.concrete import make_vector
 from repro.vm.timing import TimingVM
 
 _FLAG_NAMES = tuple(flag.name.lower() for flag in ALL_FLAGS)
-
-#: Namespace of the shared JIT space in the engine tests' caches.
-PROGRAM_KEY = "jit-test"
 
 #: The engine tests count compiles and closure runs of short loops:
 #: compile eagerly (see ``tests/conftest.py``); a test that sets its own
@@ -57,16 +51,14 @@ def _seeded(program, env):
     return interp
 
 
-def _vm(program, cache=None, stdin=b""):
-    """A timing VM for ``program`` with the block JIT on; a ``cache``
-    gives it a shared JIT space under :data:`PROGRAM_KEY`."""
-    return TimingVM(program, PRESETS["speculative_4"], stdin=stdin, jit=True,
-                    translation_cache=cache, program_key=PROGRAM_KEY)
+def _vm(program):
+    """A timing VM for ``program`` with the block JIT on."""
+    return TimingVM(program, PRESETS["speculative_4"], jit=True)
 
 
-def _run_vm(program, cache=None, stdin=b""):
+def _run_vm(program):
     """Run ``program`` to completion on :func:`_vm`; returns the VM."""
-    vm = _vm(program, cache, stdin)
+    vm = _vm(program)
     vm.run()
     return vm
 
@@ -302,61 +294,16 @@ class TestEngine:
         assert vm.jit_metrics["compiles"] == 1
         assert prof.phase_totals(profiler.snapshot())["jit.run"]["calls"] == 48
 
-
-class TestSharedSpace:
-    def test_adoption_on_first_sighting(self):
-        cache = TranslationCache()
-        first = _run_vm(assemble(COUNTING_LOOP), cache)
-        shared = cache.jit_space(PROGRAM_KEY)
-        assert first.jit_metrics["compiles"] == 1
-        assert len(shared) == 1, "hot block not published to the shared space"
-        # another stdin is another execution record, so this run
-        # executes the guest live, sharing the program's JIT space
-        second = _run_vm(assemble(COUNTING_LOOP), cache, stdin=b"other input")
-        assert second.execution_mode == "recorded"
-        assert second.interp.exit_code == first.interp.exit_code
-        # the sibling's compile is adopted on the block's FIRST
-        # sighting — the threshold gates fresh compiles, not adoption
-        assert second.jit_metrics["shared_hits"] == 1
-        assert second.jit_metrics["compiles"] == 0
-
-    def test_ineligible_marker_is_shared(self, monkeypatch):
+    def test_ineligible_marker_is_recorded(self, monkeypatch):
         monkeypatch.setattr(blockjit, "DEFAULT_HOT_THRESHOLD", 1)
         program = assemble(MIDBLOCK_JUMP)
-        text = program.text
-        shared = {}
-
-        def engine():
-            return BlockJit(
-                GuestInterpreter.for_program(program), shared_space=shared,
-                generation=lambda: 0, share_range=(text.address, text.end),
-            )
-
-        first = engine()
+        jit = BlockJit(GuestInterpreter.for_program(program))
         entry = BlockEntry(2)
-        assert not first.note_execution(program.entry, entry)
+        assert not jit.note_execution(program.entry, entry)
+        # the dispatch loop calls note_execution only while the entry's
+        # block is None, so the doomed compile is never retried
         assert entry.block is not None, "ineligibility not recorded in the entry"
-        assert first.metrics["ineligible"] == 1
-        # the sibling skips the doomed compile attempt entirely
-        second = engine()
-        assert not second.note_execution(program.entry, BlockEntry(2))
-        assert second.metrics["ineligible_shared"] == 1
-        assert second.metrics["ineligible"] == 0
-
-    def test_pack_roundtrip_is_executable(self):
-        cache = TranslationCache()
-        first = _run_vm(assemble(COUNTING_LOOP), cache)
-        shared = cache.jit_space(PROGRAM_KEY)
-        rebuilt = unpack_space(pack_space(shared))
-        assert set(rebuilt) == set(shared)
-        # a third VM seeded only from the pack must behave identically
-        # and never compile anything itself
-        seeded = TranslationCache()
-        seeded.jit_space(PROGRAM_KEY).update(rebuilt)
-        third = _run_vm(assemble(COUNTING_LOOP), seeded)
-        assert third.interp.exit_code == first.interp.exit_code
-        assert third.jit_metrics["shared_hits"] == 1
-        assert third.jit_metrics["compiles"] == 0
+        assert jit.metrics["ineligible"] == 1
 
 
 CALLING_LOOP = """

@@ -1,11 +1,13 @@
 """Persistent run-cache tests: round trip, invalidation, key identity."""
 
 import dataclasses
+import shutil
 
 import pytest
 
 from repro.harness import runner
 from repro.harness.diskcache import (
+    FORMAT_VERSION,
     DiskCache,
     code_version_stamp,
     config_digest,
@@ -97,9 +99,9 @@ class TestDiskCacheUnit:
         with pytest.raises(OSError):
             cache.store(WORKLOAD, PRESETS[CONFIG], SCALE, result)
         with pytest.raises(OSError):
-            cache.save_blob("jitpack_x", b"code")
+            cache.save_blob("rowpack_x", b"code")
         assert list(cache.root.iterdir()) == []
-        assert cache.stores == 0 and cache.blob_stamp("jitpack_x") is None
+        assert cache.stores == 0 and cache.blob_stamp("rowpack_x") is None
 
     def test_blob_stamp_changes_when_a_blob_is_rewritten(self, tmp_path):
         cache = DiskCache(tmp_path, version="test")
@@ -109,6 +111,38 @@ class TestDiskCacheUnit:
         assert first is not None and first == cache.blob_stamp("rowpack_x")
         cache.save_blob("rowpack_x", b"three")
         assert cache.blob_stamp("rowpack_x") != first
+
+    def test_prune_removes_only_stale_version_directories(self, tmp_path):
+        current = DiskCache(tmp_path, version="0123456789abcdef")
+        current.save_blob("rowpack_x", b"current")
+        stale = DiskCache(tmp_path, version="fedcba9876543210")
+        stale.save_blob("rowpack_x", b"stale")
+        (stale.root / "sub").mkdir()
+        kept = [f"v{FORMAT_VERSION + 1}-fedcba9876543210", f"v{FORMAT_VERSION}-short",
+                f"v{FORMAT_VERSION}-FEDCBA9876543210", "mine"]
+        for name in kept:
+            (tmp_path / name).mkdir()
+        (tmp_path / "notes.txt").write_text("not a cache directory")
+        assert current.prune_stale_versions() == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            kept + ["notes.txt", current.root.name])
+        assert current.load_blob("rowpack_x") == b"current"
+        assert current.prune_stale_versions() == 0
+        assert DiskCache(tmp_path / "absent").prune_stale_versions() == 0
+
+    def test_prune_tolerates_a_directory_that_vanishes(self, tmp_path, monkeypatch):
+        current = DiskCache(tmp_path, version="0123456789abcdef")
+        stale = DiskCache(tmp_path, version="fedcba9876543210")
+        stale.save_blob("rowpack_x", b"stale")
+        rmtree = shutil.rmtree
+
+        def pruned_by_another_process_first(path, *args, **kwargs):
+            rmtree(path)
+            rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "rmtree", pruned_by_another_process_first)
+        assert current.prune_stale_versions() == 1
+        assert not stale.root.exists()
 
     def test_serialization_is_plain_json_data(self, no_disk):
         result = run_one(WORKLOAD, CONFIG, SCALE)

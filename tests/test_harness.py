@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.guest.blockjit import PACK_FORMAT, PackError, unpack_space
+from repro.guest.blockjit import PackError
 from repro.harness import (
     FigureResult,
     figure1_timeline,
@@ -109,89 +109,10 @@ class TestRunManyLookups:
         assert disk.misses == len(self.CELLS) and disk.hits == 0
 
 
-@pytest.mark.usefixtures("eager_jit")
-class TestJitPack:
-    """The worker's JIT pack path: corrupt packs are counted, not fatal,
-    and nothing but an undecodable pack is forgiven."""
-
-    CELLS = [("181.mcf", PRESETS["speculative_4"], 0.05)]
-    PACK = "jitpack_181.mcf_0.05"
-
-    @pytest.fixture(autouse=True)
-    def _isolated(self, monkeypatch):
-        # _worker_run reconfigures the process-wide disk cache: restore it
-        monkeypatch.setattr(runner, "_DISK", runner._DISK)
-        monkeypatch.setattr(runner, "_DISK_ENABLED", runner._DISK_ENABLED)
-        monkeypatch.setattr(runner, "_GROUPS", [])
-        clear_cache()
-        yield
-        clear_cache()
-
-    def _cold_results_and_pack(self, root):
-        results, _, _ = runner._worker_run(self.CELLS, True, str(root), 0)
-        pack = DiskCache(root).load_blob(self.PACK)
-        assert pack and unpack_space(pack)
-        clear_cache()
-        return results, pack
-
-    def test_unpack_rejects_garbage_and_ignores_foreign_formats(self):
-        assert unpack_space(pickle.dumps((999, []))) == {}
-        misshapen = pickle.dumps((PACK_FORMAT, [(0, (1,))]))
-        for garbage in (b"", b"not a pickle", pickle.dumps(7), misshapen):
-            with pytest.raises(PackError):
-                unpack_space(garbage)
-
-    def test_truncated_pack_is_counted_and_recompiled(self, tmp_path):
-        cold, pack = self._cold_results_and_pack(tmp_path / "cold")
-        DiskCache(tmp_path / "warm").save_blob(self.PACK, pack[: len(pack) // 2])
-        corrupt = runner.METRICS["jitpack.corrupt"]
-        results, _, _ = runner._worker_run(self.CELLS, True, str(tmp_path / "warm"), 0)
-        assert runner.METRICS["jitpack.corrupt"] == corrupt + 1
-        assert [dataclasses.asdict(r) for r in results] == [
-            dataclasses.asdict(r) for r in cold
-        ]
-        # the recompiled space replaced the truncated pack
-        assert unpack_space(DiskCache(tmp_path / "warm").load_blob(self.PACK))
-
-    def test_truncated_pack_in_a_pooled_sweep_warns(self, tmp_path):
-        cells = [("181.mcf", "speculative_4", 0.05), ("181.mcf", "no_l15", 0.05)]
-        cold, _, _ = runner._worker_run(
-            [(w, PRESETS[c], s) for w, c, s in cells], True, str(tmp_path / "cold"), 0)
-        pack = DiskCache(tmp_path / "cold").load_blob(self.PACK)
-        clear_cache()
-        DiskCache(tmp_path / "warm").save_blob(self.PACK, pack[: len(pack) // 2])
-        # fresh workers, forked from a parent with no warm JIT space
-        runner._shutdown_pool()
-        runner.clear_worker_telemetry()
-        runner.configure_disk_cache(True, tmp_path / "warm")
-        try:
-            results = runner.run_many(cells, jobs=2)
-            warnings = runner.pack_warnings(runner.worker_telemetry())
-        finally:
-            runner._shutdown_pool()
-            runner.clear_worker_telemetry()
-        assert [dataclasses.asdict(results[(w, c, s)]) for w, c, s in cells] == [
-            dataclasses.asdict(r) for r in cold
-        ]
-        assert len(warnings) == 1
-        assert warnings[0].startswith("warning: jitpack.corrupt = 1 in ")
-        assert str(tmp_path / "warm") in warnings[0]
-
-    def test_other_unpack_errors_propagate(self, tmp_path, monkeypatch):
-        _, pack = self._cold_results_and_pack(tmp_path / "cold")
-        DiskCache(tmp_path / "warm").save_blob(self.PACK, pack)
-
-        def broken(data):
-            raise AttributeError("not a pack error")
-
-        monkeypatch.setattr(runner, "unpack_space", broken)
-        with pytest.raises(AttributeError):
-            runner._worker_run(self.CELLS, True, str(tmp_path / "warm"), 0)
-
-
 class TestRowPack:
     """The worker's row pack path: a damaged pack is rebuilt and warned
-    about, a pack of another format is ignored silently."""
+    about, a pack of another format is ignored silently, and nothing
+    but an undecodable pack is forgiven."""
 
     FIRST = [("181.mcf", "speculative_4", 0.05), ("181.mcf", "no_l15", 0.05)]
     LATER = [("181.mcf", "speculative_6", 0.05), ("181.mcf", "l15_64k", 0.05)]
@@ -270,6 +191,22 @@ class TestRowPack:
         assert runner.METRICS["replay.recorded"] == before["replay.recorded"] + 1
         assert runner._unpack_row(DiskCache(tmp_path).load_blob(self.PACK)) is not None
         assert [dataclasses.asdict(r) for r in results] == self._serial(self.FIRST)
+
+    def test_other_unpack_errors_propagate(self, tmp_path, monkeypatch):
+        cells = [(w, PRESETS[c], s) for w, c, s in self.FIRST]
+        runner._worker_run(cells, True, str(tmp_path / "cold"), 0)
+        DiskCache(tmp_path / "warm").save_blob(
+            self.PACK, DiskCache(tmp_path / "cold").load_blob(self.PACK))
+        clear_cache()
+
+        def broken(data):
+            raise AttributeError("not a pack error")
+
+        monkeypatch.setattr(runner, "_unpack_row", broken)
+        corrupt = runner.METRICS["rowpack.corrupt"]
+        with pytest.raises(AttributeError):
+            runner._worker_run(cells, True, str(tmp_path / "warm"), 0)
+        assert runner.METRICS["rowpack.corrupt"] == corrupt
 
     def test_worker_merges_a_row_pack_that_a_sibling_grew(self, tmp_path):
         """A worker that already holds a row still merges its pack once

@@ -67,8 +67,8 @@ class TestSuiteBitIdentity:
         assert _doc(on) == _doc(off)
 
     def test_shared_cache_and_cold_agree(self):
-        # a live JIT run adopting a sibling's compiled blocks, and a run
-        # replaying the sibling's execution record, must both be
+        # a live JIT run on a translation cache a sibling filled, and a
+        # run replaying the sibling's execution record, must both be
         # bit-identical to a cold JIT run and to the interpreter
         program = build_workload("186.crafty", scale=SCALE)
         config = PRESETS["speculative_4"]
@@ -76,15 +76,15 @@ class TestSuiteBitIdentity:
         first = run_timing(
             program, config, translation_cache=cache, program_key="k", jit=True
         )
-        # a stepped VM never replays, so this one runs the adopted
-        # closures live
+        # a stepped VM never replays, so this one runs live and
+        # compiles its own closures: the sibling's stay private to it
         vm = TimingVM(
             program, config, translation_cache=cache, program_key="k", jit=True
         )
         assert vm.step()
         warm = vm.run()
         assert vm.execution_mode == "live"
-        assert vm.jit_metrics["shared_hits"] > 0
+        assert vm.jit_metrics["compiles"] > 0
         replay_vm = TimingVM(
             program, config, translation_cache=cache, program_key="k", jit=True
         )
@@ -239,56 +239,6 @@ class TestLoopPrograms:
         assert vm_on.now == vm_off.now
         assert vm_on.interp.state.snapshot() == vm_off.interp.state.snapshot()
         assert vm_on.stats.as_dict() == vm_off.stats.as_dict()
-
-
-#: ``target`` sits behind never-executed filler, past every block the
-#: loop runs, and its ``mov eax, 5`` is patched to 9 after the 10th of
-#: 20 calls: 10 * 5 + 10 * 9 = 140.
-SHARED_SMC_LOOP = """
-_start:
-    mov ecx, 0
-    mov ebx, 0
-again:
-    call target
-    add ebx, eax
-    add ecx, 1
-    cmp ecx, 10
-    jnz skip
-    movb [target + 2], 9
-skip:
-    cmp ecx, 20
-    jnz again
-    mov eax, 1
-    int 0x80
-    hlt
-filler:
-    dz 32
-target:
-    mov eax, 5
-    ret
-"""
-
-
-class TestSharedSpaceSmc:
-    def test_adopted_closure_is_invalidated_by_a_code_write(self):
-        # the second column adopts the first column's closures and never
-        # decodes `target` itself; the patch must still retire the
-        # adopted closure at the block boundary
-        program = assemble(SHARED_SMC_LOOP)
-        cache = TranslationCache()
-        run_timing(
-            program, PRESETS["speculative_4"], translation_cache=cache,
-            program_key="shared-smc", jit=True,
-        )
-        config = PRESETS["morph_threshold_5"]
-        vm = TimingVM(
-            program, config, translation_cache=cache, program_key="shared-smc", jit=True,
-        )
-        on = vm.run()
-        off = run_timing(program, config, jit=False)
-        assert vm.jit_metrics["shared_hits"] >= 1
-        assert _doc(on) == _doc(off)
-        assert on.exit_code == 140
 
 
 @settings(max_examples=10, deadline=None)

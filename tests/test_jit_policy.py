@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-from repro.dbt.transcache import TranslationCache
 from repro.guest.assembler import assemble
 from repro.morph.config import PRESETS
 from repro.obs import prof
@@ -49,18 +48,17 @@ tail:
 """)
 
 
-def _run(program, cache=None, stdin=b""):
+def _run(program):
     """Run ``program`` with the JIT on and the phase profiler recording;
     returns the VM and its ``jit.run`` call count."""
     profiler = prof.PhaseProfiler()
     previous = prof.set_profiler(profiler)
     try:
-        vm = TimingVM(program, PRESETS["speculative_4"], stdin=stdin, jit=True,
-                      translation_cache=cache, program_key="policy")
+        vm = TimingVM(program, PRESETS["speculative_4"], jit=True)
         result = vm.run()
     finally:
         prof.set_profiler(previous)
-    off = run_timing(program, PRESETS["speculative_4"], stdin=stdin, jit=False)
+    off = run_timing(program, PRESETS["speculative_4"], jit=False)
     assert dataclasses.asdict(result) == dataclasses.asdict(off)
     calls = prof.phase_totals(profiler.snapshot()).get("jit.run", {}).get("calls", 0)
     return vm, calls
@@ -89,19 +87,3 @@ def test_loop_body_compiles_once_on_its_threshold_sighting(trips):
     # the compiling sighting already runs the closure: BREAK_EVEN - 1
     # stepped sightings per block, the rest compiled
     assert calls == len(BODY) * (trips - BREAK_EVEN + 1)
-
-
-def test_shared_hit_is_adopted_on_first_sighting():
-    cache = TranslationCache()
-    program = _loop_program(2 * BREAK_EVEN)
-    first, _ = _run(program, cache)
-    assert first.jit_metrics["compiles"] == len(BODY)
-    # another stdin is another execution record, so this run executes
-    # the guest live and meets the sibling's closures in the shared space
-    second, calls = _run(program, cache, stdin=b"other input")
-    assert second.execution_mode == "recorded"
-    assert second.jit_metrics["shared_hits"] == len(BODY)
-    assert second.jit_metrics["compiles"] == 0
-    symbols = program.symbols
-    assert [second.jit.table[symbols[name]].seen for name in BODY] == [1] * 3
-    assert calls == len(BODY) * 2 * BREAK_EVEN

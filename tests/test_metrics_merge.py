@@ -30,9 +30,9 @@ _values = st.floats(
 )
 
 _counter_names = st.sampled_from(
-    ["diskcache.hits", "diskcache.misses", "jitpack.saves", "blocks"]
+    ["diskcache.hits", "diskcache.misses", "rowpack.saves", "blocks"]
 )
-_hist_names = st.sampled_from(["load.us", "store.us", "jitpack.pack.us"])
+_hist_names = st.sampled_from(["load.us", "store.us", "rowpack.pack.us"])
 
 
 def _registry_snapshot(counters, observations):
