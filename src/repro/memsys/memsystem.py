@@ -154,11 +154,22 @@ class PipelinedMemorySystem:
         return ((line // len(self.banks)) << 5) | (address & 31)
 
     def access(self, now: int, address: int, is_write: bool) -> MemoryAccessOutcome:
-        """Charge one data access issued by the execution tile at ``now``."""
+        """Charge one data access issued by the execution tile at ``now``:
+        the L1 lookup, then :meth:`miss` if it missed."""
         self._c_accesses.value += 1
         if self.l1.access(address, is_write).hit:
             return _L1_HIT_OUTCOME
+        return self.miss(now, address, is_write)
 
+    def miss(self, now: int, address: int, is_write: bool) -> MemoryAccessOutcome:
+        """Charge the part of an access at ``now`` that missed the L1.
+
+        :meth:`access` is the L1 lookup plus this; the lookup and the
+        ``accesses`` count are the caller's.  A replay that knows its
+        L1 outcomes calls this for the misses alone: the L1 sees only
+        the access stream, never a config or a time, and a hit stalls
+        nothing (:data:`_L1_HIT_OUTCOME`).
+        """
         self.stats.bump("l1_misses")
         # ship the request to the MMU tile
         t = now + self.network.message(

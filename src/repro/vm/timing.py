@@ -25,11 +25,18 @@ live dispatch loop (which stays the reference) into an
 *replays* it: :meth:`TimingVM._replay` does exactly the timing half of
 the dispatch loop — code-cache fetches, memsys accesses, SMC page
 marking, syscall and morph costs, metric samples — and executes no
-guest code.  The key is ``(program_key, stdin)`` because those are the
-guest's only inputs: the program key names the assembled program (the
-translation cache already relies on it), and stdin is what syscalls
-read.  A replay that disagrees with the blocks it fetches raises
-:class:`ReplayError` instead of returning a result.
+guest code.  The record also holds which accesses missed the L1 data
+cache and which blocks marked a code page for SMC invalidation, both
+taken from the live run: the L1 and the registered code pages see only
+the guest's streams, never the config.  So a replay sends only the
+recorded L1 misses to the memory system (a hit stalls nothing, and is
+only counted) and marks pages only at the recorded blocks.  The key is
+``(program_key, stdin)`` because those are the guest's only inputs: the
+program key names the assembled program (the translation cache already
+relies on it), and stdin is what syscalls read.  A replay that
+disagrees with the blocks it fetches, or whose record's columns do not
+fit together, raises :class:`ReplayError` instead of returning a
+result.
 
 Runs stay live when replay could not reproduce them or would hide what
 they check: traced runs, ``checked="protocol"`` runs, VMs advanced
@@ -46,7 +53,6 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Optional
 
 from repro.common.stats import StatSet
@@ -97,6 +103,29 @@ def _step_block(interp: GuestInterpreter, count: int) -> int:
     return executed
 
 
+def _timed_memsys(call):
+    """``call``, a bound memsys ``access`` or ``miss``, timed as the
+    profiler's ``memsys`` phase when profiling, or ``call`` itself.
+
+    Timing the call alone attributes memsys time beneath whichever
+    phase is open; the wrapper only exists when profiling, so the off
+    path stays direct.
+    """
+    profiler = prof.active()
+    if not profiler.enabled:
+        return call
+    clock = time.perf_counter_ns
+    add = profiler.add
+
+    def timed(now, address, is_write):
+        t0 = clock()
+        outcome = call(now, address, is_write)
+        add("memsys", clock() - t0)
+        return outcome
+
+    return timed
+
+
 class _TimingObserver(AccessObserver):
     """Feeds each data access to the emulator memsys and the PIII model.
 
@@ -109,23 +138,7 @@ class _TimingObserver(AccessObserver):
 
     def __init__(self, vm: "TimingVM") -> None:
         self.vm = vm
-        self._memsys_access = vm.memsys.access
-        profiler = prof.active()
-        if profiler.enabled:
-            # attribute memsys time to the open interpreter/jit.run
-            # phase by timing the bound access call itself; the wrapper
-            # only exists when profiling, so the off path stays direct
-            memsys_access = self._memsys_access
-            clock = time.perf_counter_ns
-            add = profiler.add
-
-            def timed_access(now, address, is_write):
-                t0 = clock()
-                outcome = memsys_access(now, address, is_write)
-                add("memsys", clock() - t0)
-                return outcome
-
-            self._memsys_access = timed_access
+        self._memsys_access = _timed_memsys(vm.memsys.access)
         self._piii_on_access = vm.piii.on_access
         self._code_pages = vm.code_pages  # mutated in place, never rebound
         self._pending_smc = vm.pending_smc
@@ -186,6 +199,17 @@ class ExecutionRecord:
     the size is negative.  The outcome fields are the guest's exit code
     and retired instructions and the Pentium III model's memory stall
     cycles, from which its cycle count follows.
+
+    The sparse columns hold two things the timing models derive from
+    that stream alone, under any config, so a replay need not derive
+    them again.  ``access_misses`` lists, in ascending order, the accesses
+    that missed the L1 data cache; every other access hit it.  The L1
+    is the same fixed-geometry cache under every config and sees only
+    this access stream, so its outcomes are the program's.  Block
+    ``smc_blocks[k]`` stored into page ``smc_pages[k]`` while a
+    translated block was registered on it (once per block and page):
+    an SMC mark.  The registered pages evolve with the block stream
+    and these marks alone, so the marks are the program's too.
     """
 
     block_pcs: array = field(default_factory=_words)
@@ -194,6 +218,9 @@ class ExecutionRecord:
     block_access_ends: array = field(default_factory=_words)
     access_addresses: array = field(default_factory=_words)
     access_sizes: array = field(default_factory=lambda: array("b"))
+    access_misses: array = field(default_factory=_words)
+    smc_blocks: array = field(default_factory=_words)
+    smc_pages: array = field(default_factory=_words)
     exit_code: int = 0
     instructions: int = 0
     piii_stall_cycles: int = 0
@@ -208,17 +235,20 @@ class _RecordingObserver(_TimingObserver):
 
     Installed for the recording run alone, so live runs pay nothing for
     it.  Each access is appended on its way to the timing models, and
-    the dispatch loop fetches through :meth:`fetch`, which opens a
-    block's entry and closes the previous one: that block retired what
-    the PIII model retired since its fetch, and made the accesses
-    appended since.
+    its index too if the live L1 data cache missed it; each SMC mark is
+    appended with its block.  The dispatch loop fetches through
+    :meth:`fetch`, which opens a block's entry and closes the previous
+    one: that block retired what the PIII model retired since its
+    fetch, and made the accesses appended since.
     """
 
     def __init__(self, vm: "TimingVM") -> None:
         super().__init__(vm)
         self.record = record = ExecutionRecord()
+        self._addresses = record.access_addresses
         self._add_address = record.access_addresses.append
         self._add_size = record.access_sizes.append
+        self._add_miss = record.access_misses.append
         self._hierarchy_fetch = vm.hierarchy.fetch
         self._piii = vm.piii
         self._retired = 0  # PIII instructions at the open block's fetch
@@ -232,6 +262,23 @@ class _RecordingObserver(_TimingObserver):
         self._add_address(address)
         self._add_size(-size)
         super().on_write(address, size)
+
+    def _access(self, address: int, is_write: bool) -> None:
+        vm = self.vm
+        outcome = self._memsys_access(vm.now + vm.pending_stall, address, is_write)
+        if not outcome.l1_hit:
+            self._add_miss(len(self._addresses) - 1)
+        vm.pending_stall += outcome.stall_cycles
+        self._piii_on_access(address, is_write)
+
+    def _mark_smc(self, page: int) -> None:
+        # the block boundary empties pending_smc, so a page already in
+        # it was marked by this block
+        if page not in self._pending_smc:
+            record = self.record
+            record.smc_blocks.append(len(record.block_pcs) - 1)
+            record.smc_pages.append(page)
+        super()._mark_smc(page)
 
     def fetch(self, now: int, pc: int, prev_pc: Optional[int], indirect: bool):
         lookup = self._hierarchy_fetch(now, pc, prev_pc, indirect)
@@ -664,23 +711,37 @@ class TimingVM:
         The timing half of :meth:`_dispatch`, block for block: the same
         :meth:`_fetch_block` and :meth:`_finish_block` around each
         block, and between them its data accesses at ``now`` plus the
-        block's stall so far (with the SMC page marking of a store) and
-        its cost.  No guest code runs: the exit code and the PIII
-        model's result come from the record.  Raises
-        :class:`ReplayError` where a fetched block is not the recorded
-        one.  Untraced, so no events are emitted.
+        block's stall so far, its SMC marks and its cost.  Only the
+        recorded L1 data misses reach the memory system, through
+        :meth:`PipelinedMemorySystem.miss`; the hits stall nothing, so
+        they only add to its ``accesses`` count, in bulk.  That is
+        exact because the L1 outcomes and the SMC marks are the
+        program's, not the config's (see :class:`ExecutionRecord`).
+        No guest code runs: the exit code and the PIII model's result
+        come from the record.  Raises :class:`ReplayError` where a
+        fetched block is not the recorded one, or where the record's
+        columns do not fit together.  Untraced, so no events are
+        emitted.
         """
         fetch = self.hierarchy.fetch
         fetch_block = self._fetch_block
         finish_block = self._finish_block
         code_pages = self.code_pages
         pending_smc = self.pending_smc
-        # the observer's binding: timed under the profiler, like live
-        memsys_access = self.observer._memsys_access
+        # timed under the profiler, like the live observer's access
+        memsys_miss = _timed_memsys(self.memsys.miss)
         counts = record.block_counts
         executed_counts = record.block_executed
         access_ends = record.block_access_ends
-        accesses = zip(record.access_addresses, record.access_sizes)
+        addresses = record.access_addresses
+        sizes = record.access_sizes
+        total_accesses = len(sizes)
+        # each sparse column is walked by its next entry; sys.maxsize
+        # stands past its end
+        misses = iter(record.access_misses)
+        miss = next(misses, sys.maxsize)
+        marks = zip(record.smc_blocks, record.smc_pages)
+        mark_block, mark_page = next(marks, (sys.maxsize, 0))
         last = len(record.block_pcs) - 1
         accessed = 0
         executed_total = 0
@@ -696,20 +757,28 @@ class TimingVM:
                     f"at {pc:#x}; the VM fetched {block.guest_instr_count} at "
                     f"{block.guest_address:#x}"
                 )
+            end = access_ends[index]
+            if not accessed <= end <= total_accesses:
+                raise ReplayError(
+                    f"block {index} of the record ends its accesses at {end}, "
+                    f"outside {accessed}..{total_accesses}"
+                )
             now = self.now
             stall = 0
-            end = access_ends[index]
-            for address, size in islice(accesses, end - accessed):
-                if size > 0:
-                    stall += memsys_access(now + stall, address, False).stall_cycles
-                    continue
-                stall += memsys_access(now + stall, address, True).stall_cycles
-                first = address >> 12
-                if first in code_pages:
-                    pending_smc.add(first)
-                for page in range(first + 1, ((address - size - 1) >> 12) + 1):
-                    if page in code_pages:
-                        pending_smc.add(page)
+            while miss < end:
+                stall += memsys_miss(now + stall, addresses[miss], sizes[miss] < 0).stall_cycles
+                previous = miss
+                miss = next(misses, sys.maxsize)
+                if miss <= previous:
+                    raise ReplayError(f"the record's L1 misses repeat or go back at {miss}")
+            while mark_block == index:
+                if mark_page not in code_pages:
+                    raise ReplayError(
+                        f"block {index} of the record marks page {mark_page:#x}, "
+                        "which holds no translated block"
+                    )
+                pending_smc.add(mark_page)
+                mark_block, mark_page = next(marks, (sys.maxsize, 0))
             accessed = end
             executed_total += executed_counts[index]
             self.now = now + block.cost_cycles + stall
@@ -718,12 +787,18 @@ class TimingVM:
             prev_pc = pc
             arrived_indirect = exit_kind == "indirect"
 
-        if executed_total != record.instructions or accessed != len(record.access_sizes):
+        if executed_total != record.instructions or accessed != total_accesses:
             raise ReplayError(
                 f"the record's blocks retire {executed_total} instructions and "
                 f"make {accessed} accesses; it holds {record.instructions} and "
-                f"{len(record.access_sizes)}"
+                f"{total_accesses}"
             )
+        if miss != sys.maxsize or mark_block != sys.maxsize:
+            raise ReplayError(
+                f"the record's L1 misses or SMC marks run past its accesses "
+                f"or blocks: miss {miss}, mark at block {mark_block}"
+            )
+        self.memsys.stats.bump("accesses", total_accesses)
         self._executed_instructions = executed_total
         self.last_exit_kind = exit_kind
         self.interp.exit_code = record.exit_code

@@ -1,11 +1,13 @@
 """Record once, replay per config (``repro.vm.timing``).
 
 Replay rests on one claim: a program's guest execution — the blocks it
-runs, the instructions each retires and its data-access stream — does
-not depend on the :class:`VirtualArchConfig`.  The first tests check
-that claim on every workload under every preset, with a fresh VM and
-no shared cache per config; if a future preset breaks it, the record
-key (``(program_key, stdin)``) must gain the knob that did.  The rest
+runs, the instructions each retires, its data-access stream, which of
+those accesses miss the L1 data cache and which stores mark a code
+page for SMC invalidation — does not depend on the
+:class:`VirtualArchConfig`.  The first tests check that claim on every
+program under every preset, with a fresh VM and no shared cache per
+config; if a future preset breaks it, the record key
+(``(program_key, stdin)``) must gain the knob that did.  The rest
 check that a replayed run is bit-identical to a live one, that the
 runs replay cannot reproduce stay live, and that a record which
 disagrees with the VM raises instead of returning a result.
@@ -32,6 +34,32 @@ SCALE = 0.05
 #: Programs that store into their own text section: never replayed.
 SMC_PROGRAMS = ["smc", "morph-smc-stress"]
 
+#: Calls code placed in ``.data`` and patches it three times.  The
+#: stores miss the text section, so the program records and replays,
+#: and its replay must mark the patched page: SMC invalidations happen
+#: in replay too.  The patch keeps the instruction's length and cost.
+DATA_SMC_PROGRAM = """
+_start:
+    mov ecx, 3
+    mov edi, 0
+again:
+    call dtarget
+    add edi, eax
+    movb [dtarget + 2], 77
+    sub ecx, 1
+    jnz again
+    mov ebx, edi          ; 11 + 77 + 77
+    mov eax, 1
+    int 0x80
+    hlt
+.data
+dtarget:
+    mov eax, 11
+    ret
+"""
+
+PROGRAMS = SPECINT_NAMES + ["data-smc"] + SMC_PROGRAMS
+
 
 @functools.lru_cache(maxsize=None)
 def _program(name):
@@ -39,6 +67,8 @@ def _program(name):
         return assemble(SMC_PROGRAM)
     if name == "morph-smc-stress":
         return assemble(_stress_source(SEED))
+    if name == "data-smc":
+        return assemble(DATA_SMC_PROGRAM)
     return build_workload(name, scale=SCALE)
 
 
@@ -48,11 +78,13 @@ def _digest(result) -> str:
 
 
 def _stream_digest(record) -> str:
-    """The ``(pc, count, executed)`` + access stream and outcome of a record."""
+    """The ``(pc, count, executed)`` + access stream, its L1 data misses,
+    SMC marks and outcome of a record."""
     sha = hashlib.sha256()
     for column in (record.block_pcs, record.block_counts, record.block_executed,
                    record.block_access_ends, record.access_addresses,
-                   record.access_sizes):
+                   record.access_sizes, record.access_misses,
+                   record.smc_blocks, record.smc_pages):
         sha.update(column.tobytes())
         sha.update(b"|")
     sha.update(repr((record.exit_code, record.instructions,
@@ -84,13 +116,13 @@ def _shared_vm(name, cache, preset="speculative_4", **kwargs):
                     program_key=name, **kwargs)
 
 
-@pytest.mark.parametrize("name", SPECINT_NAMES + SMC_PROGRAMS)
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_guest_execution_is_config_independent(name):
     streams = {preset: stream for preset, (_, stream) in _live(name).items()}
     assert len(set(streams.values())) == 1, streams
 
 
-@pytest.mark.parametrize("name", SPECINT_NAMES + SMC_PROGRAMS)
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_replay_matches_live(name):
     live = _live(name)
     cache = TranslationCache()
@@ -99,6 +131,9 @@ def test_replay_matches_live(name):
         vm = _shared_vm(name, cache, preset)
         assert _digest(vm.run()) == live[preset][0], preset
         modes.append(vm.execution_mode)
+        if name == "data-smc":
+            assert vm.interp.exit_code == 165
+            assert vm.stats["smc_invalidations"] == 3
     if name in SMC_PROGRAMS:
         assert modes == ["live_only"] * len(modes)
         assert cache.execution_record((name, b"")) is LIVE_ONLY
@@ -156,7 +191,7 @@ def test_stdin_is_part_of_the_key():
     assert cache.stats()["records"] == 0
 
 
-@pytest.mark.parametrize("tamper", ["count", "executed", "truncated"])
+@pytest.mark.parametrize("tamper", ["count", "executed", "truncated", "misses"])
 def test_tampered_record_raises(tamper):
     cache = TranslationCache()
     _shared_vm("181.mcf", cache).run()
@@ -165,6 +200,8 @@ def test_tampered_record_raises(tamper):
         record.block_counts[3] += 1
     elif tamper == "executed":
         record.block_executed[3] += 1
+    elif tamper == "misses":
+        record.access_misses[-1] = len(record.access_sizes) + 5
     else:
         for column in (record.block_pcs, record.block_counts, record.block_executed,
                        record.block_access_ends):

@@ -1,5 +1,7 @@
 """Tests for the pipelined memory system, page table and TLB."""
 
+import random
+
 import pytest
 
 from repro.memsys.memsystem import (
@@ -10,7 +12,8 @@ from repro.memsys.memsystem import (
 )
 from repro.memsys.pagetable import PAGE_SIZE, PageFault, PageTable
 from repro.memsys.tlb import Tlb
-from repro.tiled.machine import default_placement
+from repro.tiled.datacache import DataCacheModel
+from repro.tiled.machine import TILE_DCACHE_BYTES, default_placement
 
 
 def make_memsys(banks: int = 4) -> PipelinedMemorySystem:
@@ -170,3 +173,39 @@ class TestPipelinedMemorySystem:
         assert memsys.l1.stats["misses"] == 1
         outcome = memsys.access(10, 0x4000, False)
         assert outcome.l1_hit
+
+    def test_access_is_l1_lookup_plus_miss(self):
+        # a replay calls miss() only where its recorded L1 missed: a
+        # separate L1 model deciding which accesses reach miss() must
+        # leave every stall and counter as access() does
+        rng = random.Random(2006)
+        stream = []
+        for _ in range(4000):
+            if rng.random() < 0.02:
+                address = 0x5000000 + rng.randrange(1 << 16)  # unmapped: soft fault
+            else:
+                address = rng.choice((0x1000, 0x40000, 0x800000)) + rng.randrange(1 << 14)
+            stream.append((address, rng.random() < 0.3))
+        reference, split = make_memsys(), make_memsys()
+        l1 = DataCacheModel("l1", size_bytes=TILE_DCACHE_BYTES, ways=8)
+        stalls = {"access": [], "miss": []}
+        now = 0
+        for step, (address, is_write) in enumerate(stream):
+            if step == 2000:
+                for memsys in (reference, split):
+                    memsys.reconfigure_banks([b.coord for b in memsys.banks][:2], now)
+            stalls["access"].append(reference.access(now, address, is_write).stall_cycles)
+            split.stats.bump("accesses")
+            stall = 0
+            if not l1.access(address, is_write).hit:
+                stall = split.miss(now, address, is_write).stall_cycles
+            stalls["miss"].append(stall)
+            now += 7 + rng.randrange(40)
+        assert stalls["access"] == stalls["miss"]
+        assert any(stalls["miss"])
+        assert reference.stats.as_dict() == split.stats.as_dict()
+        assert reference.stats["accesses"] == len(stream)
+        for counter in ("soft_page_faults", "tlb_misses", "dram_accesses", "reconfigurations"):
+            assert reference.stats[counter] > 0, counter
+        assert 0 < reference.stats["l1_misses"] < len(stream)
+        assert reference.l1.stats.as_dict() == l1.stats.as_dict()

@@ -213,7 +213,13 @@ class TestRowState:
         record = ExecutionRecord(exit_code=3, instructions=7, piii_stall_cycles=11)
         record.block_pcs.append(0x8048000)
         record.access_sizes.append(-4)
-        assert _round_trip(record) == record
+        record.access_misses.append(0)
+        record.smc_blocks.append(0)
+        record.smc_pages.append(0x8400)
+        copy = _round_trip(record)
+        assert copy == record
+        assert (copy.access_misses.tolist(), copy.smc_blocks.tolist(),
+                copy.smc_pages.tolist()) == ([0], [0], [0x8400])
 
     def test_translated_namespace_and_record_round_trip(self):
         cache = TranslationCache()
