@@ -17,10 +17,10 @@ Soundness:
   optimization ablation and the hardware-MMU presets get their own
   namespaces.
 * ``generation`` is a caller-supplied counter of guest stores into
-  executable sections (see ``TimingVM.code_writes``).  Any write that
-  could change bytes the translator reads bumps it, so self-modifying
-  code can never be served a stale translation.  Callers whose guests
-  execute code outside the tracked sections must not pass a cache.
+  executable sections or onto pages holding translated blocks (see
+  ``TimingVM.code_writes``).  Any write that could change bytes the
+  translator reads bumps it, so self-modifying code can never be served
+  a stale translation.
 * The translator is deterministic, so a cache hit returns a block
   field-for-field identical to what a fresh translation would produce,
   and :meth:`CachingTranslator.translate` replays the exact stats bumps

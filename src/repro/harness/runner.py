@@ -101,7 +101,7 @@ JIT_COUNTERS = ("compiles", "ineligible", "compiled_guest_instructions")
 #: another format is ignored and its row built, recorded and translated
 #: afresh.  (The disk cache's code-version stamp already invalidates
 #: packs on *any* source edit; this guards readers of a foreign cache.)
-ROWPACK_FORMAT = 2
+ROWPACK_FORMAT = 3
 
 #: The :meth:`DiskCache.blob_stamp` of each row pack this process last
 #: read or wrote, keyed ``(cache directory, (workload, scale))``: a

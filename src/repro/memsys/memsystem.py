@@ -70,12 +70,22 @@ _L1_HIT_OUTCOME = MemoryAccessOutcome(stall_cycles=0, l1_hit=True)
 
 
 class _Bank:
-    """One L2 data-cache bank tile."""
+    """One L2 data-cache bank tile.
 
-    def __init__(self, coord, name: str) -> None:
+    ``mmu_hops`` and ``execution_hops`` are its distances from the MMU
+    tile and to the execution tile, and ``mmu_latency`` and
+    ``execution_latency`` the latencies of a one-word message over them.
+    """
+
+    def __init__(self, coord, name: str, grid: TileGrid, network: Network,
+                 mmu_coord, execution_coord) -> None:
         self.coord = coord
         self.resource = Resource(name)
         self.cache = DataCacheModel(name, size_bytes=TILE_DCACHE_BYTES, ways=4)
+        self.mmu_hops = grid.hops(mmu_coord, coord)
+        self.mmu_latency = network.latency(self.mmu_hops)
+        self.execution_hops = grid.hops(coord, execution_coord)
+        self.execution_latency = network.latency(self.execution_hops)
 
 
 class PipelinedMemorySystem:
@@ -85,6 +95,11 @@ class PipelinedMemorySystem:
     loads/stores to the tiles: the L1 hit drops to PIII-class latency
     (the block cost model handles that side) and the miss path skips
     the software-translation occupancy on the MMU tile.
+
+    The miss path prices its three messages from latencies computed
+    once: the MMU hop at construction, and each bank's hops whenever
+    :meth:`reconfigure_banks` builds the bank list.  A traced miss
+    also emits their ``net.msg`` events.
     """
 
     def __init__(
@@ -109,13 +124,18 @@ class PipelinedMemorySystem:
         self.mmu = Resource("mmu")
         self.page_table = PageTable()
         self.tlb = Tlb(self.page_table)
-        self.banks: List[_Bank] = [
-            _Bank(coord, f"l2_bank_{i}")
-            for i, coord in enumerate(grid.tiles_with_role(TileRole.L2_BANK))
-        ]
+        self._mmu_hops = grid.hops(self.execution, self.mmu_coord)
+        self._mmu_latency = self.network.latency(self._mmu_hops)
+        self.banks: List[_Bank] = self._build_banks(grid.tiles_with_role(TileRole.L2_BANK))
         self.stats = StatSet("memsys")
-        # bound once: access() runs per guest memory reference
+        # bound once: access() runs per guest memory reference, miss()
+        # per L1 miss
         self._c_accesses = self.stats.counter("accesses")
+        self._c_l1_misses = self.stats.lazy_counter("l1_misses")
+        self._c_soft_page_faults = self.stats.lazy_counter("soft_page_faults")
+        self._c_tlb_misses = self.stats.lazy_counter("tlb_misses")
+        self._c_dram_accesses = self.stats.lazy_counter("dram_accesses")
+        self._c_stall_cycles = self.stats.lazy_counter("stall_cycles")
 
     # -- configuration ------------------------------------------------------
 
@@ -132,11 +152,17 @@ class PipelinedMemorySystem:
         cost = RECONFIGURE_DRAIN
         for bank in self.banks:
             cost += WRITEBACK_COST * bank.cache.flush()
-        self.banks = [_Bank(coord, f"l2_bank_{i}") for i, coord in enumerate(coords)]
+        self.banks = self._build_banks(coords)
         for bank in self.banks:
             bank.resource.reset(now)
         self.stats.bump("reconfigurations")
         return cost
+
+    def _build_banks(self, coords) -> List[_Bank]:
+        return [
+            _Bank(coord, f"l2_bank_{i}", self.grid, self.network, self.mmu_coord, self.execution)
+            for i, coord in enumerate(coords)
+        ]
 
     # -- access path -----------------------------------------------------------
 
@@ -168,13 +194,17 @@ class PipelinedMemorySystem:
         ``accesses`` count are the caller's.  A replay that knows its
         L1 outcomes calls this for the misses alone: the L1 sees only
         the access stream, never a config or a time, and a hit stalls
-        nothing (:data:`_L1_HIT_OUTCOME`).
+        nothing (:data:`_L1_HIT_OUTCOME`).  The messages are priced from
+        the latencies fixed by the floorplan (see the class docstring),
+        and the counters are bound once.
         """
-        self.stats.bump("l1_misses")
+        self._c_l1_misses.add()
+        network = self.network
+        traced = network.tracer.enabled  # type: ignore[attr-defined]
         # ship the request to the MMU tile
-        t = now + self.network.message(
-            now, self.grid.hops(self.execution, self.mmu_coord), src="execution", dst="mmu"
-        )
+        if traced:
+            network.trace(now, self._mmu_hops, src="execution", dst="mmu")
+        t = now + self._mmu_latency
         try:
             host_address, walk_touches = self.tlb.translate(address)
         except PageFault:
@@ -182,12 +212,12 @@ class PipelinedMemorySystem:
             # access, so this is legitimate growth (stack, brk) — the proxy
             # OS maps a page and retries
             self.page_table.map_page(address >> PAGE_SHIFT)
-            self.stats.bump("soft_page_faults")
+            self._c_soft_page_faults.add()
             t += SOFT_PAGE_FAULT_COST
             host_address, walk_touches = self.tlb.translate(address)
         mmu_occupancy = self._mmu_occupancy + self._walk_touch_cost * walk_touches
         if walk_touches:
-            self.stats.bump("tlb_misses")
+            self._c_tlb_misses.add()
             if self.tracer.enabled:
                 self.tracer.emit(
                     t, "mem", "tlb_miss", "mmu",
@@ -200,30 +230,28 @@ class PipelinedMemorySystem:
             # no L2 banks provisioned: straight to DRAM
             t += DRAM_LATENCY + BANK_OCCUPANCY
             bank_hit = False
-            self.stats.bump("dram_accesses")
+            self._c_dram_accesses.add()
         else:
-            t += self.network.message(
-                t, self.grid.hops(self.mmu_coord, bank.coord),
-                src="mmu", dst=bank.resource.name,
-            )
+            if traced:
+                network.trace(t, bank.mmu_hops, src="mmu", dst=bank.resource.name)
+            t += bank.mmu_latency
             bank_result = bank.cache.access(self._bank_local_address(host_address), is_write)
             service = BANK_OCCUPANCY
             if not bank_result.hit:
                 service += DRAM_LATENCY
-                self.stats.bump("dram_accesses")
+                self._c_dram_accesses.add()
             if bank_result.writeback:
                 service += WRITEBACK_COST
             t = bank.resource.service(t, service)
             bank_hit = bank_result.hit
-            t += self.network.message(
-                t, self.grid.hops(bank.coord, self.execution),
-                src=bank.resource.name, dst="execution",
-            )
+            if traced:
+                network.trace(t, bank.execution_hops, src=bank.resource.name, dst="execution")
+            t += bank.execution_latency
 
         # the block cost already charged the L1-hit latency; only the
         # excess is an extra stall
         stall = max(0, (t - now) - self.l1_hit_latency)
-        self.stats.bump("stall_cycles", stall)
+        self._c_stall_cycles.add(stall)
         return MemoryAccessOutcome(
             stall_cycles=stall,
             l1_hit=False,

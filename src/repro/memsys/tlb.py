@@ -16,16 +16,20 @@ class Tlb:
         self.page_table = page_table
         self._entries = LruDict(entries)
         self.stats = StatSet("tlb")
+        # bound once: translate() runs per L1 data miss
+        self._lookups = self.stats.lazy_counter("lookups")
+        self._hits = self.stats.lazy_counter("hits")
+        self._misses = self.stats.lazy_counter("misses")
 
     def translate(self, address: int) -> tuple:
         """Translate; returns (host_address, walk_touches) — touches is 0 on a hit."""
         page = address >> PAGE_SHIFT
         frame = self._entries.get(page)
-        self.stats.bump("lookups")
+        self._lookups.add()
         if frame is not None:
-            self.stats.bump("hits")
+            self._hits.add()
             return (frame << PAGE_SHIFT) | (address & (PAGE_SIZE - 1)), 0
-        self.stats.bump("misses")
+        self._misses.add()
         host_address, touches = self.page_table.walk(address)
         self._entries.put(page, host_address >> PAGE_SHIFT)
         return host_address, touches

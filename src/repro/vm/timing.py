@@ -23,28 +23,34 @@ So the first untraced, unchecked :meth:`TimingVM.run` of a
 live dispatch loop (which stays the reference) into an
 :class:`ExecutionRecord` kept in that cache, and every later such run
 *replays* it: :meth:`TimingVM._replay` does exactly the timing half of
-the dispatch loop — code-cache fetches, memsys accesses, SMC page
-marking, syscall and morph costs, metric samples — and executes no
-guest code.  The record also holds which accesses missed the L1 data
-cache and which blocks marked a code page for SMC invalidation, both
-taken from the live run: the L1 and the registered code pages see only
-the guest's streams, never the config.  So a replay sends only the
-recorded L1 misses to the memory system (a hit stalls nothing, and is
-only counted) and marks pages only at the recorded blocks.  The key is
-``(program_key, stdin)`` because those are the guest's only inputs: the
-program key names the assembled program (the translation cache already
-relies on it), and stdin is what syscalls read.  A replay that
-disagrees with the blocks it fetches, or whose record's columns do not
-fit together, raises :class:`ReplayError` instead of returning a
-result.
+the dispatch loop — code-cache fetches, memsys accesses, syscall and
+morph costs, metric samples — and executes no guest code.  The record
+also holds the outcomes of the first cache levels, taken from the live
+run: which accesses missed the L1 data cache, and each block's L1
+code-cache outcome under each ``(translator knobs, L1 code capacity)``
+key.  The L1 data cache sees only the guest's access stream, never the
+config, and the L1 code cache only the block stream and that key's
+translations.  So a replay sends only the recorded L1 data misses to
+the memory system (a hit stalls nothing, and is only counted), and
+fetches only the recorded L1 code misses through the hierarchy (a hit
+costs its dispatch overhead, from the resident block).  The first
+replay under a code key the record lacks fetches every block and fills
+that key in.  The record's key is ``(program_key, stdin)`` because
+those are the guest's only inputs: the program key names the assembled
+program (the translation cache already relies on it), and stdin is
+what syscalls read.  A replay that
+disagrees with the blocks it fetches or the L1 code cache it holds, or
+whose record's columns do not fit together, raises
+:class:`ReplayError` instead of returning a result.
 
 Runs stay live when replay could not reproduce them or would hide what
 they check: traced runs, ``checked="protocol"`` runs, VMs advanced
 with :meth:`TimingVM.step` (the multi-VM fabric), runs over their
-instruction budget, and programs whose recording stored into their own
-text section.  Those programs are marked live-only in the cache, since
-the translator reads code bytes from guest memory that a replay never
-writes.
+instruction budget, and programs whose recording wrote code: stored
+into their text section, or into a page holding a translated block.
+Those programs are marked live-only in the cache, since the translator
+reads code bytes from guest memory that a replay never writes; so a
+replay never invalidates translations.
 """
 
 from __future__ import annotations
@@ -53,16 +59,24 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.common.stats import StatSet
 from repro.guest.blockjit import BlockEntry, BlockJit
 from repro.guest.interpreter import AccessObserver, GuestInterpreter, StepEvent
 from repro.guest.program import GuestProgram
 from repro.dbt.block import pages_spanned
-from repro.dbt.codecache import FETCH_LEVELS, CodeCacheHierarchy, L1_CODE_CAPACITY
+from repro.dbt.codecache import (
+    DISPATCH_OVERHEAD,
+    FETCH_LEVELS,
+    INDIRECT_LOOKUP_OVERHEAD,
+    L1_CODE_CAPACITY,
+    L1_MISS,
+    L1_PATCHED,
+    CodeCacheHierarchy,
+)
 from repro.dbt.speculative import TranslationSubsystem
-from repro.dbt.transcache import LIVE_ONLY
+from repro.dbt.transcache import LIVE_ONLY, translator_knobs
 from repro.dbt.translator import TranslationConfig, Translator
 from repro.memsys.memsystem import PipelinedMemorySystem
 from repro.morph import MorphController, QueueLengthPolicy, VirtualArchConfig
@@ -152,18 +166,23 @@ class _TimingObserver(AccessObserver):
     def on_write(self, address: int, size: int) -> None:
         # a store overlapping the executable section may change bytes
         # the translator reads: age out cached translations
-        if address < self._text_end and address + size > self._text_start:
+        counted = address < self._text_end and address + size > self._text_start
+        if counted:
             self.vm.code_writes += 1
         self._access(address, True)
         # every page the store touches, not just its first: a store
         # that spills across a page boundary into code is SMC too
         first = address >> 12
-        if first in self._code_pages:
-            self._mark_smc(first)
         last = (address + size - 1) >> 12
-        if last != first:
-            for page in range(first + 1, last + 1):
-                if page in self._code_pages:
+        code_pages = self._code_pages
+        if first in code_pages or last != first:
+            for page in range(first, last + 1):
+                if page in code_pages:
+                    if not counted:
+                        # translated code outside the text section
+                        # changes too: one code write per store
+                        self.vm.code_writes += 1
+                        counted = True
                     self._mark_smc(page)
 
     def _access(self, address: int, is_write: bool) -> None:
@@ -181,9 +200,29 @@ class _TimingObserver(AccessObserver):
             )
 
 
+#: The code-stream entry a replay that fills in its stream reads for
+#: every block: a full fetch, with no recorded outcome to check.
+_UNCHECKED_FETCH = L1_MISS + 1
+
+
 def _words() -> array:
     """An empty array of unsigned 32-bit guest words (pcs, counts, addresses)."""
     return array("I")
+
+
+def _coded_fetch(hierarchy: CodeCacheHierarchy, codes: array):
+    """``hierarchy.fetch``, appending each fetch's L1 outcome code
+    (:meth:`CodeCacheHierarchy.l1_outcome`) to ``codes``."""
+    fetch = hierarchy.fetch
+    outcome = hierarchy.l1_outcome
+    add_code = codes.append
+
+    def coded(now: int, pc: int, prev_pc: Optional[int], indirect: bool):
+        lookup = fetch(now, pc, prev_pc, indirect)
+        add_code(outcome(lookup, pc, prev_pc, indirect))
+        return lookup
+
+    return coded
 
 
 @dataclass
@@ -200,16 +239,21 @@ class ExecutionRecord:
     and retired instructions and the Pentium III model's memory stall
     cycles, from which its cycle count follows.
 
-    The sparse columns hold two things the timing models derive from
-    that stream alone, under any config, so a replay need not derive
-    them again.  ``access_misses`` lists, in ascending order, the accesses
-    that missed the L1 data cache; every other access hit it.  The L1
-    is the same fixed-geometry cache under every config and sees only
-    this access stream, so its outcomes are the program's.  Block
-    ``smc_blocks[k]`` stored into page ``smc_pages[k]`` while a
-    translated block was registered on it (once per block and page):
-    an SMC mark.  The registered pages evolve with the block stream
-    and these marks alone, so the marks are the program's too.
+    Two more columns hold the outcomes of the first cache levels, which
+    the timing models derive from those streams alone, so a replay need
+    not derive them again.  ``access_misses`` lists, in ascending order,
+    the accesses that missed the L1 data cache; every other access hit
+    it.  The L1 data cache is the same fixed-geometry cache under every
+    config and sees only this access stream, so its outcomes are the
+    program's.  ``code_streams[(knobs, capacity)][i]`` is block ``i``'s
+    L1 code-cache outcome (:data:`~repro.dbt.codecache.L1_MISS` ...)
+    under translator knobs ``knobs``
+    (:func:`~repro.dbt.transcache.translator_knobs`) and an L1 code
+    cache of ``capacity`` bytes.  That L1 sees only the block stream and
+    the translations, and flushes only when full (a program that writes
+    translated code is never recorded), so its outcomes are the
+    program's under each key; the recording run fills in its own key,
+    and the first replay under another key fills in that one.
     """
 
     block_pcs: array = field(default_factory=_words)
@@ -219,8 +263,7 @@ class ExecutionRecord:
     access_addresses: array = field(default_factory=_words)
     access_sizes: array = field(default_factory=lambda: array("b"))
     access_misses: array = field(default_factory=_words)
-    smc_blocks: array = field(default_factory=_words)
-    smc_pages: array = field(default_factory=_words)
+    code_streams: Dict[Tuple, array] = field(default_factory=dict)
     exit_code: int = 0
     instructions: int = 0
     piii_stall_cycles: int = 0
@@ -235,11 +278,11 @@ class _RecordingObserver(_TimingObserver):
 
     Installed for the recording run alone, so live runs pay nothing for
     it.  Each access is appended on its way to the timing models, and
-    its index too if the live L1 data cache missed it; each SMC mark is
-    appended with its block.  The dispatch loop fetches through
-    :meth:`fetch`, which opens a block's entry and closes the previous
-    one: that block retired what the PIII model retired since its
-    fetch, and made the accesses appended since.
+    its index too if the live L1 data cache missed it.  The dispatch
+    loop fetches through :meth:`fetch`, which appends the fetch's L1
+    code-cache outcome under the VM's code key, opens the block's entry
+    and closes the previous one: that block retired what the PIII model
+    retired since its fetch, and made the accesses appended since.
     """
 
     def __init__(self, vm: "TimingVM") -> None:
@@ -249,7 +292,8 @@ class _RecordingObserver(_TimingObserver):
         self._add_address = record.access_addresses.append
         self._add_size = record.access_sizes.append
         self._add_miss = record.access_misses.append
-        self._hierarchy_fetch = vm.hierarchy.fetch
+        codes = record.code_streams[vm.code_key] = array("B")
+        self._hierarchy_fetch = _coded_fetch(vm.hierarchy, codes)
         self._piii = vm.piii
         self._retired = 0  # PIII instructions at the open block's fetch
 
@@ -270,15 +314,6 @@ class _RecordingObserver(_TimingObserver):
             self._add_miss(len(self._addresses) - 1)
         vm.pending_stall += outcome.stall_cycles
         self._piii_on_access(address, is_write)
-
-    def _mark_smc(self, page: int) -> None:
-        # the block boundary empties pending_smc, so a page already in
-        # it was marked by this block
-        if page not in self._pending_smc:
-            record = self.record
-            record.smc_blocks.append(len(record.block_pcs) - 1)
-            record.smc_pages.append(page)
-        super()._mark_smc(page)
 
     def fetch(self, now: int, pc: int, prev_pc: Optional[int], indirect: bool):
         lookup = self._hierarchy_fetch(now, pc, prev_pc, indirect)
@@ -397,9 +432,10 @@ class TimingVM:
         self.code_pages: Dict[int, set] = {}  # page -> guest block addresses
         self.pending_smc: set = set()
         self.piii = PentiumIIIModel()
-        #: Stores into the executable section — the translation cache's
-        #: generation counter (a write here may change bytes the
-        #: translator reads, so cached translations must not outlive it).
+        #: Stores into the executable section or onto a page holding a
+        #: translated block — the translation cache's generation counter
+        #: (such a write may change bytes the translator reads, so
+        #: cached translations must not outlive it).
         self.code_writes = 0
         try:
             text = program.text
@@ -458,6 +494,10 @@ class TimingVM:
             l1_capacity=l1_code_capacity,
             tracer=self.tracer,
         )
+        #: What the L1 code cache's outcomes depend on besides the
+        #: block stream: the key of this VM's code stream in an
+        #: :class:`ExecutionRecord`.
+        self.code_key = (translator_knobs(translation_config), l1_code_capacity)
         self.syscall_tile = Resource("syscall_tile")
         self._syscall_hops = self.grid.hops(
             self.hierarchy.execution, self.grid.find_one(TileRole.SYSCALL)
@@ -579,8 +619,8 @@ class TimingVM:
 
     def _record(self, key, max_guest_instructions: int) -> str:
         """Run live while writing the guest's :class:`ExecutionRecord`
-        into the cache, or mark the program live-only if it stored into
-        its own text section."""
+        into the cache, or mark the program live-only if it wrote code
+        (``code_writes``)."""
         recorder = _RecordingObserver(self)
         self.interp.observer = recorder
         try:
@@ -636,6 +676,7 @@ class TimingVM:
             fetch = self.hierarchy.fetch
         fetch_block = self._fetch_block
         finish_block = self._finish_block
+        pages_registered = self._pages_registered
         jit = self.jit
         table = jit.table if jit is not None else {}
         note_execution = jit.note_execution if jit is not None else None
@@ -653,6 +694,8 @@ class TimingVM:
         while blocks and interp.exit_code is None:
             blocks -= 1
             block = fetch_block(fetch, pc, prev_pc, arrived_indirect)
+            if pc not in pages_registered:
+                self._register_pages(pc, block)
             count = block.guest_instr_count
             compiled = None
             if jit is not None:
@@ -708,49 +751,103 @@ class TimingVM:
     def _replay(self, record: ExecutionRecord) -> None:
         """Replay ``record``'s guest through this VM's timing models.
 
-        The timing half of :meth:`_dispatch`, block for block: the same
-        :meth:`_fetch_block` and :meth:`_finish_block` around each
-        block, and between them its data accesses at ``now`` plus the
-        block's stall so far, its SMC marks and its cost.  Only the
+        The timing half of :meth:`_dispatch`, block for block: each
+        block's fetch, then its data accesses at ``now`` plus the
+        block's stall so far and its cost, then the same
+        :meth:`_finish_block`.  Only the recorded L1 code misses are
+        fetched through :meth:`CodeCacheHierarchy.fetch`; a recorded hit
+        advances the translation subsystem to ``now``, adds its dispatch
+        cost, takes its block from the L1's resident map and patches
+        the chain it patched live, and the hits are counted in bulk.
+        The first replay under a code key the record has no stream for
+        fetches every block and fills in that key's stream.  Only the
         recorded L1 data misses reach the memory system, through
         :meth:`PipelinedMemorySystem.miss`; the hits stall nothing, so
-        they only add to its ``accesses`` count, in bulk.  That is
-        exact because the L1 outcomes and the SMC marks are the
-        program's, not the config's (see :class:`ExecutionRecord`).
-        No guest code runs: the exit code and the PIII model's result
-        come from the record.  Raises :class:`ReplayError` where a
-        fetched block is not the recorded one, or where the record's
+        they only add to its ``accesses`` count, in bulk.  That is exact
+        because the L1 outcomes are the program's, not the config's
+        (see :class:`ExecutionRecord`), and a recorded program never
+        writes translated code, so no SMC page is marked.  No guest code
+        runs: the exit code and the PIII model's result come from the
+        record.  Raises :class:`ReplayError` where a fetched block is not
+        the recorded one, where the L1 code cache does or does not hold
+        a block against its recorded outcome, or where the record's
         columns do not fit together.  Untraced, so no events are
         emitted.
         """
-        fetch = self.hierarchy.fetch
+        hierarchy = self.hierarchy
         fetch_block = self._fetch_block
         finish_block = self._finish_block
-        code_pages = self.code_pages
-        pending_smc = self.pending_smc
+        advance = self.subsystem.advance
+        resident = hierarchy.l1.resident
+        patch_chain = hierarchy.patch_chain
+        fetch_l1 = self._fetch_counters["l1"]
         # timed under the profiler, like the live observer's access
         memsys_miss = _timed_memsys(self.memsys.miss)
+        block_pcs = record.block_pcs
         counts = record.block_counts
         executed_counts = record.block_executed
         access_ends = record.block_access_ends
         addresses = record.access_addresses
         sizes = record.access_sizes
         total_accesses = len(sizes)
-        # each sparse column is walked by its next entry; sys.maxsize
+        codes = record.code_streams.get(self.code_key)
+        filling = None
+        if codes is None:
+            # no stream under this key yet: every block is a full
+            # fetch, whose outcome fills the stream in
+            filling = array("B")
+            fetch = _coded_fetch(hierarchy, filling)
+            codes = bytes([_UNCHECKED_FETCH]) * len(block_pcs)
+        else:
+            fetch = hierarchy.fetch
+            if len(codes) != len(block_pcs):
+                raise ReplayError(
+                    f"the record's code stream holds {len(codes)} outcomes "
+                    f"for {len(block_pcs)} blocks"
+                )
+        # the sparse miss column is walked by its next entry; sys.maxsize
         # stands past its end
         misses = iter(record.access_misses)
         miss = next(misses, sys.maxsize)
-        marks = zip(record.smc_blocks, record.smc_pages)
-        mark_block, mark_page = next(marks, (sys.maxsize, 0))
-        last = len(record.block_pcs) - 1
+        last = len(block_pcs) - 1
+        hits = 0
         accessed = 0
         executed_total = 0
         prev_pc: Optional[int] = None
         arrived_indirect = False
         exit_kind = None
 
-        for index, pc in enumerate(record.block_pcs):
-            block = fetch_block(fetch, pc, prev_pc, arrived_indirect)
+        for index, pc in enumerate(block_pcs):
+            code = codes[index]
+            if code >= L1_MISS:
+                if code == L1_MISS and pc in resident:
+                    raise ReplayError(
+                        f"block {index} of the record missed the L1 code cache at "
+                        f"{pc:#x}, which holds it"
+                    )
+                block = fetch_block(fetch, pc, prev_pc, arrived_indirect)
+            else:
+                block = resident.get(pc)
+                if block is None:
+                    raise ReplayError(
+                        f"block {index} of the record hit the L1 code cache at "
+                        f"{pc:#x}, which does not hold it"
+                    )
+                now = self.now
+                advance(now)
+                if code:  # unchained
+                    now += DISPATCH_OVERHEAD
+                    if arrived_indirect:
+                        now += INDIRECT_LOOKUP_OVERHEAD
+                    if code == L1_PATCHED and not patch_chain(prev_pc, pc):
+                        raise ReplayError(
+                            f"block {index} of the record patched a chain from "
+                            f"{prev_pc} to {pc:#x} that cannot be patched"
+                        )
+                    self.now = now
+                if not hits:
+                    fetch_l1.add(0)  # bound at the first hit, as live binds it
+                hits += 1
             if block.guest_address != pc or block.guest_instr_count != counts[index]:
                 raise ReplayError(
                     f"block {index} of the record is {counts[index]} instructions "
@@ -771,14 +868,6 @@ class TimingVM:
                 miss = next(misses, sys.maxsize)
                 if miss <= previous:
                     raise ReplayError(f"the record's L1 misses repeat or go back at {miss}")
-            while mark_block == index:
-                if mark_page not in code_pages:
-                    raise ReplayError(
-                        f"block {index} of the record marks page {mark_page:#x}, "
-                        "which holds no translated block"
-                    )
-                pending_smc.add(mark_page)
-                mark_block, mark_page = next(marks, (sys.maxsize, 0))
             accessed = end
             executed_total += executed_counts[index]
             self.now = now + block.cost_cycles + stall
@@ -793,11 +882,15 @@ class TimingVM:
                 f"make {accessed} accesses; it holds {record.instructions} and "
                 f"{total_accesses}"
             )
-        if miss != sys.maxsize or mark_block != sys.maxsize:
+        if miss != sys.maxsize:
             raise ReplayError(
-                f"the record's L1 misses or SMC marks run past its accesses "
-                f"or blocks: miss {miss}, mark at block {mark_block}"
+                f"the record's L1 misses run past its accesses: miss {miss}"
             )
+        if filling is not None:
+            record.code_streams[self.code_key] = filling
+        hierarchy.l1.count_hits(hits)
+        self._blocks_executed.add(hits)
+        fetch_l1.add(hits)
         self.memsys.stats.bump("accesses", total_accesses)
         self._executed_instructions = executed_total
         self.last_exit_kind = exit_kind
@@ -807,8 +900,7 @@ class TimingVM:
 
     def _fetch_block(self, fetch, pc: int, prev_pc: Optional[int], arrived_indirect: bool):
         """Fetch the block at ``pc`` through the code caches, advancing
-        ``now`` to when it is ready; counts it and registers its code
-        pages (once per block address) for SMC detection."""
+        ``now`` to when it is ready, and count it."""
         if self._prof.enabled:
             # scoped, so a demand translation nests under it
             self._prof.enter("vm.fetch")
@@ -817,15 +909,18 @@ class TimingVM:
         else:
             lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
         self.now = lookup.ready_time
-        block = lookup.block
         self._blocks_executed.add()
         self._fetch_counters[lookup.level].add()
-        if pc not in self._pages_registered:
-            self._pages_registered.add(pc)
-            code_pages = self.code_pages
-            for page in pages_spanned(block.guest_address, block.guest_length):
-                code_pages.setdefault(page, set()).add(pc)
-        return block
+        return lookup.block
+
+    def _register_pages(self, pc: int, block) -> None:
+        """Register the code pages of the ``block`` dispatched at ``pc``
+        for SMC detection (once per block address, until an
+        invalidation)."""
+        self._pages_registered.add(pc)
+        code_pages = self.code_pages
+        for page in pages_spanned(pc, block.guest_length):
+            code_pages.setdefault(page, set()).add(pc)
 
     def _finish_block(self, syscall: bool, executed_total: int) -> None:
         """The timing after a block ran: the syscall tile if ``syscall``

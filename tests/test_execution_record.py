@@ -1,16 +1,17 @@
 """Record once, replay per config (``repro.vm.timing``).
 
 Replay rests on one claim: a program's guest execution — the blocks it
-runs, the instructions each retires, its data-access stream, which of
-those accesses miss the L1 data cache and which stores mark a code
-page for SMC invalidation — does not depend on the
-:class:`VirtualArchConfig`.  The first tests check that claim on every
-program under every preset, with a fresh VM and no shared cache per
-config; if a future preset breaks it, the record key
-(``(program_key, stdin)``) must gain the knob that did.  The rest
-check that a replayed run is bit-identical to a live one, that the
-runs replay cannot reproduce stay live, and that a record which
-disagrees with the VM raises instead of returning a result.
+runs, the instructions each retires, its data-access stream and which
+of those accesses miss the L1 data cache — does not depend on the
+:class:`VirtualArchConfig`, and its L1 code-cache outcomes depend only
+on the translator knobs and the L1 code capacity (the record's code
+key).  The first tests check that claim on every program under every
+preset, with a fresh VM and no shared cache per config; if a future
+preset breaks it, the record key (``(program_key, stdin)``) or the
+code key must gain the knob that did.  The rest check that a replayed
+run is bit-identical to a live one, that the runs replay cannot
+reproduce stay live, and that a record which disagrees with the VM
+raises instead of returning a result.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ import json
 
 import pytest
 
+from repro.dbt.codecache import L1_CHAINED, L1_MISS, L1_UNCHAINED
 from repro.dbt.transcache import LIVE_ONLY, TranslationCache
 from repro.guest.assembler import assemble
 from repro.morph.config import PRESETS
@@ -31,13 +33,11 @@ from tests.test_self_modifying_code import SMC_PROGRAM
 
 SCALE = 0.05
 
-#: Programs that store into their own text section: never replayed.
-SMC_PROGRAMS = ["smc", "morph-smc-stress"]
-
 #: Calls code placed in ``.data`` and patches it three times.  The
-#: stores miss the text section, so the program records and replays,
-#: and its replay must mark the patched page: SMC invalidations happen
-#: in replay too.  The patch keeps the instruction's length and cost.
+#: stores miss the text section but write translated code, so they
+#: count as code writes: the program stays live and its cached
+#: re-translations are fresh.  The patch keeps the instruction's
+#: length and cost.
 DATA_SMC_PROGRAM = """
 _start:
     mov ecx, 3
@@ -58,7 +58,19 @@ dtarget:
     ret
 """
 
-PROGRAMS = SPECINT_NAMES + ["data-smc"] + SMC_PROGRAMS
+#: :data:`DATA_SMC_PROGRAM` patching the opcode instead: the patched
+#: block is a ``ret``, so a stale cached translation shows in the cycles.
+DATA_SMC_OPCODE_PROGRAM = DATA_SMC_PROGRAM.replace(
+    "movb [dtarget + 2], 77", "movb [dtarget], 0xC3")
+
+#: The exit code of each program that writes translated code outside
+#: its text section.
+DATA_SMC_EXITS = {"data-smc": 165, "data-smc-opcode": 33}
+
+#: Programs that write translated code: never replayed.
+SMC_PROGRAMS = ["smc", "morph-smc-stress"] + list(DATA_SMC_EXITS)
+
+PROGRAMS = SPECINT_NAMES + SMC_PROGRAMS
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,22 +81,24 @@ def _program(name):
         return assemble(_stress_source(SEED))
     if name == "data-smc":
         return assemble(DATA_SMC_PROGRAM)
+    if name == "data-smc-opcode":
+        return assemble(DATA_SMC_OPCODE_PROGRAM)
     return build_workload(name, scale=SCALE)
 
 
 def _digest(result) -> str:
-    text = json.dumps(dataclasses.asdict(result), sort_keys=True, separators=(",", ":"))
+    # unsorted: a replay must also report its stats in the order live does
+    text = json.dumps(dataclasses.asdict(result), separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _stream_digest(record) -> str:
-    """The ``(pc, count, executed)`` + access stream, its L1 data misses,
-    SMC marks and outcome of a record."""
+    """The ``(pc, count, executed)`` + access stream, its L1 data misses
+    and outcome of a record."""
     sha = hashlib.sha256()
     for column in (record.block_pcs, record.block_counts, record.block_executed,
                    record.block_access_ends, record.access_addresses,
-                   record.access_sizes, record.access_misses,
-                   record.smc_blocks, record.smc_pages):
+                   record.access_sizes, record.access_misses):
         sha.update(column.tobytes())
         sha.update(b"|")
     sha.update(repr((record.exit_code, record.instructions,
@@ -103,11 +117,13 @@ def _recorded_live(program, config):
 
 @functools.lru_cache(maxsize=None)
 def _live(name):
-    """``{preset: (result digest, stream digest)}``, one fresh VM each."""
+    """``{preset: (result digest, stream digest, (code key, code
+    stream))}``, one fresh VM each."""
     out = {}
     for preset, config in PRESETS.items():
         result, record = _recorded_live(_program(name), config)
-        out[preset] = (_digest(result), _stream_digest(record))
+        [code_stream] = record.code_streams.items()
+        out[preset] = (_digest(result), _stream_digest(record), code_stream)
     return out
 
 
@@ -118,8 +134,16 @@ def _shared_vm(name, cache, preset="speculative_4", **kwargs):
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_guest_execution_is_config_independent(name):
-    streams = {preset: stream for preset, (_, stream) in _live(name).items()}
+    live = _live(name)
+    streams = {preset: stream for preset, (_, stream, _) in live.items()}
     assert len(set(streams.values())) == 1, streams
+    # one L1 code-cache stream per (translator knobs, L1 code capacity)
+    code_streams = {}
+    for _, _, (code_key, codes) in live.values():
+        code_streams.setdefault(code_key, set()).add(codes.tobytes())
+    assert len(code_streams) > 1
+    for code_key, group in code_streams.items():
+        assert len(group) == 1, code_key
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -131,8 +155,8 @@ def test_replay_matches_live(name):
         vm = _shared_vm(name, cache, preset)
         assert _digest(vm.run()) == live[preset][0], preset
         modes.append(vm.execution_mode)
-        if name == "data-smc":
-            assert vm.interp.exit_code == 165
+        if name in DATA_SMC_EXITS:
+            assert vm.interp.exit_code == DATA_SMC_EXITS[name]
             assert vm.stats["smc_invalidations"] == 3
     if name in SMC_PROGRAMS:
         assert modes == ["live_only"] * len(modes)
@@ -191,12 +215,21 @@ def test_stdin_is_part_of_the_key():
     assert cache.stats()["records"] == 0
 
 
-@pytest.mark.parametrize("tamper", ["count", "executed", "truncated", "misses"])
+@pytest.mark.parametrize(
+    "tamper", ["count", "executed", "truncated", "misses", "code-hit", "code-miss"])
 def test_tampered_record_raises(tamper):
     cache = TranslationCache()
-    _shared_vm("181.mcf", cache).run()
+    recording = _shared_vm("181.mcf", cache)
+    recording.run()
     record = cache.execution_record(("181.mcf", b""))
-    if tamper == "count":
+    codes = record.code_streams[recording.code_key]
+    if tamper == "code-hit":
+        # the first block misses the empty L1
+        assert codes[0] == L1_MISS
+        codes[0] = L1_UNCHAINED
+    elif tamper == "code-miss":
+        codes[codes.index(L1_CHAINED)] = L1_MISS
+    elif tamper == "count":
         record.block_counts[3] += 1
     elif tamper == "executed":
         record.block_executed[3] += 1
@@ -204,7 +237,7 @@ def test_tampered_record_raises(tamper):
         record.access_misses[-1] = len(record.access_sizes) + 5
     else:
         for column in (record.block_pcs, record.block_counts, record.block_executed,
-                       record.block_access_ends):
+                       record.block_access_ends, codes):
             column.pop()
     with pytest.raises(ReplayError):
         _shared_vm("181.mcf", cache).run()

@@ -167,6 +167,23 @@ class TestPipelinedMemorySystem:
         assert cost > 0
         assert memsys.bank_count == 1
 
+    def test_miss_pricing_follows_the_bank_list(self):
+        # miss() prices its messages from latencies computed when the
+        # bank list is built: they must be the floorplan's after morphing
+        memsys = make_memsys(banks=4)
+        grid, network = memsys.grid, memsys.network
+        all_coords = [b.coord for b in memsys.banks]
+        for coords in (all_coords[:1], all_coords[1:3], all_coords):
+            memsys.reconfigure_banks(coords, now=0)
+            assert [b.coord for b in memsys.banks] == coords
+            for bank in memsys.banks:
+                assert bank.mmu_hops == grid.hops(memsys.mmu_coord, bank.coord)
+                assert bank.mmu_latency == network.latency(bank.mmu_hops)
+                assert bank.execution_hops == grid.hops(bank.coord, memsys.execution)
+                assert bank.execution_latency == network.latency(bank.execution_hops)
+        assert memsys._mmu_latency == network.latency(
+            grid.hops(memsys.execution, memsys.mmu_coord))
+
     def test_write_allocates_dirty(self):
         memsys = make_memsys()
         memsys.access(0, 0x4000, True)
