@@ -40,7 +40,8 @@ The cache also keeps each program's guest execution record (see
 cache — a harness process, a pool worker, a benchmark row — records a
 program once and replays it for every other config.  :meth:`TranslationCache.row_state` and
 :meth:`TranslationCache.adopt_row` move one program's namespaces and
-records into another process's cache (the harness's row packs).
+records into another process's cache (the harness's row packs, which
+pool workers hand on through the parent).
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ class TranslationCache:
     def row_state(self, key: Hashable) -> Dict:
         """What this cache holds for program ``key``: ``{"spaces":
         {knobs: space}, "records": {stdin: record}}``, sharing the live
-        maps (the harness pickles it into a row pack, see
-        :mod:`repro.harness.runner`)."""
+        maps.  A pool worker pickles it into the row pack it hands back
+        to the parent, which passes the pack with the row's next group
+        (see :func:`repro.harness.runner._worker_run`)."""
         return {
             "spaces": {ns[1]: self._spaces.peek(ns) for ns in self._spaces if ns[0] == key},
             "records": {rk[1]: self._records.peek(rk) for rk in self._records if rk[0] == key},

@@ -853,32 +853,6 @@ def _base_namespace(sites: tuple) -> Dict:
     }
 
 
-class PackError(ValueError):
-    """A pack that cannot be decoded: a truncated or garbled pickle,
-    or a payload of the wrong shape."""
-
-
-def load_pack(data: bytes, fmt: int) -> Optional[Tuple]:
-    """Unpickle a pack written as ``(format, *payload)``.
-
-    Returns the payload, or ``None`` if the pack has another format
-    (the caller rebuilds what it holds); raises :class:`PackError` on
-    undecodable input.  Only feed this bytes from a trusted cache
-    directory — it unpickles.
-    """
-    import pickle
-
-    try:
-        found, *payload = pickle.loads(data)
-    except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
-            IndexError, KeyError, MemoryError, OverflowError, TypeError,
-            ValueError) as err:
-        # what garbled pickles raise; a bogus length field alone can
-        # claim more memory than exists
-        raise PackError("undecodable pack: %r" % err) from err
-    return tuple(payload) if found == fmt else None
-
-
 def unpack_space(data: bytes) -> Dict:
     """Always ``{}``: JIT packs no longer exist.  Kept only because
     ``perfbench/child.py`` imports the name; it goes with that import."""

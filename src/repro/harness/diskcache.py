@@ -32,7 +32,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.morph.config import VirtualArchConfig
 from repro.obs import prof
@@ -112,8 +112,8 @@ class DiskCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: per-instance I/O latency distributions (load.us / store.us /
-        #: blob_load.us / blob_store.us), shipped in worker telemetry
+        #: per-instance I/O latency distributions (load.us / store.us),
+        #: shipped in worker telemetry
         self.metrics = MetricsRegistry("harness.diskcache")
         self.profiler = prof.active()
 
@@ -232,47 +232,17 @@ class DiskCache:
         self.stores += 1
         return path
 
-    # -- opaque blobs ------------------------------------------------------
-
-    def blob_stamp(self, name: str) -> Optional[Tuple[int, int]]:
-        """``(mtime ns, size)`` of an auxiliary entry, ``None`` if absent
-        (no read, just a stat): tells a reader whether the entry exists,
-        and whether it changed since the reader last read or wrote it."""
-        try:
-            info = (self.root / f"{name}.bin").stat()
-        except OSError:
-            return None
-        return info.st_mtime_ns, info.st_size
+    # -- perfbench shim ----------------------------------------------------
 
     def load_blob(self, name: str) -> Optional[bytes]:
-        """Read an auxiliary binary entry (e.g. a row pack).
-
-        Blobs live in the same versioned subdirectory as results, so
-        they self-invalidate on code changes the same way; they do not
-        count toward the hit/miss/store bookkeeping, which tracks
-        result cells only.
-        """
-        with self.profiler.phase("cache.io"):
-            started = time.perf_counter_ns()
-            try:
-                data = (self.root / f"{name}.bin").read_bytes()
-            except OSError:
-                data = None
-            self.metrics.observe(
-                "blob_load.us", (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS
-            )
-        return data
-
-    def save_blob(self, name: str, data: bytes) -> Path:
-        """Atomically persist an auxiliary binary entry."""
-        with self.profiler.phase("cache.io"):
-            started = time.perf_counter_ns()
-            path = self.root / f"{name}.bin"
-            self._write_atomic(path, data)
-            self.metrics.observe(
-                "blob_store.us", (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS
-            )
-        return path
+        """The bytes of ``<name>.bin`` in the versioned directory, or
+        ``None``.  Nothing writes such files any more; kept only because
+        ``perfbench/child.py``'s traced ``pooled_layers`` still calls it,
+        and it goes with that call."""
+        try:
+            return (self.root / f"{name}.bin").read_bytes()
+        except OSError:
+            return None
 
     # -- housekeeping -----------------------------------------------------
 

@@ -29,18 +29,16 @@ runs are bit-identical.
 :func:`run_many` executes a deduplicated work-list of grid cells on a
 ``ProcessPoolExecutor``; every run is deterministic, so parallel
 results are bit-identical to serial ones.  Pool workers share those
-three layers through the disk cache's versioned directory, the way the
-paper's slave tiles share one L2 code cache: at the end of a group a
-worker saves a *row pack* per (workload, scale) —
-``rowpack_<workload>_<scale>.bin``: the assembled program, its
-translated namespaces and its execution records — and a worker that
-later gets the row merges the pack first, so it replays where it would
-have built, recorded and translated.  A pack that will not decode is
-counted (``rowpack.corrupt``), rebuilt and overwritten, and
-:func:`pack_warnings` turns such counts into warnings.  Compiled JIT
-closures are not shared: a worker that replays a row runs none.  Hit/miss
-behaviour is recorded in a :class:`~repro.obs.metrics.MetricsRegistry`
-(surfaced by ``benchmarks/run_all.py`` into ``BENCH_results.json``).
+three layers through the pool itself, the way the paper's slave tiles
+share one L2 code cache: a worker that grew a row — the assembled
+program, translated namespaces and execution records of one
+(workload, scale) — hands back a *row pack* with its results, the
+parent keeps the newest pack per row, and it passes that pack with the
+row's next group, so a worker that gets the row later replays where it
+would have built, recorded and translated.  Compiled JIT closures are not shared: a
+worker that replays a row runs none.  Hit/miss behaviour is recorded
+in a :class:`~repro.obs.metrics.MetricsRegistry` (surfaced by
+``benchmarks/run_all.py`` into ``BENCH_results.json``).
 """
 
 from __future__ import annotations
@@ -49,12 +47,12 @@ import atexit
 import os
 import pickle
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lru import LruDict
 from repro.dbt.transcache import TranslationCache
-from repro.guest.blockjit import PackError, load_pack
 from repro.guest.program import GuestProgram
 from repro.harness.diskcache import DiskCache, config_digest, enabled_by_env
 from repro.morph.config import PRESETS, VirtualArchConfig
@@ -97,16 +95,14 @@ REPLAY_MODES = ("recorded", "replayed", "live_only")
 #: found ineligible.
 JIT_COUNTERS = ("compiles", "ineligible", "compiled_guest_instructions")
 
-#: Bumped when the row pack layout changes incompatibly; a pack of
-#: another format is ignored and its row built, recorded and translated
-#: afresh.  (The disk cache's code-version stamp already invalidates
-#: packs on *any* source edit; this guards readers of a foreign cache.)
-ROWPACK_FORMAT = 3
+#: A row pack: the row's :func:`_row_size` and a zlib-compressed pickle
+#: of its assembled program and :meth:`TranslationCache.row_state`.
+RowPack = Tuple[int, bytes]
 
-#: The :meth:`DiskCache.blob_stamp` of each row pack this process last
-#: read or wrote, keyed ``(cache directory, (workload, scale))``: a
-#: worker merges a row pack only when another worker has rewritten it.
-_ROW_STAMPS: Dict[Tuple[str, Tuple[str, float]], Tuple[int, int]] = {}
+#: The newest row pack of each (workload, scale), kept by the parent
+#: process from the workers' results and passed with the row's next
+#: group (see :func:`_worker_run`).  Workers never read it.
+_ROW_PACKS: "LruDict[Tuple[str, float], RowPack]" = LruDict(PROGRAM_CACHE_CAPACITY)
 
 #: Lazily constructed process-wide disk cache (None = disabled).
 _DISK: Optional[DiskCache] = None
@@ -290,56 +286,6 @@ def _worker_disk(enabled: bool, root: Optional[str]) -> Optional[DiskCache]:
     return disk_cache()
 
 
-def _row_pack_name(row: Tuple[str, float]) -> str:
-    """The blob name of a row's pack."""
-    workload, scale = row
-    return f"rowpack_{workload}_{scale}".replace("/", "_")
-
-
-def _load_row_pack(disk: DiskCache, name: str) -> Optional[Tuple[GuestProgram, Dict]]:
-    """Read the row pack blob ``name`` and decode it (:func:`_unpack_row`).
-
-    Counts ``rowpack.hits``, ``.misses`` (no blob, or one of another
-    format) or ``.corrupt`` (a :class:`PackError`: the row is rebuilt),
-    and the decode latency; returns the decoded pack, or ``None``.
-    """
-    data = disk.load_blob(name)
-    if data is None:
-        METRICS.bump("rowpack.misses")
-        return None
-    with prof.active().phase("jit.pack"):
-        started = time.perf_counter_ns()
-        try:
-            value = _unpack_row(data)
-        except PackError:
-            value = None
-            METRICS.bump("rowpack.corrupt")
-        else:
-            METRICS.bump("rowpack.misses" if value is None else "rowpack.hits")
-        METRICS.observe("rowpack.unpack.us",
-                        (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
-    return value
-
-
-def _save_row_pack(disk: DiskCache, row: Tuple[str, float], program: GuestProgram) -> None:
-    """Write ``row``'s pack and remember its stamp.  Packing is an
-    optimization: a full or read-only cache directory must not fail the
-    run, but it is counted as ``rowpack.save_failed``."""
-    name = _row_pack_name(row)
-    with prof.active().phase("jit.pack"):
-        started = time.perf_counter_ns()
-        try:
-            disk.save_blob(name, _pack_row(program, _TRANSLATIONS.row_state(row)))
-            saved = True
-        except OSError:
-            saved = False
-        METRICS.bump("rowpack.saves" if saved else "rowpack.save_failed")
-        METRICS.observe("rowpack.pack.us",
-                        (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
-    if saved:
-        _ROW_STAMPS[(str(disk.root), row)] = disk.blob_stamp(name)
-
-
 def _row_size(row: Tuple[str, float]) -> int:
     """Translated blocks plus execution records held for ``row``: what
     a row pack grows by."""
@@ -347,64 +293,53 @@ def _row_size(row: Tuple[str, float]) -> int:
     return sum(map(len, state["spaces"].values())) + len(state["records"])
 
 
-def _adopt_row_pack(disk: DiskCache, row: Tuple[str, float]) -> Optional[int]:
-    """Merge ``row``'s pack into this process's caches if the pack
-    changed since this process last read or wrote it.
+def _make_pack(row: Tuple[str, float], program: GuestProgram) -> bytes:
+    """The bytes of ``row``'s pack, from its program and this process's
+    caches.
 
-    Returns the row's :func:`_row_size` afterwards, or ``None`` when
-    the disk holds no usable pack (absent, undecodable or of another
-    format), so the group's end writes one."""
-    name = _row_pack_name(row)
-    stamp = disk.blob_stamp(name)
-    if stamp is None:
-        METRICS.bump("rowpack.misses")
-        return None
-    seen = (str(disk.root), row)
-    if _ROW_STAMPS.get(seen) != stamp:
-        adopted = _load_row_pack(disk, name)
-        if adopted is None:
-            return None
-        program, state = adopted
+    Compressed at level 1 because the parent holds every row's newest
+    pack until :func:`clear_cache`: in perfbench's ``pooled_sweep``,
+    raw pickles raised the parent's peak RSS by ~20%, level 1 by ~3%."""
+    with prof.active().phase("jit.pack"):
+        started = time.perf_counter_ns()
+        data = zlib.compress(
+            pickle.dumps((program, _TRANSLATIONS.row_state(row)),
+                         protocol=pickle.HIGHEST_PROTOCOL), 1)
+        METRICS.bump("rowpack.saves")
+        METRICS.observe("rowpack.pack.us",
+                        (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
+    return data
+
+
+def _adopt_pack(row: Tuple[str, float], data: bytes) -> None:
+    """Merge the program and row state of a :func:`_make_pack` pack into
+    this process's caches (entries already present win)."""
+    with prof.active().phase("jit.pack"):
+        started = time.perf_counter_ns()
+        program, state = pickle.loads(zlib.decompress(data))
         if _PROGRAMS.peek(row) is None:
             _PROGRAMS.put(row, program)
         _TRANSLATIONS.adopt_row(row, state)
-        _ROW_STAMPS[seen] = stamp
-    return _row_size(row)
-
-
-def _pack_row(program: GuestProgram, state: Dict) -> bytes:
-    """A row pack: a row's assembled program and its
-    :meth:`TranslationCache.row_state`."""
-    return pickle.dumps((ROWPACK_FORMAT, program, state), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _unpack_row(data: bytes) -> Optional[Tuple[GuestProgram, Dict]]:
-    """The ``(program, row state)`` of a :func:`_pack_row` blob;
-    ``None`` for another format, :class:`PackError` if undecodable."""
-    payload = load_pack(data, ROWPACK_FORMAT)
-    if payload is None:
-        return None
-    try:
-        program, state = payload
-        shaped = (isinstance(program, GuestProgram)
-                  and isinstance(state["records"], dict)
-                  and all(isinstance(space, dict) for space in state["spaces"].values()))
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise PackError("malformed row pack: %r" % err) from err
-    if not shaped:
-        raise PackError("malformed row pack")
-    return program, state
+        METRICS.bump("rowpack.hits")
+        METRICS.observe("rowpack.unpack.us",
+                        (time.perf_counter_ns() - started) / 1e3, IO_TIME_BUCKETS)
 
 
 def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
-                disk_enabled: bool, disk_root: Optional[str], submitted_ns: int
-                ) -> Tuple[List[TimingRunResult], Dict[str, int], dict]:
+                disk_enabled: bool, disk_root: Optional[str], submitted_ns: int,
+                pack: Optional[RowPack]
+                ) -> Tuple[List[TimingRunResult], Dict[str, int], dict, Optional[RowPack]]:
     """Execute a group of cells in a worker process (module-level: picklable).
 
     Groups are one workload each (see :func:`run_many`), so the worker's
     program memo and translation cache stay warm across its cells.
-    Before the cells the worker adopts the row's pack from the disk
-    cache, and after them it saves the pack if the row grew.
+    ``pack`` is the row's newest pack, if any worker made one: the
+    worker adopts it first when it holds less of the row than the pack,
+    and hands back a new pack if its cells grew the row.  Each
+    :func:`run_many` call has one group per row and calls run one after
+    another, so a row's packs form a chain in which each holds all of
+    the one before it; a row's size alone therefore tells whether a
+    pack is newer than what a worker holds.
     ``submitted_ns`` is the parent's ``perf_counter_ns()`` at submission
     (a system-wide clock), from which the group's queue wait is taken.
 
@@ -412,10 +347,10 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
     stores, translation hits/misses) — counted from a snapshot, because
     the pool reuses worker processes and the worker-global caches carry
     counts across calls (without this the parent's reports showed zero
-    stores for work the workers did) — and the worker's *cumulative*
+    stores for work the workers did) — the worker's *cumulative*
     telemetry snapshot: its metrics registry, phase profile, cache
     stats and group records, which the parent folds via
-    :func:`worker_telemetry`.
+    :func:`worker_telemetry` — and the new row pack or ``None``.
     """
     started_ns = time.perf_counter_ns()
     disk = _worker_disk(disk_enabled, disk_root)
@@ -426,8 +361,10 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
     modes_before = {mode: METRICS["replay." + mode] for mode in REPLAY_MODES}
     workload, _, scale = cells[0]
     row = (workload, scale)
-    if disk is not None:
-        row_before = _adopt_row_pack(disk, row)
+    size_before = _row_size(row)
+    if pack is not None and pack[0] > size_before:
+        _adopt_pack(row, pack[1])
+        size_before = _row_size(row)
     results = [run_one(workload, config, scale) for workload, config, scale in cells]
     if disk is not None:
         # A long-lived worker may serve a cell from its in-process memo
@@ -437,9 +374,11 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         for (workload, config, scale), result in zip(cells, results):
             if not disk.has(workload, config, scale):
                 disk.store(workload, config, scale, result)
-        program = _PROGRAMS.peek(row)
-        if program is not None and (row_before is None or _row_size(row) > row_before):
-            _save_row_pack(disk, row, program)
+    program = _PROGRAMS.peek(row)
+    size = _row_size(row)
+    grown = None
+    if program is not None and size > size_before:
+        grown = (size, _make_pack(row, program))
     deltas = {
         "disk_stores": (disk.stores - stores_before) if disk is not None else 0,
         "translation_hits": _TRANSLATIONS.hits - hits_before,
@@ -462,7 +401,7 @@ def _worker_run(cells: Sequence[Tuple[str, VirtualArchConfig, float]],
         "translations": _TRANSLATIONS.stats(),
         "groups": list(_GROUPS),
     }
-    return results, deltas, telemetry
+    return results, deltas, telemetry, grown
 
 
 def run_many(
@@ -521,17 +460,18 @@ def run_many(
     groups: Dict[Tuple[str, float], List[Tuple[str, VirtualArchConfig, float]]] = {}
     for workload, cfg, scale in misses:
         groups.setdefault((workload, scale), []).append((workload, cfg, scale))
-    grouped = list(groups.values())
     # sized from ``jobs`` alone: a pool sized to one call's group count
     # would be torn down (warm caches and all) by the next, wider call
     pool = _pool(jobs)
     futures = [
-        (group, pool.submit(_worker_run, group, disk_enabled, disk_root,
-                            time.perf_counter_ns()))
-        for group in grouped
+        (row, group, pool.submit(_worker_run, group, disk_enabled, disk_root,
+                                 time.perf_counter_ns(), _ROW_PACKS.get(row)))
+        for row, group in groups.items()
     ]
-    for group, future in futures:
-        group_results, deltas, telemetry = future.result()
+    for row, group, future in futures:
+        group_results, deltas, telemetry, pack = future.result()
+        if pack is not None:
+            _ROW_PACKS.put(row, pack)
         _WORKER_TELEMETRY[int(telemetry["pid"])] = telemetry
         for (workload, cfg, scale), result in zip(group, group_results):
             METRICS.bump("runs.parallel")
@@ -552,12 +492,12 @@ def run_many(
 
 
 def clear_cache() -> None:
-    """Forget memoized runs, programs and translations (tests use this;
-    the disk cache survives)."""
+    """Forget memoized runs, programs, translations and row packs (tests
+    use this; the disk cache survives)."""
     _CACHE.clear()
     _PROGRAMS.clear()
     _TRANSLATIONS.clear()
-    _ROW_STAMPS.clear()
+    _ROW_PACKS.clear()
     METRICS.bump("run_cache.clears")
 
 
@@ -591,33 +531,6 @@ def worker_telemetry() -> dict:
     }
     return {"workers": {str(pid): snap for pid, snap in workers.items()},
             "aggregate": aggregate}
-
-
-#: The pack counters a sweep warns about, and what a nonzero count means.
-PACK_FAILURES = {
-    "rowpack.corrupt": "row pack(s) could not be decoded; their rows were built, "
-                       "recorded and translated again",
-    "rowpack.save_failed": "row pack(s) could not be written (full or read-only cache "
-                           "directory?); later workers rebuild those rows",
-}
-
-
-def pack_warnings(telemetry: dict) -> List[str]:
-    """One warning line per :data:`PACK_FAILURES` counter that the pool
-    workers bumped, summed over :func:`worker_telemetry`'s aggregate.
-
-    A pack failure costs only speed — results stay bit-identical — so
-    without these lines a corrupt or unwritable pack directory would
-    show up only as a slower sweep."""
-    aggregate = telemetry.get("aggregate") or {}
-    counters = (aggregate.get("metrics") or {}).get("counters") or {}
-    disk = _DISK
-    where = f" in {disk.root}" if disk is not None else ""
-    return [
-        f"warning: {name} = {counters[name]}{where}: {meaning}"
-        for name, meaning in PACK_FAILURES.items()
-        if counters.get(name)
-    ]
 
 
 def clear_worker_telemetry() -> None:

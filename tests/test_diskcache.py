@@ -41,6 +41,12 @@ def no_disk():
     clear_cache()
 
 
+def _write_entry(cache, text):
+    """Put one file in ``cache``'s versioned directory."""
+    cache.root.mkdir(parents=True)
+    (cache.root / "entry.json").write_text(text)
+
+
 class TestDiskCacheUnit:
     def test_round_trip_preserves_result(self, tmp_path, no_disk):
         result = run_one(WORKLOAD, CONFIG, SCALE)
@@ -87,8 +93,7 @@ class TestDiskCacheUnit:
         assert cache.load("181.mcf", PRESETS[CONFIG], SCALE) is None
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, no_disk, monkeypatch):
-        """Cells and blobs share one staged write: a failed rename
-        removes the staged file and counts no store."""
+        """A failed rename removes the staged file and counts no store."""
         result = run_one(WORKLOAD, CONFIG, SCALE)
         cache = DiskCache(tmp_path, version="test")
 
@@ -98,25 +103,14 @@ class TestDiskCacheUnit:
         monkeypatch.setattr("repro.harness.diskcache.os.replace", refuse)
         with pytest.raises(OSError):
             cache.store(WORKLOAD, PRESETS[CONFIG], SCALE, result)
-        with pytest.raises(OSError):
-            cache.save_blob("rowpack_x", b"code")
         assert list(cache.root.iterdir()) == []
-        assert cache.stores == 0 and cache.blob_stamp("rowpack_x") is None
-
-    def test_blob_stamp_changes_when_a_blob_is_rewritten(self, tmp_path):
-        cache = DiskCache(tmp_path, version="test")
-        assert cache.blob_stamp("rowpack_x") is None
-        cache.save_blob("rowpack_x", b"one")
-        first = cache.blob_stamp("rowpack_x")
-        assert first is not None and first == cache.blob_stamp("rowpack_x")
-        cache.save_blob("rowpack_x", b"three")
-        assert cache.blob_stamp("rowpack_x") != first
+        assert cache.stores == 0
 
     def test_prune_removes_only_stale_version_directories(self, tmp_path):
         current = DiskCache(tmp_path, version="0123456789abcdef")
-        current.save_blob("rowpack_x", b"current")
+        _write_entry(current, "current")
         stale = DiskCache(tmp_path, version="fedcba9876543210")
-        stale.save_blob("rowpack_x", b"stale")
+        _write_entry(stale, "stale")
         (stale.root / "sub").mkdir()
         kept = [f"v{FORMAT_VERSION + 1}-fedcba9876543210", f"v{FORMAT_VERSION}-short",
                 f"v{FORMAT_VERSION}-FEDCBA9876543210", "mine"]
@@ -126,14 +120,14 @@ class TestDiskCacheUnit:
         assert current.prune_stale_versions() == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             kept + ["notes.txt", current.root.name])
-        assert current.load_blob("rowpack_x") == b"current"
+        assert (current.root / "entry.json").read_text() == "current"
         assert current.prune_stale_versions() == 0
         assert DiskCache(tmp_path / "absent").prune_stale_versions() == 0
 
     def test_prune_tolerates_a_directory_that_vanishes(self, tmp_path, monkeypatch):
         current = DiskCache(tmp_path, version="0123456789abcdef")
         stale = DiskCache(tmp_path, version="fedcba9876543210")
-        stale.save_blob("rowpack_x", b"stale")
+        _write_entry(stale, "stale")
         rmtree = shutil.rmtree
 
         def pruned_by_another_process_first(path, *args, **kwargs):

@@ -2,10 +2,10 @@
 
 import dataclasses
 import pickle
+import zlib
 
 import pytest
 
-from repro.guest.blockjit import PackError
 from repro.harness import (
     FigureResult,
     figure1_timeline,
@@ -14,7 +14,6 @@ from repro.harness import (
     table11_intrinsics,
 )
 from repro.harness import runner
-from repro.harness.diskcache import DiskCache
 from repro.harness.runner import RunGrid, clear_cache, run_one
 from repro.dbt.transcache import TranslationCache
 from repro.morph.config import PRESETS
@@ -110,13 +109,12 @@ class TestRunManyLookups:
 
 
 class TestRowPack:
-    """The worker's row pack path: a damaged pack is rebuilt and warned
-    about, a pack of another format is ignored silently, and nothing
-    but an undecodable pack is forgiven."""
+    """The worker's side of the row pack handoff: a worker adopts the
+    pack it is handed only when it holds less of the row, and hands back
+    a pack only when its group grew the row."""
 
+    ROW = ("181.mcf", 0.05)
     FIRST = [("181.mcf", "speculative_4", 0.05), ("181.mcf", "no_l15", 0.05)]
-    LATER = [("181.mcf", "speculative_6", 0.05), ("181.mcf", "l15_64k", 0.05)]
-    PACK = "rowpack_181.mcf_0.05"
 
     @pytest.fixture(autouse=True)
     def _isolated(self, monkeypatch):
@@ -128,107 +126,60 @@ class TestRowPack:
         clear_cache()
 
     @staticmethod
+    def _run(cells, pack):
+        """``cells`` through the worker entry point, with no disk cache:
+        the results and the pack it hands back."""
+        results, _, _, grown = runner._worker_run(
+            [(w, PRESETS[c], s) for w, c, s in cells], False, None, 0, pack)
+        return [dataclasses.asdict(r) for r in results], grown
+
+    @staticmethod
     def _serial(cells):
         runner.configure_disk_cache(False)
         clear_cache()
         return [dataclasses.asdict(run_one(*cell)) for cell in cells]
 
-    @staticmethod
-    def _pooled(root, cells):
-        """``cells`` through run_many on fresh workers: the results, the
-        pack warnings and the workers' aggregate counters."""
-        runner._shutdown_pool()
-        runner.clear_worker_telemetry()
+    def test_worker_adopts_only_a_larger_pack(self):
+        results, pack = self._run(self.FIRST, None)
+        assert pack is not None and pack[0] == runner._row_size(self.ROW) > 0
+        # the row already holds as much as the pack: the bytes are not
+        # even read, and replaying the same cells adds nothing
+        runner._CACHE.clear()
+        hits = runner.METRICS["rowpack.hits"]
+        assert self._run(self.FIRST, (pack[0], b"not a pack")) == (results, None)
+        assert runner.METRICS["rowpack.hits"] == hits
+        # a worker that holds nothing of the row adopts the pack and
+        # builds, records and translates nothing
         clear_cache()
-        runner.configure_disk_cache(True, root)
-        try:
-            results = runner.run_many(cells, jobs=2)
-            telemetry = runner.worker_telemetry()
-        finally:
-            runner._shutdown_pool()
-            runner.clear_worker_telemetry()
-        return ([dataclasses.asdict(results[cell]) for cell in cells],
-                runner.pack_warnings(telemetry),
-                telemetry["aggregate"]["metrics"]["counters"])
+        recorded = runner.METRICS["replay.recorded"]
+        built = runner.METRICS["program_cache.misses"]
+        assert self._run(self.FIRST, pack) == (results, None)
+        assert runner.METRICS["rowpack.hits"] == hits + 1
+        assert runner.METRICS["replay.recorded"] == recorded
+        assert runner.METRICS["program_cache.misses"] == built
+        assert runner._TRANSLATIONS.misses == 0
+        assert results == self._serial(self.FIRST)
 
-    def test_unpack_rejects_garbage_and_ignores_foreign_formats(self):
-        assert runner._unpack_row(pickle.dumps((runner.ROWPACK_FORMAT + 1, None))) is None
-        misshapen = [
-            pickle.dumps((runner.ROWPACK_FORMAT, "not a program", {})),
-            pickle.dumps((runner.ROWPACK_FORMAT, None)),
-        ]
-        for garbage in [b"", b"not a pickle", pickle.dumps(7)] + misshapen:
-            with pytest.raises(PackError):
-                runner._unpack_row(garbage)
-
-    def test_truncated_row_pack_in_a_pooled_sweep_warns(self, tmp_path):
-        _, warnings, counters = self._pooled(tmp_path, self.FIRST)
-        assert not warnings and counters["rowpack.saves"] == 1
-        disk = DiskCache(tmp_path)
-        pack = disk.load_blob(self.PACK)
-        disk.save_blob(self.PACK, pack[: len(pack) // 2])
-        results, warnings, counters = self._pooled(tmp_path, self.LATER)
-        assert results == self._serial(self.LATER)
-        # the row was built, recorded and translated again ...
-        assert counters["rowpack.corrupt"] == 1 and counters["replay.recorded"] == 1
-        assert counters["program_cache.misses"] == 1
-        # ... said so once ...
-        assert len(warnings) == 1
-        assert warnings[0].startswith("warning: rowpack.corrupt = 1 in ")
-        assert str(tmp_path) in warnings[0]
-        # ... and replaced the truncated pack
-        assert runner._unpack_row(disk.load_blob(self.PACK)) is not None
-
-    def test_foreign_format_row_pack_is_ignored_silently(self, tmp_path):
-        cells = [(w, PRESETS[c], s) for w, c, s in self.FIRST]
-        foreign = pickle.dumps((runner.ROWPACK_FORMAT + 1, None, None))
-        DiskCache(tmp_path).save_blob(self.PACK, foreign)
-        before = {name: runner.METRICS[name]
-                  for name in ("rowpack.corrupt", "rowpack.misses", "replay.recorded")}
-        results, _, _ = runner._worker_run(cells, True, str(tmp_path), 0)
-        assert runner.METRICS["rowpack.corrupt"] == before["rowpack.corrupt"]
-        assert runner.METRICS["rowpack.misses"] == before["rowpack.misses"] + 1
-        assert runner.METRICS["replay.recorded"] == before["replay.recorded"] + 1
-        assert runner._unpack_row(DiskCache(tmp_path).load_blob(self.PACK)) is not None
-        assert [dataclasses.asdict(r) for r in results] == self._serial(self.FIRST)
-
-    def test_other_unpack_errors_propagate(self, tmp_path, monkeypatch):
-        cells = [(w, PRESETS[c], s) for w, c, s in self.FIRST]
-        runner._worker_run(cells, True, str(tmp_path / "cold"), 0)
-        DiskCache(tmp_path / "warm").save_blob(
-            self.PACK, DiskCache(tmp_path / "cold").load_blob(self.PACK))
-        clear_cache()
-
-        def broken(data):
-            raise AttributeError("not a pack error")
-
-        monkeypatch.setattr(runner, "_unpack_row", broken)
-        corrupt = runner.METRICS["rowpack.corrupt"]
-        with pytest.raises(AttributeError):
-            runner._worker_run(cells, True, str(tmp_path / "warm"), 0)
-        assert runner.METRICS["rowpack.corrupt"] == corrupt
-
-    def test_worker_merges_a_row_pack_that_a_sibling_grew(self, tmp_path):
-        """A worker that already holds a row still merges its pack once
-        another worker has rewritten it, and only then."""
-        row = ("181.mcf", 0.05)
-        runner._worker_run([(w, PRESETS[c], s) for w, c, s in self.FIRST],
-                           True, str(tmp_path), 0)
-        disk = DiskCache(tmp_path)
-        program, state = runner._unpack_row(disk.load_blob(self.PACK))
-        # a sibling adopts the pack, translates a new namespace, saves
+    def test_worker_merges_a_row_pack_that_a_sibling_grew(self, monkeypatch):
+        """A worker that already holds a row still merges a pack that
+        another worker grew, and hands back none if it adds nothing."""
+        _, pack = self._run(self.FIRST, None)
+        program, state = pickle.loads(zlib.decompress(pack[1]))
+        # a sibling adopts the pack and translates a new namespace
         sibling = TranslationCache()
-        sibling.adopt_row(row, state)
+        sibling.adopt_row(self.ROW, state)
         TimingVM(program, PRESETS["morph_noopt"], translation_cache=sibling,
-                 program_key=row).run()
+                 program_key=self.ROW).run()
         assert sibling.misses > 0
-        disk.save_blob(self.PACK, runner._pack_row(program, sibling.row_state(row)))
+        with monkeypatch.context() as patched:
+            patched.setattr(runner, "_TRANSLATIONS", sibling)
+            grown = (runner._row_size(self.ROW), runner._make_pack(self.ROW, program))
+        assert grown[0] > pack[0]
 
         hits, misses = runner.METRICS["rowpack.hits"], runner._TRANSLATIONS.misses
-        cell = [("181.mcf", PRESETS["morph_noopt"], 0.05)]
-        runner._worker_run(cell, True, str(tmp_path), 0)
+        cell = [("181.mcf", "morph_noopt", 0.05)]
+        results, handed_back = self._run(cell, grown)
         assert runner.METRICS["rowpack.hits"] == hits + 1
         assert runner._TRANSLATIONS.misses == misses
-        # the pack has not changed since: no second read
-        runner._worker_run([("181.mcf", PRESETS["l15_64k"], 0.05)], True, str(tmp_path), 0)
-        assert runner.METRICS["rowpack.hits"] == hits + 1
+        assert handed_back is None and runner._row_size(self.ROW) == grown[0]
+        assert results == self._serial(cell)

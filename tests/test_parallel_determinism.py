@@ -88,10 +88,10 @@ def test_parallel_stores_are_counted(tmp_path):
     disk = disk_cache()
     assert disk is not None
     assert disk.stats()["stores"] == len(cells)
-    # the workers also persisted one row pack per workload, and no
-    # compiled closures: those stay private to the VM that compiled them
-    assert len(list(disk.root.glob("rowpack_*.bin"))) == len(SMALL)
-    assert not list(disk.root.glob("jitpack_*.bin"))
+    # the cache directory holds cell JSONs only: row packs travel
+    # through the pool, and compiled closures stay private to the VM
+    # that compiled them
+    assert not list(disk.root.glob("*.bin"))
 
 
 def test_worker_telemetry_collected_and_aggregated(tmp_path):
@@ -170,8 +170,9 @@ def test_worker_telemetry_keeps_latest_cumulative_snapshot(tmp_path):
 
 def test_fresh_workers_adopt_row_packs(tmp_path):
     """Workers that never saw a row take its program, translations and
-    execution record from the row pack a sibling saved: they build,
-    record and translate nothing, and their results equal a serial run."""
+    execution record from the row pack a sibling handed back: they
+    build, record and translate nothing, and their results equal a
+    serial run."""
     from repro.harness import runner
     from repro.harness.runner import clear_worker_telemetry, worker_telemetry
 
@@ -179,7 +180,7 @@ def test_fresh_workers_adopt_row_packs(tmp_path):
     run_many([(w, c, SCALE) for w in SMALL for c in CONFIGS], jobs=2)
     _shutdown_pool()  # fresh workers: nothing of the first sweep in memory
     clear_worker_telemetry()
-    clear_cache()
+    runner._CACHE.clear()  # clear_cache() would drop the packs too
     later = [(w, c, SCALE) for w in SMALL for c in ("speculative_4", "l15_128k")]
     shipped = runner.METRICS["workers.translation_misses"]
     pooled = run_many(later, jobs=2)
@@ -198,6 +199,30 @@ def test_fresh_workers_adopt_row_packs(tmp_path):
     for workload, config, scale in later:
         serial = run_one(workload, config, scale)
         assert pooled[(workload, config, scale)] == serial
+
+
+def test_rows_are_shared_without_a_disk_cache():
+    """Row packs travel through the pool, so two calls over the same
+    rows with no disk cache build and record each row once in total,
+    even on fresh workers, and their results equal a serial run."""
+    from repro.harness.runner import clear_worker_telemetry, worker_telemetry
+
+    configure_disk_cache(enabled=False)
+    clear_worker_telemetry()
+    _shutdown_pool()
+    first = [(w, c, SCALE) for w in SMALL for c in CONFIGS]
+    later = [(w, c, SCALE) for w in SMALL for c in ("speculative_4", "l15_128k")]
+    pooled = run_many(first, jobs=2)
+    _shutdown_pool()  # the later call's workers hold nothing of the rows
+    pooled.update(run_many(later, jobs=2))
+    counters = worker_telemetry()["aggregate"]["metrics"]["counters"]
+    _shutdown_pool()
+    assert counters["replay.recorded"] == len(SMALL)
+    assert counters["program_cache.misses"] == len(SMALL)
+
+    clear_cache()
+    for workload, config, scale in first + later:
+        assert pooled[(workload, config, scale)] == run_one(workload, config, scale)
 
 
 def test_pool_is_sized_from_jobs_alone(tmp_path):
