@@ -18,8 +18,13 @@ emits comes from an intern table keyed by its fields; the
 blocks it generates, so equal instructions across them are one object
 and a table hit allocates nothing.  A branch whose target label is not
 bound yet gets a slot that :meth:`_Emitter.finish` fills with the
-finished branch.  Generated blocks are unpriced: the translator runs the
-cost model once per block, after scheduling.
+finished branch.  The translator also passes one FLAGS-sequence memo:
+a packed-flag update depends only on its semantics, width, mask and
+operand registers, and a few hundred distinct sequences make up most
+of the host code of unoptimized blocks, so each is generated once and
+replayed as a tuple of interned instructions.  Generated blocks are
+unpriced: the translator runs the cost model once per block, after
+scheduling.
 
 Flag materialization follows the paper: "our x86 emulator keeps the x86
 flags packed in a register and uses insert and extract operations to
@@ -92,6 +97,14 @@ def parity_table() -> bytes:
 #: An intern table: instruction fields -> the one shared instance.
 InstrTable = Dict[Tuple[HostOp, HostReg, HostReg, HostReg, int, int, int], HostInstr]
 
+#: A FLAGS-sequence memo: ``(sem, width, mask, host register of a / b /
+#: result / count)`` -> the interned instructions that update emits.
+FlagMemo = Dict[
+    Tuple[FlagSem, int, int, Optional[HostReg], Optional[HostReg], Optional[HostReg],
+          Optional[HostReg]],
+    Tuple[HostInstr, ...],
+]
+
 
 class _Emitter:
     """Instruction buffer with label/fixup support for relative branches.
@@ -122,7 +135,12 @@ class _Emitter:
         self, op: HostOp, rd: HostReg = _ZERO, rs: HostReg = _ZERO, rt: HostReg = _ZERO,
         imm: int = 0, shamt: int = 0, target: int = 0,
     ) -> None:
-        self.instrs.append(self.instr(op, rd, rs, rt, imm, shamt, target))
+        # interns inline: this is the code generator's innermost call
+        key = (op, rd, rs, rt, imm, shamt, target)
+        instr = self._table.get(key)
+        if instr is None:
+            instr = self._table[key] = HostInstr(op, rd, rs, rt, imm, shamt, target)
+        self.instrs.append(instr)
 
     def new_label(self, hint: str) -> str:
         self._label_counter += 1
@@ -226,7 +244,11 @@ class _Allocator:
         return reg
 
     def release_dead(self) -> None:
-        """Free registers of temps whose last use has passed."""
+        """Free registers of temps whose last use has passed.
+
+        :class:`BlockCodegen` calls it only at the positions where a
+        register can die, and it frees them in ``_reg_of`` order.
+        """
         position = self.position
         last_use = self._last_use
         reg_of = self._reg_of
@@ -298,10 +320,21 @@ def emit_condition_value(emitter: _Emitter, cc: ConditionCode, dst: HostReg) -> 
 
 
 class _FlagCodegen:
-    """Emits packed-flag update sequences for FLAGS micro-ops."""
+    """Emits packed-flag update sequences for FLAGS micro-ops.
 
-    def __init__(self, emitter: _Emitter) -> None:
+    A sequence depends only on the uop's semantics, width and mask and
+    on the host registers its operands sit in, so each distinct one is
+    generated once and kept in ``memo`` as a tuple of interned
+    instructions; a hit extends the buffer with that tuple.  A dynamic
+    shift count's skip branch jumps over the rest of the sequence, so
+    it is built with its offset known at emit time and memoized with
+    the sequence.  The :class:`~repro.dbt.translator.Translator` passes
+    one memo to every block it generates, beside its intern table.
+    """
+
+    def __init__(self, emitter: _Emitter, memo: FlagMemo) -> None:
         self.e = emitter
+        self.memo = memo
 
     def _or_into_flags(self, reg: HostReg) -> None:
         self.e.emit(HostOp.OR, rd=FLAGS_HOME, rs=FLAGS_HOME, rt=reg)
@@ -334,27 +367,38 @@ class _FlagCodegen:
         self.e.emit(HostOp.SLL, rd=_S1, rt=value01, shamt=11)
         self._or_into_flags(_S1)
 
-    def emit(self, uop: UOp, regs: Dict[str, HostReg]) -> None:
+    def emit(
+        self, uop: UOp, a: Optional[HostReg], b: Optional[HostReg],
+        result: Optional[HostReg], count: Optional[HostReg],
+    ) -> None:
         """Emit the update for one FLAGS uop.
 
-        ``regs`` maps the uop's operand roles ('a', 'b', 'result',
-        'count') to host registers.
+        ``a``, ``b``, ``result`` and ``count`` are the host registers of
+        the uop's operand roles (``None`` where the uop has none).
         """
-        e = self.e
-        mask = uop.mask
-        skip_label: Optional[str] = None
-        if uop.count is not None:
-            skip_label = e.new_label("flags_skip")
-            e.branch(HostOp.BEQ, skip_label, rs=regs["count"], rt=_ZERO)
+        sem, width, mask = uop.sem, uop.width, uop.mask
+        key = (sem, width, mask, a, b, result, count)
+        sequence = self.memo.get(key)
+        if sequence is not None:
+            self.e.instrs.extend(sequence)
+            return
+        instrs = self.e.instrs
+        start = len(instrs)
+        if count is not None:
+            instrs.append(None)  # the skip branch, built below
 
+        self._emit_update(sem, width, mask, a, b, result, count)
+
+        if count is not None:
+            # skip to the instruction after the sequence when count == 0
+            instrs[start] = self.e.instr(
+                HostOp.BEQ, rs=count, rt=_ZERO, imm=len(instrs) - start - 1
+            )
+        self.memo[key] = tuple(instrs[start:])
+
+    def _emit_update(self, sem, width, mask, a, b, result, count) -> None:
         # clear the bits we are about to write
-        e.emit(HostOp.ANDI, rt=FLAGS_HOME, rs=FLAGS_HOME, imm=ALL_FLAG_BITS & ~mask)
-
-        sem, width = uop.sem, uop.width
-        result = regs.get("result")
-        a = regs.get("a")
-        b = regs.get("b")
-        count = regs.get("count")
+        self.e.emit(HostOp.ANDI, rt=FLAGS_HOME, rs=FLAGS_HOME, imm=ALL_FLAG_BITS & ~mask)
 
         if sem in (FlagSem.IMUL, FlagSem.MUL):
             if mask & (_FLAG_BIT[Flag.CF] | _FLAG_BIT[Flag.OF]):
@@ -370,9 +414,6 @@ class _FlagCodegen:
             self._set_sf(result, width)
         if mask & _FLAG_BIT[Flag.PF]:
             self._set_pf(result)
-
-        if skip_label is not None:
-            e.bind(skip_label)
 
     # -- carry ----------------------------------------------------------------
 
@@ -516,19 +557,32 @@ class BlockCodegen:
     """Generates one translated block from IR.
 
     ``table`` is the intern table the block's instructions are drawn
-    from; pass the same dict to every block of one translator so they
-    all share equal instructions (a fresh table by default).
+    from and ``flag_memo`` the FLAGS-sequence memo; pass the same two
+    dicts to every block of one translator so they all share equal
+    instructions and sequences (fresh ones by default).
     """
 
-    def __init__(self, ir: IRBlock, table: Optional[InstrTable] = None) -> None:
+    def __init__(
+        self, ir: IRBlock, table: Optional[InstrTable] = None,
+        flag_memo: Optional[FlagMemo] = None,
+    ) -> None:
         self.ir = ir
         self.emitter = _Emitter({} if table is None else table)
-        self.flags = _FlagCodegen(self.emitter)
+        self.flags = _FlagCodegen(self.emitter, {} if flag_memo is None else flag_memo)
         self._fault_label: Optional[str] = None
         last_use: Dict[int, int] = {}
         for index, uop in enumerate(ir.uops):
-            for src in uop.sources():
-                last_use[src] = index
+            for src in (uop.a, uop.b, uop.result, uop.count):
+                if src is not None:
+                    last_use[src] = index
+        # Registers can only die where some temp's last use falls or
+        # where a temp no later uop reads is defined; the allocator
+        # scans for dead temps at those positions alone.
+        release_at = set(last_use.values())
+        for index, uop in enumerate(ir.uops):
+            if uop.dst is not None and last_use.get(uop.dst, -1) <= index:
+                release_at.add(index)
+        self._release_at = release_at
         if ir.terminator.kind is ExitKind.INDIRECT and ir.terminator.temp is not None:
             last_use[ir.terminator.temp] = len(ir.uops)
         self.alloc = _Allocator(self.emitter, last_use)
@@ -537,11 +591,15 @@ class BlockCodegen:
     # -- driving ----------------------------------------------------------
 
     def generate(self) -> TranslatedBlock:
+        alloc = self.alloc
+        release_at = self._release_at
+        emit_uop = self._emit_uop
         for index, uop in enumerate(self.ir.uops):
-            self.alloc.position = index
-            self._emit_uop(uop)
-            self.alloc.release_dead()
-        self.alloc.position = len(self.ir.uops)
+            alloc.position = index
+            emit_uop(uop)
+            if index in release_at:
+                alloc.release_dead()
+        alloc.position = len(self.ir.uops)
         self._emit_terminator()
         if self._fault_label is not None:
             self.emitter.bind(self._fault_label)
@@ -568,6 +626,12 @@ class BlockCodegen:
             e.move(self.alloc.define(uop.dst), GUEST_REG_HOME[uop.reg])
         elif kind is UOpKind.PUT:
             e.move(GUEST_REG_HOME[uop.reg], self.alloc.use(uop.a))
+        elif kind is UOpKind.FLAGS:  # before the rarer kinds: unoptimized IR is ~1/6 FLAGS
+            use = self.alloc.use
+            temps = (uop.a, uop.b, uop.result, uop.count)
+            locked = tuple(t for t in temps if t is not None)
+            a, b, result, count = [None if t is None else use(t, locked) for t in temps]
+            self.flags.emit(uop, a, b, result, count)
         elif kind is UOpKind.GETF:
             e.move(self.alloc.define(uop.dst), FLAGS_HOME)
         elif kind is UOpKind.PUTF:
@@ -633,14 +697,6 @@ class BlockCodegen:
         elif kind is UOpKind.SETCC:
             dst = self.alloc.define(uop.dst)
             emit_condition_value(e, uop.cc, dst)
-        elif kind is UOpKind.FLAGS:
-            regs: Dict[str, HostReg] = {}
-            roles = [("a", uop.a), ("b", uop.b), ("result", uop.result), ("count", uop.count)]
-            locked = tuple(t for _, t in roles if t is not None)
-            for role, temp in roles:
-                if temp is not None:
-                    regs[role] = self.alloc.use(temp, locked=locked)
-            self.flags.emit(uop, regs)
         else:  # pragma: no cover - exhaustive
             raise CodegenError(f"no codegen for {kind}")
 
@@ -714,10 +770,12 @@ _HILO_BINOPS = {
 }
 
 
-def generate_block(ir: IRBlock, table: Optional[InstrTable] = None) -> TranslatedBlock:
+def generate_block(
+    ir: IRBlock, table: Optional[InstrTable] = None, flag_memo: Optional[FlagMemo] = None,
+) -> TranslatedBlock:
     """Generate host code for an IR block (unpriced: ``cost_cycles`` is 0).
 
     The translator prices each block once, after scheduling, with its
     own load intrinsics (:func:`repro.dbt.cost.estimate_block_cost`).
     """
-    return BlockCodegen(ir, table).generate()
+    return BlockCodegen(ir, table, flag_memo).generate()

@@ -15,6 +15,7 @@ A :class:`IRBlock` covers one guest basic block and carries exactly one
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -103,7 +104,11 @@ def flag_mask(flags) -> int:
 ALL_FLAGS_MASK = flag_mask(Flag)
 
 
-@dataclass
+#: ``slots=True`` needs Python 3.10; on 3.9 instances keep a ``__dict__``.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTS)
 class UOp:
     """One micro-operation.
 
@@ -148,11 +153,14 @@ class UOp:
         """A copy with source temps rewritten through ``mapping``.
 
         This is the optimizer passes' per-uop inner loop (every rename
-        pass calls it once per uop per iteration), so the copy is built
-        directly instead of through :func:`dataclasses.replace`, which
-        re-runs ``__init__`` field-by-field and dominated translation
-        profiles.
+        pass calls it once per uop per iteration).  When nothing remaps
+        — an empty ``mapping`` or no source in it — it returns ``self``:
+        every pass rebuilds its uop list and discards the superseded
+        one, so aliasing is safe.  A copy goes through the constructor,
+        which is also what a slotted instance needs.
         """
+        if not mapping:
+            return self
         a, b, result, count = self.a, self.b, self.result, self.count
         get = mapping.get
         if a is not None:
@@ -164,21 +172,9 @@ class UOp:
         if count is not None:
             count = get(count, count)
         if a == self.a and b == self.b and result == self.result and count == self.count:
-            # Nothing remapped: safe to alias, since every pass rebuilds
-            # its uop list and the superseded list is discarded.
             return self
-        clone = UOp.__new__(UOp)
-        clone.__dict__.update(self.__dict__)
-        clone.a = a
-        clone.b = b
-        clone.result = result
-        clone.count = count
-        return clone
-
-    @property
-    def has_side_effect(self) -> bool:
-        """True when the uop cannot be removed even if ``dst`` is dead."""
-        return self.kind in _SIDE_EFFECT_KINDS
+        return UOp(self.kind, self.dst, a, b, self.imm, self.reg, self.width, self.signed,
+                   self.cc, self.sem, self.mask, result, count)
 
     def __str__(self) -> str:
         kind = self.kind.value
@@ -215,7 +211,8 @@ class UOp:
         return f"t{self.dst} = {kind} t{self.a}, t{self.b}"
 
 
-_SIDE_EFFECT_KINDS = frozenset(
+#: Kinds a dead-code pass must keep even when their ``dst`` is unread.
+SIDE_EFFECT_KINDS = frozenset(
     {UOpKind.PUT, UOpKind.PUTF, UOpKind.ST, UOpKind.FLAGS, UOpKind.DIV0CHECK, UOpKind.GUARD}
 )
 

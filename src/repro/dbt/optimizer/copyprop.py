@@ -25,30 +25,33 @@ def propagate_copies(block: IRBlock) -> None:
     flags_value: Optional[int] = None
     rename: Dict[int, int] = {}
     new_uops = []
+    get_kind, put_kind = UOpKind.GET, UOpKind.PUT
+    getf_kind, putf_kind, flags_kind = UOpKind.GETF, UOpKind.PUTF, UOpKind.FLAGS
 
     for uop in block.uops:
-        uop = uop.with_sources(rename)
+        if rename:
+            uop = uop.with_sources(rename)
+        kind = uop.kind
 
-        if uop.kind is UOpKind.GET:
+        if kind is get_kind:
             known = reg_value.get(uop.reg)
             if known is not None:
                 rename[uop.dst] = known
                 continue  # drop the redundant GET
             reg_value[uop.reg] = uop.dst
-        elif uop.kind is UOpKind.PUT:
+        elif kind is put_kind:
             reg_value[uop.reg] = uop.a
-        elif uop.kind is UOpKind.GETF:
+        elif kind is getf_kind:
             if flags_value is not None:
                 rename[uop.dst] = flags_value
                 continue
             flags_value = uop.dst
-        elif uop.kind is UOpKind.PUTF:
+        elif kind is putf_kind:
             flags_value = uop.a
-        elif uop.kind is UOpKind.FLAGS:
+        elif kind is flags_kind:
             # The packed word changes; any cached GETF temp is stale.
             flags_value = None
-        elif uop.kind is UOpKind.SETCC:
-            pass  # reads flags, does not change them
+        # SETCC reads flags but does not change them
 
         new_uops.append(uop)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.guest.isa import Register
-from repro.dbt.ir import ExitKind, IRBlock, UOpKind
+from repro.dbt.ir import SIDE_EFFECT_KINDS, ExitKind, IRBlock, UOpKind
 
 
 PASS_NAME = "dce"
@@ -54,20 +54,19 @@ def _dead_values(block: IRBlock) -> int:
     if term.kind is ExitKind.INDIRECT and term.temp is not None:
         used.add(term.temp)
 
+    # ``UOp.sources()``, inlined: this loop runs once per uop per
+    # optimizer round
+    add = used.add
     removed = 0
     kept = []
     for uop in reversed(block.uops):
-        if not uop.has_side_effect and uop.dst is not None and uop.dst not in used:
+        dst = uop.dst
+        if dst is not None and dst not in used and uop.kind not in SIDE_EFFECT_KINDS:
             removed += 1
             continue
-        used.update(uop.sources())
-        if uop.kind is UOpKind.PUT and uop.a is not None:
-            used.add(uop.a)
-        if uop.kind in (UOpKind.PUTF, UOpKind.ST):
-            if uop.a is not None:
-                used.add(uop.a)
-            if uop.b is not None:
-                used.add(uop.b)
+        for temp in (uop.a, uop.b, uop.result, uop.count):
+            if temp is not None:
+                add(temp)
         kept.append(uop)
     kept.reverse()
     block.uops = kept

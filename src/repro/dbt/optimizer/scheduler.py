@@ -84,19 +84,16 @@ def _schedule_segment(segment: List[HostInstr]) -> List[HostInstr]:
     if count <= 2:
         return list(segment)
 
-    preds: List[Set[int]] = [set() for _ in range(count)]
+    # each edge goes into its source's successor set once; ``indegree``
+    # counts the distinct predecessors still unscheduled
     succs: List[Set[int]] = [set() for _ in range(count)]
+    indegree = [0] * count
 
     last_writer: Dict[HostReg, int] = {}
     readers: Dict[HostReg, List[int]] = {}
     last_store = -1
     last_mem: List[int] = []
     last_hilo = -1
-
-    def add_edge(src: int, dst: int) -> None:
-        if src != dst:
-            preds[dst].add(src)
-            succs[src].add(dst)
 
     zero = HostReg.ZERO
     for i, instr in enumerate(segment):
@@ -105,56 +102,62 @@ def _schedule_segment(segment: List[HostInstr]) -> List[HostInstr]:
             if reg is zero:
                 continue
             writer = last_writer.get(reg)
-            if writer is not None:
-                add_edge(writer, i)  # RAW
+            if writer is not None and i not in succs[writer]:
+                succs[writer].add(i)  # RAW
+                indegree[i] += 1
             readers.setdefault(reg, []).append(i)
         dest = DEST[op]
         dst = zero if dest is None else dest(instr)
         if dst is not zero:
             writer = last_writer.get(dst)
-            if writer is not None:
-                add_edge(writer, i)  # WAW
-            for reader in readers.get(dst, []):
-                add_edge(reader, i)  # WAR
+            if writer is not None and i not in succs[writer]:
+                succs[writer].add(i)  # WAW
+                indegree[i] += 1
+            for reader in readers.get(dst, ()):
+                if reader != i and i not in succs[reader]:
+                    succs[reader].add(i)  # WAR
+                    indegree[i] += 1
             readers[dst] = []
             last_writer[dst] = i
         if op in LOAD_OPS:
-            if last_store >= 0:
-                add_edge(last_store, i)
+            if last_store >= 0 and i not in succs[last_store]:
+                succs[last_store].add(i)
+                indegree[i] += 1
             last_mem.append(i)
         elif op in STORE_OPS:
             for mem in last_mem:
-                add_edge(mem, i)
+                if i not in succs[mem]:
+                    succs[mem].add(i)
+                    indegree[i] += 1
             last_mem = [i]
             last_store = i
         if op in _HILO_OPS:
-            if last_hilo >= 0:
-                add_edge(last_hilo, i)
+            if last_hilo >= 0 and i not in succs[last_hilo]:
+                succs[last_hilo].add(i)
+                indegree[i] += 1
             last_hilo = i
 
     # critical-path priority (latency-weighted height)
     height = [0] * count
     for i in range(count - 1, -1, -1):
-        latency = _LATENCY[segment[i].op]
         best = 0
         for succ in succs[i]:
             if height[succ] > best:
                 best = height[succ]
-        height[i] = best + latency
+        height[i] = best + _LATENCY[segment[i].op]
 
-    remaining = [len(preds[i]) for i in range(count)]
     # pick the ready instruction with the greatest height; break ties by
     # original order for determinism — a min-heap on (-height, index)
     # makes the same choice as sorting the ready list each step
-    ready = [(-height[i], i) for i in range(count) if remaining[i] == 0]
+    ready = [(-height[i], i) for i in range(count) if indegree[i] == 0]
     heapq.heapify(ready)
     order: List[int] = []
     while ready:
         chosen = heapq.heappop(ready)[1]
         order.append(chosen)
         for succ in succs[chosen]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
                 heapq.heappush(ready, (-height[succ], succ))
 
     if len(order) != count:  # pragma: no cover - DAG by construction

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.common.stats import StatSet
 from repro.obs import prof
 from repro.dbt.block import TranslatedBlock
-from repro.dbt.codegen import InstrTable, generate_block
+from repro.dbt.codegen import FlagMemo, InstrTable, generate_block
 from repro.dbt.cost import estimate_block_cost
 from repro.dbt.frontend import CodeReader, lower_block, scan_block
 from repro.dbt.ir import ALL_FLAGS_MASK, ExitKind
@@ -92,9 +92,11 @@ def _pass_lap_observer(base, profiler):
 class Translator:
     """Translation pipeline over a guest code reader.
 
-    Its only state across blocks is the code generator's intern table:
-    every block this translator emits draws its host instructions from
-    it, so equal instructions are shared instead of duplicated.
+    Its only state across blocks is the code generator's intern table
+    and FLAGS-sequence memo: every block this translator emits draws
+    its host instructions from the table, so equal instructions are
+    shared instead of duplicated, and each distinct flag update
+    sequence is generated once and then replayed from the memo.
     """
 
     def __init__(self, read_code: CodeReader, config: TranslationConfig = None) -> None:
@@ -109,6 +111,8 @@ class Translator:
         self.equiv_stats = None
         #: interned host instructions shared by all blocks emitted here
         self.instr_table: InstrTable = {}
+        #: FLAGS update sequences, drawn from ``instr_table``, shared the same way
+        self.flag_memo: FlagMemo = {}
 
     def translate(self, guest_pc: int) -> TranslatedBlock:
         """Translate the guest basic block at ``guest_pc``."""
@@ -180,7 +184,7 @@ class Translator:
             cost += OPTIMIZE_PER_UOP * uop_count
 
         with profiler.phase("codegen"):
-            block = generate_block(ir, self.instr_table)
+            block = generate_block(ir, self.instr_table, self.flag_memo)
         if checked:
             from repro.verify.hostverify import assert_host_ok
 

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.guest.assembler import assemble
+from repro.guest.isa import Flag
 from repro.dbt.codegen import (
     ALLOCATABLE,
     PARITY_TABLE_BASE,
@@ -14,6 +15,7 @@ from repro.dbt.codegen import (
 )
 from repro.dbt.cost import estimate_block_cost, instruction_occupancy
 from repro.dbt.frontend import build_ir
+from repro.dbt.ir import ALL_FLAGS_MASK, ExitKind, FlagSem, IRBlock, Terminator, UOp, UOpKind
 from repro.dbt.optimizer import optimize_block
 from repro.dbt.optimizer.scheduler import schedule_block
 from repro.dbt.translator import TranslationConfig, Translator
@@ -147,6 +149,71 @@ class TestSharedInstructions:
         assert short_guard.imm != long_guard.imm
         assert short_target == fault_stub(short)
         assert long_target == fault_stub(long)
+
+
+def _flags_block(sem, width, mask, count_temp):
+    """Defines t0..t4, then one FLAGS uop over a=t0, b=t1, result=t2.
+
+    ``count_temp`` is ``None`` or the temp (t3 or t4) holding a dynamic
+    shift count; the indirect exit reads the other one, so both stay
+    live and the count sits in a different host register in each case.
+    """
+    ir = IRBlock(guest_address=0x1000, guest_length=1, guest_instr_count=1)
+    for temp in range(5):
+        ir.emit(UOp(UOpKind.CONST, dst=ir.new_temp(), imm=temp + 1))
+    ir.emit(UOp(UOpKind.FLAGS, a=0, b=1, result=2, sem=sem, width=width, mask=mask,
+                count=count_temp))
+    ir.terminator = Terminator(ExitKind.INDIRECT, temp=4 if count_temp == 3 else 3)
+    return ir
+
+
+FLAG_CASES = [
+    (sem, width, mask, count_temp)
+    for sem in FlagSem
+    for width in (8, 32)
+    for mask in [ALL_FLAGS_MASK] + [1 << flag for flag in Flag]
+    for count_temp in (None, 3, 4)
+]
+
+
+class TestFlagMemo:
+    def test_warm_memo_emits_what_a_fresh_one_does(self):
+        table, memo = {}, {}
+        for case in FLAG_CASES:  # warm the memo over every case first
+            generate_block(_flags_block(*case), table, memo)
+        warm_size = len(memo)
+        for case in FLAG_CASES:
+            warm = generate_block(_flags_block(*case), table, memo)
+            fresh = generate_block(_flags_block(*case))
+            assert warm.instrs == fresh.instrs, case
+        assert len(memo) == warm_size  # the second pass only hit
+
+    def test_count_skip_lands_after_the_sequence(self):
+        memo = {}
+        for case in FLAG_CASES:
+            if case[3] is None:
+                continue
+            for _ in range(2):  # a miss that fills the memo, then a hit
+                block = generate_block(_flags_block(*case), flag_memo=memo)
+                count_reg = ALLOCATABLE[case[3]]
+                [(index, skip)] = [
+                    (i, instr) for i, instr in enumerate(block.instrs)
+                    if instr.op is HostOp.BEQ
+                ]
+                assert (skip.rs, skip.rt) == (count_reg, HostReg.ZERO)
+                # the FLAGS uop is the last one: after it comes the exit stub
+                assert index + 1 + skip.imm == block.exit_stubs[0].offset_words, case
+
+    def test_memoized_sequences_are_the_translators_interned_instructions(self):
+        program = assemble("_start: add eax, ebx\nadd ecx, edx\nhlt\n")
+        text = program.text
+        read = lambda a, n: text.data[a - text.address : a - text.address + n]
+        translator = Translator(read, TranslationConfig(optimize=False))
+        translator.translate(program.entry)
+        interned = {id(instr) for instr in translator.instr_table.values()}
+        assert translator.flag_memo
+        for sequence in translator.flag_memo.values():
+            assert all(id(instr) in interned for instr in sequence)
 
 
 class TestCostModel:

@@ -1,14 +1,18 @@
 """Unit tests for the newer optimizer passes: value numbering, strength
 reduction and cross-block flag-liveness peeking."""
 
+import dataclasses
+import sys
+
 import pytest
 
 from repro.guest.assembler import assemble
-from repro.guest.isa import Flag
+from repro.guest.isa import ConditionCode, Flag, Register
 from repro.guest.memory import MemoryFault
 from repro.dbt.frontend import build_ir
-from repro.dbt.ir import ALL_FLAGS_MASK, UOpKind, flag_mask
+from repro.dbt.ir import ALL_FLAGS_MASK, FlagSem, UOp, UOpKind, flag_mask
 from repro.dbt.optimizer import (
+    eliminate_dead_flags,
     fold_constants,
     number_values,
     propagate_copies,
@@ -192,3 +196,45 @@ class TestFlagPeek:
 
         with pytest.raises(RuntimeError, match="reader bug"):
             successor_flag_liveness(read, [0x1000])
+
+
+class TestSlottedUOp:
+    def _pruned_flags_uop(self):
+        # inc overwrites every flag add writes except CF, so deadflags
+        # prunes the add's FLAGS mask to CF in place
+        ir, _, _ = ir_for("_start: add eax, ebx\ninc eax\nhlt\n")
+        eliminate_dead_flags(ir)
+        flags = [u for u in ir.uops if u.kind is UOpKind.FLAGS]
+        assert flags[0].mask == flag_mask([Flag.CF])
+        return flags[0]
+
+    def test_with_sources_returns_self_when_nothing_remaps(self):
+        uop = self._pruned_flags_uop()
+        assert uop.with_sources({}) is uop
+        assert uop.with_sources({max(uop.sources()) + 100: 0}) is uop
+
+    def test_remapped_copy_keeps_every_field(self):
+        names = [f.name for f in dataclasses.fields(UOp)]
+        assert len(names) == 13
+        # every field away from its default, so a dropped one shows
+        full = UOp(UOpKind.FLAGS, dst=9, a=1, b=2, imm=5, reg=Register.ECX, width=8,
+                   signed=True, cc=ConditionCode.E, sem=FlagSem.SHL, mask=0x41,
+                   result=3, count=4)
+        assert all(getattr(full, f.name) != f.default for f in dataclasses.fields(UOp))
+        pruned = self._pruned_flags_uop()
+        for uop in (full, pruned):
+            mapping = {temp: temp + 1000 for temp in uop.sources()}
+            copy = uop.with_sources(mapping)
+            assert copy is not uop
+            for name in names:
+                expected = getattr(uop, name)
+                if name in ("a", "b", "result", "count") and expected is not None:
+                    expected += 1000
+                assert getattr(copy, name) == expected, name
+        assert copy.mask == flag_mask([Flag.CF])
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="slots=True needs 3.10")
+    def test_uop_has_no_instance_dict(self):
+        uop = self._pruned_flags_uop()
+        assert not hasattr(uop, "__dict__")
+        assert not hasattr(uop.with_sources({uop.a: 1000}), "__dict__")
