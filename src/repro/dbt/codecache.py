@@ -77,6 +77,12 @@ class L1CodeCache:
         """The resident blocks by guest pc; callers must not mutate it."""
         return self._resident
 
+    @property
+    def chains(self) -> Set[Tuple[int, int]]:
+        """The patched ``(src_pc, dst_pc)`` chains; callers must not
+        mutate it."""
+        return self._chains
+
     def lookup(self, pc: int) -> Optional[TranslatedBlock]:
         block = self._resident.get(pc)
         self._accesses.value += 1
@@ -236,11 +242,6 @@ class _L15Bank:
 #: demand translation.
 FETCH_LEVELS = ("l1", "l1.5", "l2", "translate")
 
-#: The L1 outcome of one fetch, as :meth:`CodeCacheHierarchy.l1_outcome`
-#: codes it: a hit entered through a chain, an unchained hit, an
-#: unchained hit that patched a chain, and a miss.
-L1_CHAINED, L1_UNCHAINED, L1_PATCHED, L1_MISS = range(4)
-
 
 class CodeLookupResult:
     """Where a block came from and when it is ready to execute.
@@ -274,12 +275,11 @@ class CodeCacheHierarchy:
     at construction; tracing only adds the events.
 
     The L1 changes only through installs on misses, chain patches and
-    flushes, and none of them reads a time or a config: its outcomes
-    follow from the block stream, the translations and its capacity.
-    So a replay that knows them (:meth:`l1_outcome`) calls :meth:`fetch`
-    for the misses alone; a hit is ``subsystem.advance(now)``, its
-    dispatch cost, the resident block, :meth:`patch_chain` where it
-    patched one, and :meth:`L1CodeCache.count_hits` in bulk.
+    flushes.  So a replay, which holds its own L1, calls :meth:`fetch`
+    only for the blocks that L1 lacks; a hit is
+    ``subsystem.advance(now)``, its dispatch cost read from the L1's
+    chains, the resident block, :meth:`patch_chain` where it is
+    unchained, and :meth:`L1CodeCache.count_hits` in bulk.
     """
 
     def __init__(
@@ -374,25 +374,11 @@ class CodeCacheHierarchy:
         t = self._install(block, t, prev_pc, indirect)
         return CodeLookupResult(block, t, level, False)
 
-    def l1_outcome(self, lookup: CodeLookupResult, pc: int, prev_pc: Optional[int],
-                   indirect: bool) -> int:
-        """The L1 outcome code (:data:`L1_MISS` ...) of the :meth:`fetch`
-        of ``pc`` that just returned ``lookup``."""
-        if lookup.level != "l1":
-            return L1_MISS
-        if lookup.chained_entry:
-            return L1_CHAINED
-        if prev_pc is not None and not indirect and self.l1.is_chained(prev_pc, pc):
-            return L1_PATCHED  # not chained on entry, so this fetch chained it
-        return L1_UNCHAINED
-
-    def patch_chain(self, prev_pc: Optional[int], pc: int) -> bool:
+    def patch_chain(self, prev_pc: Optional[int], pc: int) -> None:
         """Patch the chain from ``prev_pc`` to ``pc`` as an unchained L1
-        hit does; False if it cannot be patched."""
+        hit does, if it can be patched."""
         if prev_pc is not None and self.l1.try_chain(prev_pc, pc):
             self._chain_patches.add()
-            return True
-        return False
 
     def _install(self, block: TranslatedBlock, t: int, prev_pc, indirect: bool) -> int:
         flushed = self.l1.insert(block)

@@ -25,22 +25,18 @@ live dispatch loop (which stays the reference) into an
 *replays* it: :meth:`TimingVM._replay` does exactly the timing half of
 the dispatch loop — code-cache fetches, memsys accesses, syscall and
 morph costs, metric samples — and executes no guest code.  The record
-also holds the outcomes of the first cache levels, taken from the live
-run: which accesses missed the L1 data cache, and each block's L1
-code-cache outcome under each ``(translator knobs, L1 code capacity)``
-key.  The L1 data cache sees only the guest's access stream, never the
-config, and the L1 code cache only the block stream and that key's
-translations.  So a replay sends only the recorded L1 data misses to
-the memory system (a hit stalls nothing, and is only counted), and
-fetches only the recorded L1 code misses through the hierarchy (a hit
-costs its dispatch overhead, from the resident block).  The first
-replay under a code key the record lacks fetches every block and fills
-that key in.  The record's key is ``(program_key, stdin)`` because
+also holds which accesses missed the L1 data cache, taken from the live
+run: that cache sees only the guest's access stream, never the config,
+so a replay sends only the recorded misses to the memory system (a hit
+stalls nothing, and is only counted).  The replay's own L1 code cache
+goes through the installs, chain patches and flushes the live one
+does, so a block it holds is a hit read from it, as the live hit path
+reads it, and only the blocks it lacks are fetched through the
+hierarchy.  The record's key is ``(program_key, stdin)`` because
 those are the guest's only inputs: the program key names the assembled
 program (the translation cache already relies on it), and stdin is
-what syscalls read.  A replay that
-disagrees with the blocks it fetches or the L1 code cache it holds, or
-whose record's columns do not fit together, raises
+what syscalls read.  A replay that disagrees with the blocks it
+fetches, or whose record's columns do not fit together, raises
 :class:`ReplayError` instead of returning a result.
 
 Runs stay live when replay could not reproduce them or would hide what
@@ -59,7 +55,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common.stats import StatSet
 from repro.guest.blockjit import BlockEntry, BlockJit
@@ -71,12 +67,10 @@ from repro.dbt.codecache import (
     FETCH_LEVELS,
     INDIRECT_LOOKUP_OVERHEAD,
     L1_CODE_CAPACITY,
-    L1_MISS,
-    L1_PATCHED,
     CodeCacheHierarchy,
 )
 from repro.dbt.speculative import TranslationSubsystem
-from repro.dbt.transcache import LIVE_ONLY, translator_knobs
+from repro.dbt.transcache import LIVE_ONLY
 from repro.dbt.translator import TranslationConfig, Translator
 from repro.memsys.memsystem import PipelinedMemorySystem
 from repro.morph import MorphController, QueueLengthPolicy, VirtualArchConfig
@@ -200,29 +194,9 @@ class _TimingObserver(AccessObserver):
             )
 
 
-#: The code-stream entry a replay that fills in its stream reads for
-#: every block: a full fetch, with no recorded outcome to check.
-_UNCHECKED_FETCH = L1_MISS + 1
-
-
 def _words() -> array:
     """An empty array of unsigned 32-bit guest words (pcs, counts, addresses)."""
     return array("I")
-
-
-def _coded_fetch(hierarchy: CodeCacheHierarchy, codes: array):
-    """``hierarchy.fetch``, appending each fetch's L1 outcome code
-    (:meth:`CodeCacheHierarchy.l1_outcome`) to ``codes``."""
-    fetch = hierarchy.fetch
-    outcome = hierarchy.l1_outcome
-    add_code = codes.append
-
-    def coded(now: int, pc: int, prev_pc: Optional[int], indirect: bool):
-        lookup = fetch(now, pc, prev_pc, indirect)
-        add_code(outcome(lookup, pc, prev_pc, indirect))
-        return lookup
-
-    return coded
 
 
 @dataclass
@@ -239,21 +213,13 @@ class ExecutionRecord:
     and retired instructions and the Pentium III model's memory stall
     cycles, from which its cycle count follows.
 
-    Two more columns hold the outcomes of the first cache levels, which
-    the timing models derive from those streams alone, so a replay need
-    not derive them again.  ``access_misses`` lists, in ascending order,
-    the accesses that missed the L1 data cache; every other access hit
-    it.  The L1 data cache is the same fixed-geometry cache under every
-    config and sees only this access stream, so its outcomes are the
-    program's.  ``code_streams[(knobs, capacity)][i]`` is block ``i``'s
-    L1 code-cache outcome (:data:`~repro.dbt.codecache.L1_MISS` ...)
-    under translator knobs ``knobs``
-    (:func:`~repro.dbt.transcache.translator_knobs`) and an L1 code
-    cache of ``capacity`` bytes.  That L1 sees only the block stream and
-    the translations, and flushes only when full (a program that writes
-    translated code is never recorded), so its outcomes are the
-    program's under each key; the recording run fills in its own key,
-    and the first replay under another key fills in that one.
+    ``access_misses`` lists, in ascending order, the accesses that
+    missed the L1 data cache; every other access hit it.  The L1 data
+    cache is the same fixed-geometry cache under every config and sees
+    only this access stream, so its outcomes are the program's, and a
+    replay need not derive them again.  The L1 code cache's outcomes
+    are not recorded: a replay holds that cache itself (see
+    :meth:`TimingVM._replay`).
     """
 
     block_pcs: array = field(default_factory=_words)
@@ -263,7 +229,6 @@ class ExecutionRecord:
     access_addresses: array = field(default_factory=_words)
     access_sizes: array = field(default_factory=lambda: array("b"))
     access_misses: array = field(default_factory=_words)
-    code_streams: Dict[Tuple, array] = field(default_factory=dict)
     exit_code: int = 0
     instructions: int = 0
     piii_stall_cycles: int = 0
@@ -279,8 +244,7 @@ class _RecordingObserver(_TimingObserver):
     Installed for the recording run alone, so live runs pay nothing for
     it.  Each access is appended on its way to the timing models, and
     its index too if the live L1 data cache missed it.  The dispatch
-    loop fetches through :meth:`fetch`, which appends the fetch's L1
-    code-cache outcome under the VM's code key, opens the block's entry
+    loop fetches through :meth:`fetch`, which opens the block's entry
     and closes the previous one: that block retired what the PIII model
     retired since its fetch, and made the accesses appended since.
     """
@@ -292,8 +256,7 @@ class _RecordingObserver(_TimingObserver):
         self._add_address = record.access_addresses.append
         self._add_size = record.access_sizes.append
         self._add_miss = record.access_misses.append
-        codes = record.code_streams[vm.code_key] = array("B")
-        self._hierarchy_fetch = _coded_fetch(vm.hierarchy, codes)
+        self._hierarchy_fetch = vm.hierarchy.fetch
         self._piii = vm.piii
         self._retired = 0  # PIII instructions at the open block's fetch
 
@@ -494,10 +457,6 @@ class TimingVM:
             l1_capacity=l1_code_capacity,
             tracer=self.tracer,
         )
-        #: What the L1 code cache's outcomes depend on besides the
-        #: block stream: the key of this VM's code stream in an
-        #: :class:`ExecutionRecord`.
-        self.code_key = (translator_knobs(translation_config), l1_code_capacity)
         self.syscall_tile = Resource("syscall_tile")
         self._syscall_hops = self.grid.hops(
             self.hierarchy.execution, self.grid.find_one(TileRole.SYSCALL)
@@ -754,31 +713,30 @@ class TimingVM:
         The timing half of :meth:`_dispatch`, block for block: each
         block's fetch, then its data accesses at ``now`` plus the
         block's stall so far and its cost, then the same
-        :meth:`_finish_block`.  Only the recorded L1 code misses are
-        fetched through :meth:`CodeCacheHierarchy.fetch`; a recorded hit
-        advances the translation subsystem to ``now``, adds its dispatch
-        cost, takes its block from the L1's resident map and patches
-        the chain it patched live, and the hits are counted in bulk.
-        The first replay under a code key the record has no stream for
-        fetches every block and fills in that key's stream.  Only the
-        recorded L1 data misses reach the memory system, through
+        :meth:`_finish_block`.  A block the L1 code cache lacks is
+        fetched through :meth:`CodeCacheHierarchy.fetch`; a block it
+        holds is a hit, handled as that method handles one: advance the
+        translation subsystem to ``now``, add the dispatch cost unless a
+        chain entered the block, patch the chain an unchained direct
+        entry patches, and count the hits in bulk.  Only the recorded
+        L1 data misses reach the memory system, through
         :meth:`PipelinedMemorySystem.miss`; the hits stall nothing, so
         they only add to its ``accesses`` count, in bulk.  That is exact
-        because the L1 outcomes are the program's, not the config's
-        (see :class:`ExecutionRecord`), and a recorded program never
-        writes translated code, so no SMC page is marked.  No guest code
-        runs: the exit code and the PIII model's result come from the
-        record.  Raises :class:`ReplayError` where a fetched block is not
-        the recorded one, where the L1 code cache does or does not hold
-        a block against its recorded outcome, or where the record's
-        columns do not fit together.  Untraced, so no events are
-        emitted.
+        because the L1 data cache's outcomes are the program's, not the
+        config's (see :class:`ExecutionRecord`), and a recorded program
+        never writes translated code, so no SMC page is marked.  No
+        guest code runs: the exit code and the PIII model's result come
+        from the record.  Raises :class:`ReplayError` where a fetched
+        block is not the recorded one, or where the record's columns do
+        not fit together.  Untraced, so no events are emitted.
         """
         hierarchy = self.hierarchy
+        fetch = hierarchy.fetch
         fetch_block = self._fetch_block
         finish_block = self._finish_block
         advance = self.subsystem.advance
         resident = hierarchy.l1.resident
+        chains = hierarchy.l1.chains
         patch_chain = hierarchy.patch_chain
         fetch_l1 = self._fetch_counters["l1"]
         # timed under the profiler, like the live observer's access
@@ -790,21 +748,6 @@ class TimingVM:
         addresses = record.access_addresses
         sizes = record.access_sizes
         total_accesses = len(sizes)
-        codes = record.code_streams.get(self.code_key)
-        filling = None
-        if codes is None:
-            # no stream under this key yet: every block is a full
-            # fetch, whose outcome fills the stream in
-            filling = array("B")
-            fetch = _coded_fetch(hierarchy, filling)
-            codes = bytes([_UNCHECKED_FETCH]) * len(block_pcs)
-        else:
-            fetch = hierarchy.fetch
-            if len(codes) != len(block_pcs):
-                raise ReplayError(
-                    f"the record's code stream holds {len(codes)} outcomes "
-                    f"for {len(block_pcs)} blocks"
-                )
         # the sparse miss column is walked by its next entry; sys.maxsize
         # stands past its end
         misses = iter(record.access_misses)
@@ -818,33 +761,17 @@ class TimingVM:
         exit_kind = None
 
         for index, pc in enumerate(block_pcs):
-            code = codes[index]
-            if code >= L1_MISS:
-                if code == L1_MISS and pc in resident:
-                    raise ReplayError(
-                        f"block {index} of the record missed the L1 code cache at "
-                        f"{pc:#x}, which holds it"
-                    )
+            block = resident.get(pc)
+            if block is None:
                 block = fetch_block(fetch, pc, prev_pc, arrived_indirect)
             else:
-                block = resident.get(pc)
-                if block is None:
-                    raise ReplayError(
-                        f"block {index} of the record hit the L1 code cache at "
-                        f"{pc:#x}, which does not hold it"
-                    )
                 now = self.now
                 advance(now)
-                if code:  # unchained
-                    now += DISPATCH_OVERHEAD
-                    if arrived_indirect:
-                        now += INDIRECT_LOOKUP_OVERHEAD
-                    if code == L1_PATCHED and not patch_chain(prev_pc, pc):
-                        raise ReplayError(
-                            f"block {index} of the record patched a chain from "
-                            f"{prev_pc} to {pc:#x} that cannot be patched"
-                        )
-                    self.now = now
+                if arrived_indirect:
+                    self.now = now + DISPATCH_OVERHEAD + INDIRECT_LOOKUP_OVERHEAD
+                elif (prev_pc, pc) not in chains:
+                    self.now = now + DISPATCH_OVERHEAD
+                    patch_chain(prev_pc, pc)
                 if not hits:
                     fetch_l1.add(0)  # bound at the first hit, as live binds it
                 hits += 1
@@ -886,8 +813,6 @@ class TimingVM:
             raise ReplayError(
                 f"the record's L1 misses run past its accesses: miss {miss}"
             )
-        if filling is not None:
-            record.code_streams[self.code_key] = filling
         hierarchy.l1.count_hits(hits)
         self._blocks_executed.add(hits)
         fetch_l1.add(hits)

@@ -291,8 +291,12 @@ class TestInterpreterControlFlow:
         assert exit_info.instructions == 4
 
     def test_runaway_budget(self):
-        with pytest.raises(HostFault):
-            run_host("loop: j loop\n", base=0x1000)
+        instrs, _ = assemble_host("loop: j loop\n", base=0x1000)
+        code = HostCodeSpace()
+        code.write_block(0x1000, instrs)
+        interp = HostInterpreter(code, _DictPort())
+        with pytest.raises(HostFault, match="exceeded 1000 host instructions"):
+            interp.run_block(0x1000, max_instructions=1_000)
 
     def test_fetch_outside_code_faults(self):
         code = HostCodeSpace()

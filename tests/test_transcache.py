@@ -8,11 +8,9 @@ configurations (the knobs namespace).
 """
 
 import pickle
-from array import array
 
 import pytest
 
-from repro.dbt.codecache import L1_CODE_CAPACITY, L1_MISS
 from repro.dbt.predictor import Prediction
 from repro.dbt.transcache import (
     LIVE_ONLY,
@@ -216,13 +214,9 @@ class TestRowState:
         record.block_pcs.append(0x8048000)
         record.access_sizes.append(-4)
         record.access_misses.append(0)
-        code_key = (translator_knobs(TranslationConfig()), L1_CODE_CAPACITY)
-        record.code_streams[code_key] = array("B", [L1_MISS])
         copy = _round_trip(record)
         assert copy == record
         assert copy.access_misses.tolist() == [0]
-        assert {key: codes.tolist() for key, codes in copy.code_streams.items()} == {
-            code_key: [L1_MISS]}
 
     def test_translated_namespace_and_record_round_trip(self):
         cache = TranslationCache()
