@@ -11,7 +11,7 @@ The package provides the full toolchain for the guest side:
 
 * :mod:`repro.guest.isa` — instruction/operand model and opcode tables
 * :mod:`repro.guest.encoder` / :mod:`repro.guest.decoder` — binary format
-* :mod:`repro.guest.assembler` — two-pass text assembler
+* :mod:`repro.guest.assembler` — text assembler (layout fixpoint, then a strict final pass)
 * :mod:`repro.guest.interpreter` — reference interpreter (golden model)
 * :mod:`repro.guest.program` — program images and the loader
 * :mod:`repro.guest.syscalls` — the proxy system-call interface

@@ -163,8 +163,8 @@ def encode_instruction(instr: Instruction, allow_short: bool = True) -> bytes:
 
     ``allow_short`` enables rel8 branch forms when the displacement fits
     and the instruction address is known.  The assembler passes
-    ``False`` so that instruction sizes stay fixed across its two
-    passes (no branch relaxation).
+    ``False`` so that branch sizes stay fixed across its layout passes
+    (no branch relaxation).
     """
     op = instr.op
 

@@ -168,30 +168,120 @@ class TestDataDirectives:
         assert program.symbols["aligned"] % 8 == 0
 
 
+def assembly_error(source):
+    """The :class:`AssemblyError` that assembling ``source`` raises."""
+    with pytest.raises(AssemblyError) as info:
+        assemble(source)
+    return info.value
+
+
 class TestErrors:
     def test_unknown_mnemonic(self):
-        with pytest.raises(AssemblyError):
-            assemble("_start: frobnicate eax\n")
+        assert assembly_error("_start: frobnicate eax\n").line_number == 1
 
     def test_undefined_symbol(self):
-        with pytest.raises(AssemblyError):
-            assemble("_start: mov eax, nosuchlabel\nhlt\n")
+        assert assembly_error("_start: mov eax, nosuchlabel\nhlt\n").line_number == 1
 
     def test_duplicate_label(self):
-        with pytest.raises(AssemblyError):
-            assemble("x: nop\nx: nop\n")
+        assert assembly_error("x: nop\nx: nop\n").line_number == 2
 
     def test_wrong_operand_count(self):
-        with pytest.raises(AssemblyError):
-            assemble("_start: add eax\n")
+        assert assembly_error("_start: add eax\n").line_number == 1
 
     def test_bad_shift_count_register(self):
-        with pytest.raises(AssemblyError):
-            assemble("_start: shl eax, ebx\n")
+        assert assembly_error("_start: shl eax, ebx\n").line_number == 1
 
     def test_unterminated_memory_operand(self):
-        with pytest.raises(AssemblyError):
-            assemble("_start: mov eax, [ebx\n")
+        assert assembly_error("_start: mov eax, [ebx\n").line_number == 1
+
+
+class TestErrorAttribution:
+    """Every malformed statement is blamed on its own line, in source order."""
+
+    @pytest.mark.parametrize("statement, message", [
+        ("mov 5, eax", "unsupported ALU operand combination"),
+        ("lea eax, ebx", "lea source must be a memory operand"),
+        ("mov eax, 010", "bad number '010'"),
+        ("cmp al, ' '", "undefined symbol 'al'"),
+        ("mov eax, ebx + 1", "undefined symbol 'ebx'"),
+        ("shl eax, 1 << (2 - 3)", "negative shift count"),
+        ("mov eax, )", "unexpected ')'"),
+        ("mov eax, 'ab'", "bad expression near"),
+        ("mov eax, '\\x'", "bad character literal"),
+    ])
+    def test_malformed_instruction(self, statement, message):
+        error = assembly_error(f"_start: nop\n{statement}\nhlt\n")
+        assert error.line_number == 2
+        assert message in str(error)
+
+    @pytest.mark.parametrize("statement, message", [
+        ("dd 08", "bad number '08'"),
+        ("dz -1", "dz count -1 is negative"),
+        ("dz", "dz expects 1 operand(s), got 0"),
+    ])
+    def test_malformed_data(self, statement, message):
+        error = assembly_error(f"_start: hlt\n.data\n{statement}\n")
+        assert error.line_number == 3
+        assert message in str(error)
+
+    def test_undefined_name_read_only_by_a_dependent_statement(self):
+        error = assembly_error("_start: mov eax, [buf + 4]\nmov eax, [nosuch + 4]\nhlt\n"
+                               ".data\nbuf: dd 0\n")
+        assert error.line_number == 2
+        assert "undefined symbol 'nosuch'" in str(error)
+
+    def test_undefined_name_read_only_by_a_branch(self):
+        error = assembly_error("_start: nop\njnz done\njmp nosuch\ndone: hlt\n")
+        assert error.line_number == 3
+        assert "undefined symbol 'nosuch'" in str(error)
+
+    def test_undefined_names_in_directives(self):
+        assert assembly_error("_start: hlt\nX equ nosuch\n").line_number == 2
+        assert assembly_error("_start: hlt\n.align nosuch\n").line_number == 2
+
+    def test_repeated_bad_line_blames_its_first_occurrence(self):
+        source = "_start: mov eax, 1\nmov eax, 1\nmov eax, [ebx\nmov eax, [ebx\n"
+        assert assembly_error(source).line_number == 3
+
+    def test_bad_operand_after_good_lines_with_the_same_operands(self):
+        error = assembly_error("_start: mov eax, ebx\nmov eax, ebx\nlea eax, ebx\n")
+        assert error.line_number == 3
+
+    def test_shared_good_statement_does_not_hide_a_later_error(self):
+        source = "_start: mov eax, [buf]\nmov eax, [buf]\nmov 5, [buf]\nhlt\n.data\nbuf: dd 0\n"
+        assert assembly_error(source).line_number == 3
+
+    def test_duplicate_label_before_parse_error_wins(self):
+        error = assembly_error("x: nop\nx: nop\nfrobnicate\n")
+        assert error.line_number == 2
+        assert "duplicate label" in str(error)
+
+    def test_parse_error_before_duplicate_label_wins(self):
+        error = assembly_error("frobnicate\nx: nop\nx: nop\n")
+        assert error.line_number == 1
+        assert "unknown mnemonic" in str(error)
+
+    def test_layout_error_wins_over_earlier_undefined_symbol(self):
+        # Undefined names are only known once layout has finished.
+        error = assembly_error("_start: mov eax, nosuch\nfrobnicate\n")
+        assert error.line_number == 2
+
+
+class TestQuotedLiterals:
+    @pytest.mark.parametrize("char", [";", "#", ","])
+    def test_char_literal_holding_a_separator(self, char):
+        program = assemble(f"_start: mov eax, '{char}'  ; comment, with ' and #\nhlt\n")
+        assert decode_all(program)[0].src == Immediate(ord(char))
+
+    def test_separators_inside_a_string(self):
+        program = assemble('_start: hlt\n.data\nmsg: db "a;b#c,d", \',\', 0 ; trailing\n')
+        data = next(s for s in program.sections if s.name == ".data")
+        assert data.data == b"a;b#c,d,\0"
+
+    def test_escaped_quote_inside_a_string(self):
+        program = assemble('_start: hlt\n.data\nmsg: db "say \\"hi\\"" ; c\n')
+        data = next(s for s in program.sections if s.name == ".data")
+        assert data.data == b'say "hi"'
 
 
 class TestIndirectBranches:
